@@ -24,42 +24,14 @@ CHAOS_BURN_IN = 100
 DEFAULT_MAX_POINTS = 20_000_000
 
 
-@dataclass(frozen=True)
-class Address:
-    """A finite word (r_1, ..., r_m) over {1..N} naming a subinterval.
+def map_images(model: ChfifModel, j, x, f1, f2):
+    """Values of (f1, f2) at L_j(x), given their values at x.
 
-    The empty word names the whole domain.  Symbol r_k acts as the k-th
-    applied map, so the last symbol selects the top-level interval the
-    subinterval sits in.
+    alpha_j f1 + beta_j f2 + p_j(x) and gamma_j f2 + q_j(x), with ``j`` a
+    0-based interval index or an index array aligned with ``x``.
     """
-
-    word: tuple[int, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.word)
-
-
-def _require_symbols(word: tuple[int, ...], n: int) -> None:
-    for r in word:
-        if not 1 <= r <= n:
-            raise ValueError(f"address symbol {r} outside 1..{n}")
-
-
-def interval_of(model: ChfifModel, address: Address | tuple[int, ...]) -> tuple[float, float]:
-    """Unit-domain (start, length) of the subinterval named by ``address``.
-
-    Follows the recursion new = L_r(old) with each successive symbol applied
-    as the outermost map, so the length is the product of the interval
-    lengths selected by the word.
-    """
-    word = address.word if isinstance(address, Address) else tuple(address)
-    _require_symbols(word, model.n_intervals)
-    start, length = 0.0, 1.0
-    for r in word:
-        j = r - 1
-        start = model.a[j] * start + model.b[j]
-        length = model.a[j] * length
-    return start, length
+    return (model.alpha[j] * f1 + model.beta[j] * f2 + model.p(j, x),
+            model.gamma[j] * f2 + model.q(j, x))
 
 
 @dataclass(frozen=True)
@@ -102,12 +74,10 @@ def sample_exact(model: ChfifModel, depth: int, *, max_points: int = DEFAULT_MAX
     f2 = model.z.copy()
     for _ in range(depth):
         bx, b1, b2 = [], [], []
-        for i in range(1, n + 1):
-            j = i - 1
+        for j in range(n):
             img_x = model.a[j] * xs + model.b[j]
             img_x[-1] = model.node_x[j + 1]   # keep shared boundaries canonical
-            img_1 = model.alpha[j] * f1 + model.beta[j] * f2 + model.p_eval(i, xs)
-            img_2 = model.gamma[j] * f2 + model.q_eval(i, xs)
+            img_1, img_2 = map_images(model, j, xs, f1, f2)
             if j > 0:   # drop the duplicate of the previous block's endpoint
                 img_x, img_1, img_2 = img_x[1:], img_1[1:], img_2[1:]
             bx.append(img_x)
@@ -134,18 +104,8 @@ def apply_operator(model: ChfifModel, xs: np.ndarray, f1: np.ndarray, f2: np.nda
     between grid samples.
     """
     idx = _interval_index(model, xs)
-    u = (xs - model.b[idx]) / model.a[idx]
-    u = np.clip(u, 0.0, 1.0)
-    f1_u = np.interp(u, xs, f1)
-    f2_u = np.interp(u, xs, f2)
-    alpha, beta, gamma = model.alpha[idx], model.beta[idx], model.gamma[idx]
-    p = model.p_c[idx] * u + model.p_d[idx]
-    if np.any(model.p_h != 0.0):
-        p = p + model.p_h[idx] * np.power(u, model.p_lam[idx])
-    q = model.q_e[idx] * u + model.q_f[idx]
-    if np.any(model.q_k != 0.0):
-        q = q + model.q_k[idx] * np.power(u, model.q_mu[idx])
-    return alpha * f1_u + beta * f2_u + p, gamma * f2_u + q
+    u = np.clip((xs - model.b[idx]) / model.a[idx], 0.0, 1.0)
+    return map_images(model, idx, u, np.interp(u, xs, f1), np.interp(u, xs, f2))
 
 
 @dataclass(frozen=True)
@@ -239,16 +199,14 @@ def exact_residuals(model: ChfifModel, depth: int) -> tuple[float, float]:
     xs = (np.asarray(coarse.xs, dtype=float) - model.x0) / model.span
     per_block = len(xs)
     worst1 = worst2 = 0.0
-    for i in range(1, model.n_intervals + 1):
-        j = i - 1
+    for j in range(model.n_intervals):
         lo = j * (per_block - 1)
         sl = slice(lo, lo + per_block)
         image_x = model.a[j] * xs + model.b[j]
         stored_x = (np.asarray(fine.xs[sl], dtype=float) - model.x0) / model.span
         if not np.allclose(stored_x, image_x, rtol=0, atol=1e-9):
             raise AssertionError("refined grid misaligned with interval images")
-        rhs1 = model.alpha[j] * coarse.f1s + model.beta[j] * coarse.f2s + model.p_eval(i, xs)
-        rhs2 = model.gamma[j] * coarse.f2s + model.q_eval(i, xs)
+        rhs1, rhs2 = map_images(model, j, xs, coarse.f1s, coarse.f2s)
         worst1 = max(worst1, float(np.max(np.abs(fine.f1s[sl] - rhs1))))
         worst2 = max(worst2, float(np.max(np.abs(fine.f2s[sl] - rhs2))))
     return worst1, worst2
@@ -267,18 +225,21 @@ def chaos_game(model: ChfifModel, n_points: int, seed: int, burn_in: int = CHAOS
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, model.n_intervals, size=burn_in + n_points)
 
-    x, fy, fz = 0.0, float(model.y[0]), float(model.z[0])
-    out = np.empty((n_points, 3), dtype=float)
-    for k, j in enumerate(picks):
-        px = model.p_c[j] * x + model.p_d[j]
-        qx = model.q_e[j] * x + model.q_f[j]
-        if model.p_h[j] != 0.0:
-            px += model.p_h[j] * x ** model.p_lam[j]
-        if model.q_k[j] != 0.0:
-            qx += model.q_k[j] * x ** model.q_mu[j]
-        fy, fz = model.alpha[j] * fy + model.beta[j] * fz + px, model.gamma[j] * fz + qx
-        x = model.a[j] * x + model.b[j]
-        if k >= burn_in:
-            out[k - burn_in] = (x, fy, fz)
-    out[:, 0] = model.to_raw(out[:, 0])
-    return out
+    # the abscissa orbit never reads (f1, f2), so it runs first and p, q are
+    # evaluated on it as vectors; only the (f1, f2) recurrence stays scalar
+    xs = np.empty(len(picks) + 1)
+    x = xs[0] = 0.0
+    for k, (a, b) in enumerate(zip(model.a[picks], model.b[picks]), start=1):
+        x = xs[k] = a * x + b
+    ps = model.p(picks, xs[:-1])
+    qs = model.q(picks, xs[:-1])
+
+    f1 = np.empty(len(picks))
+    f2 = np.empty(len(picks))
+    fy, fz = model.y[0], model.z[0]
+    steps = zip(model.alpha[picks], model.beta[picks], model.gamma[picks], ps, qs)
+    for k, (alpha, beta, gamma, p, q) in enumerate(steps):
+        fy, fz = alpha * fy + beta * fz + p, gamma * fz + q
+        f1[k] = fy
+        f2[k] = fz
+    return np.column_stack((model.to_raw(xs[burn_in + 1:]), f1[burn_in:], f2[burn_in:]))

@@ -4,15 +4,16 @@ Commands read a YAML configuration (a file path or the name of a bundled
 gallery entry), run one pipeline stage, and emit deterministic text files:
 byte-identical output for identical config, options and seed.
 
-Exit codes: 0 success, 1 validation/parse failure, 2 I/O failure,
-3 numeric degeneracy (degenerate classification exponent, non-convergence,
-or too-coarse sampling).
+Exit codes: 0 success, 1 validation/parse failure or a rejected option
+value, 2 I/O failure, 3 numeric degeneracy (degenerate classification
+exponent, non-convergence, or too-coarse sampling).
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -24,12 +25,12 @@ from . import presets
 from .attractor import chaos_game, fixed_point_iterate, sample_exact
 from .dimension import dimension_report
 from .exceptions import (
+    EXIT_DEGENERATE,
+    EXIT_IO,
+    EXIT_VALIDATION,
     ChfifError,
     ConfigError,
     DegenerateExponentError,
-    InsufficientScalesError,
-    SamplingTooCoarseError,
-    ValidationError,
 )
 from .geometry import (
     InterpolationProblem,
@@ -43,10 +44,6 @@ from .geometry import (
 )
 from .moments import build_moment_table, convergence_profile
 from .smoothness import classify
-
-EXIT_VALIDATION = 1
-EXIT_IO = 2
-EXIT_DEGENERATE = 3
 
 
 @dataclass(frozen=True)
@@ -76,22 +73,8 @@ class RunConfig:
     name: str = "config"
 
 
-_OPTION_TYPES = {
-    "depth": int,
-    "iterations": int,
-    "tol": float,
-    "eps_min_exp": int,
-    "eps_max_exp": int,
-    "seed": int,
-    "precision": int,
-    "points": int,
-    "method": str,
-    "grid_size": int,
-    "moments_depth": int,
-    "profile_m_max": int,
-    "probe_depth": int,
-    "out": str,
-}
+# option name -> annotation text ("int", "float", "str", "str | None")
+_OPTION_TYPES = {f.name: f.type for f in fields(RunOptions)}
 
 _INTERVAL_KEYS = {"alpha", "beta", "gamma", "p_power", "q_power"}
 _POWER_KEYS = {"coeff", "exponent"}
@@ -197,21 +180,21 @@ def parse_config(text: str, name: str = "config") -> RunConfig:
         unknown = set(opts) - set(_OPTION_TYPES)
         if unknown:
             raise ConfigError(f"options.{sorted(unknown)[0]}", "unknown key")
-        fields = {}
+        values = {}
         for key, value in opts.items():
             kind = _OPTION_TYPES[key]
             where = f"options.{key}"
-            if kind is str:
-                if not isinstance(value, str):
-                    raise ConfigError(where, f"expected a string, got {value!r}")
-                fields[key] = value
-            elif kind is int:
+            if kind == "int":
                 if isinstance(value, bool) or not isinstance(value, int):
                     raise ConfigError(where, f"expected an integer, got {value!r}")
-                fields[key] = value
+                values[key] = value
+            elif kind == "float":
+                values[key] = _number(value, where)
             else:
-                fields[key] = _number(value, where)
-        options = replace(options, **fields)
+                if not isinstance(value, str):
+                    raise ConfigError(where, f"expected a string, got {value!r}")
+                values[key] = value
+        options = replace(options, **values)
         if options.method not in ("exact", "iterate", "chaos"):
             raise ConfigError("options.method", f"expected exact|iterate|chaos, got {options.method!r}")
 
@@ -317,7 +300,7 @@ def _classification_pairs(config: RunConfig, model, report):
         ("command", "classify"),
         ("config", config.name),
         ("n_intervals", model.n_intervals),
-        ("interval_lengths", model.lengths),
+        ("interval_lengths", model.a),
         ("lambda", model.lam),
         ("mu", model.mu),
         ("omega_i", ratios.omega_i),
@@ -364,18 +347,11 @@ def _load(config_ref: str, overrides: dict) -> RunConfig:
 def _run(body) -> None:
     try:
         body()
-    except (ConfigError, ValidationError) as exc:
+    except (ChfifError, OSError, ValueError) as exc:
+        # a plain ValueError is an option value the library rejects (depth -1)
+        code = EXIT_IO if isinstance(exc, OSError) else getattr(exc, "exit_code", EXIT_VALIDATION)
         click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
-    except (FileNotFoundError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_IO)
-    except (DegenerateExponentError, SamplingTooCoarseError, InsufficientScalesError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DEGENERATE)
-    except ChfifError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
+        sys.exit(code)
 
 
 config_opt = click.option("--config", "config_ref", required=True,
@@ -514,8 +490,11 @@ def moments(config_ref, out, depth, precision):
         lines = [f"# config: {config.name}",
                  f"# whole-interval integrals: B={fmt(table.whole_b, p)} A={fmt(table.whole_a, p)}",
                  "word,start,length,b,a"]
-        for level_index, level in enumerate(table.levels, start=1):
-            words = _level_words(model.n_intervals, level_index)
+        symbols = range(1, model.n_intervals + 1)
+        for length, level in enumerate(table.levels, start=1):
+            # spatial order: word r_1..r_m has index digits (r_m ... r_1) base N
+            words = ("".join(map(str, reversed(w)))
+                     for w in itertools.product(symbols, repeat=length))
             for w, s, l, b, a in zip(words, level.starts, level.lengths,
                                      level.b_values, level.a_values):
                 lines.append(f"{w},{fmt(s, p)},{fmt(l, p)},{fmt(b, p)},{fmt(a, p)}")
@@ -526,19 +505,6 @@ def moments(config_ref, out, depth, precision):
             lines.append(f"{m},{fmt(err, p)}")
         _write_out("\n".join(lines) + "\n", opts.out)
     _run(body)
-
-
-def _level_words(n: int, length: int) -> list[str]:
-    # spatial order: index digits read (r_m ... r_1) base n
-    words = []
-    for idx in range(n ** length):
-        digits = []
-        rem = idx
-        for _ in range(length):
-            digits.append(rem % n + 1)
-            rem //= n
-        words.append("".join(str(d) for d in digits))
-    return words
 
 
 @main.command(name="validate")

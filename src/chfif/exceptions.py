@@ -1,10 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, with their CLI exit codes."""
 
 from __future__ import annotations
 
+EXIT_VALIDATION = 1
+EXIT_IO = 2
+EXIT_DEGENERATE = 3
+
 
 class ChfifError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    ``exit_code`` is the status the command line interface exits with.
+    """
+
+    exit_code = EXIT_VALIDATION
 
 
 class ValidationError(ChfifError):
@@ -26,13 +35,19 @@ class DepthLimitError(ChfifError):
 class SamplingTooCoarseError(ChfifError):
     """Sample grid is too coarse for the requested box size."""
 
+    exit_code = EXIT_DEGENERATE
+
 
 class InsufficientScalesError(ChfifError):
     """Too few usable scales for a log-log regression."""
 
+    exit_code = EXIT_DEGENERATE
+
 
 class DegenerateExponentError(ChfifError):
     """A classification formula produced an exponent outside (0, 1]."""
+
+    exit_code = EXIT_DEGENERATE
 
 
 class ConfigError(ChfifError):

@@ -7,16 +7,16 @@ interval carries two scalar map functions
     p_i(x) = c_i x + d_i + h_i x**lam_i      (h_i = 0 for plain affine)
     q_i(x) = e_i x + f_i + k_i x**mu_i
 
-whose free coefficients (c_i, d_i) and (e_i, f_i) are solved from the
-endpoint conditions of the contracting system, together with the domain maps
-L_i(x) = a_i x + b_i.  All internal computation lives on the unit domain;
+of one shared form (one :class:`MapFunction` each), whose free coefficients
+(c_i, d_i) and (e_i, f_i) are solved from the endpoint conditions of the
+contracting system, together with the domain maps L_i(x) = a_i x + b_i.  All internal computation lives on the unit domain;
 general abscissas are affinely normalised on ingestion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -133,9 +133,51 @@ def validate(problem: InterpolationProblem) -> ValidationResult:
     return ValidationResult(ok=not bad, violations=tuple(bad))
 
 
-def _max_abs_template(lin: float, const: float, power: float, exponent: float) -> float:
-    # certified (triangle-inequality) bound for |lin*x + const + power*x**e| on [0,1]
-    return abs(lin) + abs(const) + abs(power)
+def _freeze_arrays(obj) -> None:
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class MapFunction:
+    """The map-function template lin*x + const + coeff*x**exponent, per interval.
+
+    Both p_i and q_i have this form, so each is one instance.  Methods take
+    a 0-based interval index ``j`` (an int or an index array aligned with
+    ``x``) and evaluate on the unit domain.
+    """
+
+    lin: np.ndarray
+    const: np.ndarray
+    coeff: np.ndarray
+    exponent: np.ndarray   # 1.0 on intervals without a power term
+    _powered: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _freeze_arrays(self)
+        # decided once: a per-call np.any costs more than the affine part
+        object.__setattr__(self, "_powered", bool(np.any(self.coeff != 0.0)))
+
+    def __call__(self, j, x):
+        out = self.lin[j] * np.asarray(x, dtype=float) + self.const[j]
+        if self._powered:
+            out = out + self.coeff[j] * np.power(np.clip(x, 0.0, None), self.exponent[j])
+        return out
+
+    def integral(self, j, lo, hi):
+        """Closed-form integral over [lo, hi]."""
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        out = self.lin[j] * (hi * hi - lo * lo) / 2.0 + self.const[j] * (hi - lo)
+        if self._powered:
+            e = self.exponent[j] + 1.0
+            out = out + self.coeff[j] * (np.power(hi, e) - np.power(lo, e)) / e
+        return out
+
+    def sup_bound(self) -> float:
+        """Certified (triangle-inequality) bound for max_j sup over [0, 1]."""
+        return float(np.max(np.abs(self.lin) + np.abs(self.const) + np.abs(self.coeff)))
 
 
 @dataclass(frozen=True)
@@ -153,20 +195,13 @@ class ChfifModel:
     node_x: np.ndarray        # normalised node abscissas, node_x[0] = 0, node_x[-1] = 1
     y: np.ndarray
     z: np.ndarray
-    a: np.ndarray             # L_i slope  (= normalised interval length)
+    a: np.ndarray             # L_i slope = |I_i| on the unit domain
     b: np.ndarray             # L_i intercept
     alpha: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
-    p_c: np.ndarray
-    p_d: np.ndarray
-    p_h: np.ndarray
-    p_lam: np.ndarray
-    q_e: np.ndarray
-    q_f: np.ndarray
-    q_k: np.ndarray
-    q_mu: np.ndarray
-    lengths: np.ndarray       # |I_i| on the unit domain
+    p: MapFunction            # visible-component map functions p_i
+    q: MapFunction            # hidden-component map functions q_i
     length_min: float
     length_max: float
     lam: float                # min over intervals of the p Lipschitz exponents
@@ -180,6 +215,9 @@ class ChfifModel:
     alpha_max: float
     gamma_max: float
 
+    def __post_init__(self) -> None:
+        _freeze_arrays(self)
+
     @property
     def n_intervals(self) -> int:
         return len(self.a)
@@ -192,41 +230,6 @@ class ChfifModel:
 
     def L_inv(self, i: int, x):
         return (x - self.b[i - 1]) / self.a[i - 1]
-
-    def p_eval(self, i: int, x):
-        j = i - 1
-        out = self.p_c[j] * np.asarray(x, dtype=float) + self.p_d[j]
-        if self.p_h[j] != 0.0:
-            out = out + self.p_h[j] * np.power(np.clip(x, 0.0, None), self.p_lam[j])
-        return out
-
-    def q_eval(self, i: int, x):
-        j = i - 1
-        out = self.q_e[j] * np.asarray(x, dtype=float) + self.q_f[j]
-        if self.q_k[j] != 0.0:
-            out = out + self.q_k[j] * np.power(np.clip(x, 0.0, None), self.q_mu[j])
-        return out
-
-    def p_integral(self, i: int, lo, hi):
-        """Closed-form integral of p_i over [lo, hi] (unit-domain)."""
-        j = i - 1
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        out = self.p_c[j] * (hi * hi - lo * lo) / 2.0 + self.p_d[j] * (hi - lo)
-        if self.p_h[j] != 0.0:
-            e = self.p_lam[j] + 1.0
-            out = out + self.p_h[j] * (np.power(hi, e) - np.power(lo, e)) / e
-        return out
-
-    def q_integral(self, i: int, lo, hi):
-        j = i - 1
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        out = self.q_e[j] * (hi * hi - lo * lo) / 2.0 + self.q_f[j] * (hi - lo)
-        if self.q_k[j] != 0.0:
-            e = self.q_mu[j] + 1.0
-            out = out + self.q_k[j] * (np.power(hi, e) - np.power(lo, e)) / e
-        return out
 
     # -- coordinates ------------------------------------------------------
 
@@ -242,14 +245,8 @@ class ChfifModel:
         feels it only through beta.  Loose but guaranteed; used for sanity
         checks on iterates and chaos-game clouds.
         """
-        q_sup = max(
-            _max_abs_template(self.q_e[j], self.q_f[j], self.q_k[j], self.q_mu[j])
-            for j in range(self.n_intervals)
-        )
-        p_sup = max(
-            _max_abs_template(self.p_c[j], self.p_d[j], self.p_h[j], self.p_lam[j])
-            for j in range(self.n_intervals)
-        )
+        q_sup = self.q.sup_bound()
+        p_sup = self.p.sup_bound()
         beta_max = float(np.max(np.abs(self.beta)))
         b2 = q_sup / (1.0 - self.gamma_max) if self.gamma_max < 1.0 else math.inf
         b1 = (p_sup + beta_max * b2) / (1.0 - self.alpha_max) if self.alpha_max < 1.0 else math.inf
@@ -297,13 +294,12 @@ def solve_model(problem: InterpolationProblem) -> ChfifModel:
     q_f = z[:-1] - gamma * z[0]
     q_e = (z[1:] - gamma * z[-1]) - q_f - q_k
 
-    lengths = a.copy()
     lam = float(np.min(p_lam))
     mu = float(np.min(q_mu))
 
-    omega_i = np.abs(alpha) / lengths ** lam
-    gamma_i = np.abs(gamma) / lengths ** mu
-    theta_i = np.abs(alpha) / lengths ** mu
+    omega_i = np.abs(alpha) / a ** lam
+    gamma_i = np.abs(gamma) / a ** mu
+    theta_i = np.abs(alpha) / a ** mu
 
     return ChfifModel(
         problem=problem,
@@ -317,17 +313,10 @@ def solve_model(problem: InterpolationProblem) -> ChfifModel:
         alpha=alpha,
         beta=beta,
         gamma=gamma,
-        p_c=p_c,
-        p_d=p_d,
-        p_h=p_h,
-        p_lam=p_lam,
-        q_e=q_e,
-        q_f=q_f,
-        q_k=q_k,
-        q_mu=q_mu,
-        lengths=lengths,
-        length_min=float(np.min(lengths)),
-        length_max=float(np.max(lengths)),
+        p=MapFunction(p_c, p_d, p_h, p_lam),
+        q=MapFunction(q_e, q_f, q_k, q_mu),
+        length_min=float(np.min(a)),
+        length_max=float(np.max(a)),
         lam=lam,
         mu=mu,
         omega_i=omega_i,
@@ -366,11 +355,12 @@ def classification_ratios(model: ChfifModel) -> RatioSummary:
 
 
 def _templates_equal(model: ChfifModel, j: int, atol: float) -> bool:
+    p, q = model.p, model.q
     return (
-        abs(model.p_c[j] - model.q_e[j]) <= atol
-        and abs(model.p_d[j] - model.q_f[j]) <= atol
-        and abs(model.p_h[j] - model.q_k[j]) <= atol
-        and (model.p_h[j] == 0.0 or abs(model.p_lam[j] - model.q_mu[j]) <= atol)
+        abs(p.lin[j] - q.lin[j]) <= atol
+        and abs(p.const[j] - q.const[j]) <= atol
+        and abs(p.coeff[j] - q.coeff[j]) <= atol
+        and (p.coeff[j] == 0.0 or abs(p.exponent[j] - q.exponent[j]) <= atol)
     )
 
 
@@ -401,5 +391,5 @@ def is_self_affine_config(model: ChfifModel) -> bool:
 
 
 def is_equidistant(model: ChfifModel, rtol: float = CRITICAL_RTOL) -> bool:
-    ref = model.lengths[0]
-    return bool(np.all(np.abs(model.lengths - ref) <= rtol * ref))
+    ref = model.a[0]
+    return bool(np.all(np.abs(model.a - ref) <= rtol * ref))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attractor import Address, SampledGraph, sample_exact
+from .attractor import SampledGraph, sample_exact
 from .geometry import ChfifModel
 
 
@@ -29,9 +29,10 @@ def whole_interval_integrals(model: ChfifModel) -> tuple[float, float]:
     over intervals gives closed-form linear solves; the denominators cannot
     vanish because |alpha_i| < 1, |gamma_i| < 1 and the lengths sum to 1.
     """
-    int_q = np.array([model.q_integral(i, 0.0, 1.0) for i in range(1, model.n_intervals + 1)])
-    int_p = np.array([model.p_integral(i, 0.0, 1.0) for i in range(1, model.n_intervals + 1)])
-    lengths = model.lengths
+    j = np.arange(model.n_intervals)
+    int_q = model.q.integral(j, 0.0, 1.0)
+    int_p = model.p.integral(j, 0.0, 1.0)
+    lengths = model.a
     a_val = float(np.sum(lengths * int_q) / (1.0 - np.sum(lengths * model.gamma)))
     b_val = float(
         np.sum(lengths * (int_p + model.beta * a_val))
@@ -40,34 +41,60 @@ def whole_interval_integrals(model: ChfifModel) -> tuple[float, float]:
     return a_val, b_val
 
 
-def _as_word(address: Address | tuple[int, ...]) -> tuple[int, ...]:
-    return address.word if isinstance(address, Address) else tuple(address)
-
-
-def _walk(model: ChfifModel, word: tuple[int, ...]) -> tuple[float, float, float, float]:
-    # returns (start, length, a_w, b_w) after absorbing the word left to right
-    a_val, b_val = whole_interval_integrals(model)
-    start, length = 0.0, 1.0
+def _checked_word(word, n: int) -> tuple[int, ...]:
+    word = tuple(word)
     for r in word:
-        j = r - 1
-        iq = float(model.q_integral(r, start, start + length))
-        ip = float(model.p_integral(r, start, start + length))
-        a_new = model.a[j] * (iq + model.gamma[j] * a_val)
-        b_new = model.a[j] * (ip + model.beta[j] * a_val + model.alpha[j] * b_val)
-        start = model.a[j] * start + model.b[j]
-        length = model.a[j] * length
-        a_val, b_val = a_new, b_new
-    return start, length, a_val, b_val
+        if not 1 <= r <= n:
+            raise ValueError(f"address symbol {r} outside 1..{n}")
+    return word
 
 
-def moment_a(model: ChfifModel, address: Address | tuple[int, ...]) -> float:
+def _child(model: ChfifModel, j, start, length, a_val, b_val):
+    """One step of the cell recursion: the image of a cell under map ``j``.
+
+    Takes the cell's (start, length, a_w, b_w) and returns the same four
+    for the cell named by appending symbol j + 1; scalars or arrays of
+    cells.
+    """
+    end = start + length
+    iq = model.q.integral(j, start, end)
+    ip = model.p.integral(j, start, end)
+    return (
+        model.a[j] * start + model.b[j],
+        model.a[j] * length,
+        model.a[j] * (iq + model.gamma[j] * a_val),
+        model.a[j] * (ip + model.beta[j] * a_val + model.alpha[j] * b_val),
+    )
+
+
+def _walk(model: ChfifModel, word) -> tuple[float, float, float, float]:
+    # (start, length, a_w, b_w) after absorbing the word left to right
+    cell = (0.0, 1.0, *whole_interval_integrals(model))
+    for r in _checked_word(word, model.n_intervals):
+        cell = _child(model, r - 1, *cell)
+    return cell
+
+
+def interval_of(model: ChfifModel, word: tuple[int, ...]) -> tuple[float, float]:
+    """Unit-domain (start, length) of the subinterval named by ``word``.
+
+    A word (r_1, ..., r_m) over {1..N} names a subinterval; the empty word
+    names the whole domain.  Symbol r_k acts as the k-th applied map, so
+    the last symbol selects the top-level interval the subinterval sits in
+    and the length is the product of the interval lengths selected.
+    """
+    start, length, _, _ = _walk(model, word)
+    return start, length
+
+
+def moment_a(model: ChfifModel, word: tuple[int, ...]) -> float:
     """Integral of the hidden component over the address interval."""
-    return _walk(model, _as_word(address))[2]
+    return _walk(model, word)[2]
 
 
-def moment_b(model: ChfifModel, address: Address | tuple[int, ...]) -> float:
+def moment_b(model: ChfifModel, word: tuple[int, ...]) -> float:
     """Integral of the visible component over the address interval."""
-    return _walk(model, _as_word(address))[3]
+    return _walk(model, word)[3]
 
 
 @dataclass(frozen=True)
@@ -96,20 +123,18 @@ class MomentTable:
     levels: tuple[LevelMoments, ...]
 
     def word_index(self, word: tuple[int, ...]) -> int:
-        idx = 0
-        for pos, r in enumerate(word):
-            idx += (r - 1) * self.n_intervals ** pos
-        return idx
+        n = self.n_intervals
+        return sum((r - 1) * n ** pos for pos, r in enumerate(_checked_word(word, n)))
 
-    def lookup(self, address: Address | tuple[int, ...]) -> tuple[float, float]:
+    def lookup(self, word: tuple[int, ...]) -> tuple[float, float]:
         """(b, a) moment pair for a stored word."""
-        word = _as_word(address)
+        word = tuple(word)
+        i = self.word_index(word)
         if not word:
             return self.whole_b, self.whole_a
         if len(word) > self.depth:
             raise KeyError(f"word of length {len(word)} beyond table depth {self.depth}")
         lvl = self.levels[len(word) - 1]
-        i = self.word_index(word)
         return float(lvl.b_values[i]), float(lvl.a_values[i])
 
 
@@ -118,26 +143,12 @@ def build_moment_table(model: ChfifModel, depth: int) -> MomentTable:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     whole_a, whole_b = whole_interval_integrals(model)
-    starts = np.array([0.0])
-    lengths = np.array([1.0])
-    a_vals = np.array([whole_a])
-    b_vals = np.array([whole_b])
+    cells = (np.array([0.0]), np.array([1.0]), np.array([whole_a]), np.array([whole_b]))
     levels: list[LevelMoments] = []
     for _ in range(depth):
-        ns, nl, na, nb = [], [], [], []
-        for i in range(1, model.n_intervals + 1):
-            j = i - 1
-            iq = model.q_integral(i, starts, starts + lengths)
-            ip = model.p_integral(i, starts, starts + lengths)
-            na.append(model.a[j] * (iq + model.gamma[j] * a_vals))
-            nb.append(model.a[j] * (ip + model.beta[j] * a_vals + model.alpha[j] * b_vals))
-            ns.append(model.a[j] * starts + model.b[j])
-            nl.append(model.a[j] * lengths)
-        starts = np.concatenate(ns)
-        lengths = np.concatenate(nl)
-        a_vals = np.concatenate(na)
-        b_vals = np.concatenate(nb)
-        levels.append(LevelMoments(starts, lengths, a_vals, b_vals))
+        children = [_child(model, j, *cells) for j in range(model.n_intervals)]
+        cells = tuple(np.concatenate(parts) for parts in zip(*children))
+        levels.append(LevelMoments(*cells))
     return MomentTable(
         n_intervals=model.n_intervals,
         depth=depth,
@@ -180,7 +191,7 @@ def q_m_operator(model: ChfifModel, m: int, x: float, table: MomentTable | None 
     return float(q_m_values(model, m, np.array([x]), table)[0])
 
 
-def address_of(model: ChfifModel, x: float, m: int) -> Address:
+def address_of(model: ChfifModel, x: float, m: int) -> tuple[int, ...]:
     """Length-m address of the cell containing ``x`` (same tie-breaking)."""
     if not 0.0 <= x <= 1.0:
         raise ValueError("x must lie in [0, 1]")
@@ -189,7 +200,7 @@ def address_of(model: ChfifModel, x: float, m: int) -> Address:
         idx = int(np.clip(np.searchsorted(model.node_x, x, side="right") - 1, 0, model.n_intervals - 1))
         word.append(idx + 1)
         x = min(max(model.L_inv(idx + 1, x), 0.0), 1.0)
-    return Address(tuple(reversed(word)))
+    return tuple(reversed(word))
 
 
 def convergence_profile(

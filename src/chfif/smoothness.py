@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -171,17 +171,9 @@ def remark_special_case(model: ChfifModel, rtol: float = CRITICAL_RTOL) -> Smoot
         raise ValueError(f"requires lam == mu, got lam={model.lam}, mu={model.mu}")
     base = classify(model, rtol)
     tag = _SPECIAL_CASE_TAGS[(base.theta_regime, base.gamma_state)]
-    return SmoothnessReport(
-        theta_regime=base.theta_regime,
-        omega_state=base.omega_state,
-        gamma_state=base.gamma_state,
-        modulus_order=base.modulus_order,
-        delta=base.delta,
+    return replace(
+        base,
         delta_tag=tag,
-        tau_bounds=base.tau_bounds,
-        case_label=base.case_label,
-        degenerate=base.degenerate,
-        degeneracy=base.degeneracy,
         special_case=f"theta_{base.theta_regime}/gamma_{base.gamma_state}",
     )
 

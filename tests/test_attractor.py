@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from chfif import (
-    Address,
     DepthLimitError,
     chaos_game,
     exact_residuals,
@@ -27,7 +26,7 @@ def node_indices(model, xs):
 
 class TestIntervalOf:
     def test_empty_word_is_whole_domain(self):
-        assert interval_of(model_for("fig4"), Address()) == (0.0, 1.0)
+        assert interval_of(model_for("fig4"), ()) == (0.0, 1.0)
 
     def test_single_symbol(self):
         start, length = interval_of(model_for("fig4"), (1,))

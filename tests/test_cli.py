@@ -231,6 +231,17 @@ class TestCommands:
         result = self.run("classify", "--config", "fig4", "--out", str(tmp_path))
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ("--depth", "-1"),
+        ("--method", "chaos", "--points", "0"),
+        ("--method", "iterate", "--grid-size", "2"),
+    ])
+    def test_rejected_option_value_is_validation_error(self, args):
+        result = self.run("generate", "--config", "fig4", *args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)   # not a traceback
+        assert result.stderr.startswith("error: ")
+
     @pytest.mark.parametrize("name", bundled_config_names())
     def test_every_bundled_config_runs_end_to_end(self, name, tmp_path):
         out = tmp_path / "report.txt"

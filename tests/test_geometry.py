@@ -80,10 +80,10 @@ class TestSolveModel:
         model = model_for(name)
         for i in range(1, model.n_intervals + 1):
             j = i - 1
-            lo1 = model.alpha[j] * model.y[0] + model.beta[j] * model.z[0] + model.p_eval(i, 0.0)
-            lo2 = model.gamma[j] * model.z[0] + model.q_eval(i, 0.0)
-            hi1 = model.alpha[j] * model.y[-1] + model.beta[j] * model.z[-1] + model.p_eval(i, 1.0)
-            hi2 = model.gamma[j] * model.z[-1] + model.q_eval(i, 1.0)
+            lo1 = model.alpha[j] * model.y[0] + model.beta[j] * model.z[0] + model.p(i - 1, 0.0)
+            lo2 = model.gamma[j] * model.z[0] + model.q(i - 1, 0.0)
+            hi1 = model.alpha[j] * model.y[-1] + model.beta[j] * model.z[-1] + model.p(i - 1, 1.0)
+            hi2 = model.gamma[j] * model.z[-1] + model.q(i - 1, 1.0)
             assert abs(lo1 - model.y[j]) <= 1e-12
             assert abs(lo2 - model.z[j]) <= 1e-12
             assert abs(hi1 - model.y[i]) <= 1e-12
@@ -92,8 +92,8 @@ class TestSolveModel:
     def test_zero_parameters_reduce_to_linear_interpolation(self):
         model = solve_model(zero_param_problem())
         for i in range(1, 4):
-            assert model.p_eval(i, 0.0) == pytest.approx(model.y[i - 1], abs=1e-14)
-            assert model.p_eval(i, 1.0) == pytest.approx(model.y[i], abs=1e-14)
+            assert model.p(i - 1, 0.0) == pytest.approx(model.y[i - 1], abs=1e-14)
+            assert model.p(i - 1, 1.0) == pytest.approx(model.y[i], abs=1e-14)
 
     def test_power_template_endpoints(self):
         problem = make_problem(p_powers=(power(0.7, 0.5), None, None),
@@ -102,8 +102,17 @@ class TestSolveModel:
         assert model.lam == 0.5
         assert model.mu == 0.8
         # endpoint conditions absorb the fixed power coefficient
-        assert model.p_eval(1, 1.0) + model.alpha[0] * model.y[-1] + model.beta[0] * model.z[-1] \
+        assert model.p(0, 1.0) + model.alpha[0] * model.y[-1] + model.beta[0] * model.z[-1] \
             == pytest.approx(model.y[1], abs=1e-12)
+
+    def test_model_arrays_are_read_only(self):
+        model = solve_model(make_problem(p_powers=(power(0.5, 0.5), None, None)))
+        arrays = [value for obj in (model, model.p, model.q)
+                  for value in vars(obj).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) == 19   # 11 model arrays and 4 per map function
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_invalid_problem_raises(self):
         with pytest.raises(ValidationError) as err:

@@ -12,6 +12,7 @@ intended output change, re-record from the repository root with
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -62,8 +63,6 @@ def test_output_unchanged(case, tmp_path):
 
 
 def record() -> None:
-    import tempfile
-
     manifest = {}
     with tempfile.TemporaryDirectory() as tmp:
         for case, (_, keep_text) in sorted(CASES.items()):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from chfif import (
-    Address,
     build_moment_table,
     convergence_profile,
     interval_of,
@@ -55,20 +54,20 @@ class TestMomentRecursion:
     def test_empty_word_is_base_case(self):
         model = model_for("fig5")
         a_val, b_val = whole_interval_integrals(model)
-        assert moment_a(model, Address()) == a_val
+        assert moment_a(model, ()) == a_val
         assert moment_b(model, ()) == b_val
 
     def test_single_symbol_with_decoupled_hidden(self):
         # gamma = 0 collapses the recursion to one template integral
         model = solve_model(make_problem(gammas=(0.0, 0.0, 0.0)))
         for i in range(1, 4):
-            expected = model.a[i - 1] * model.q_integral(i, 0.0, 1.0)
+            expected = model.a[i - 1] * model.q.integral(i - 1, 0.0, 1.0)
             assert moment_a(model, (i,)) == pytest.approx(expected, rel=1e-14)
 
     def test_single_symbol_with_decoupled_visible(self):
         model = solve_model(make_problem(alphas=(0.0, 0.0, 0.0), betas=(0.0, 0.0, 0.0)))
         for i in range(1, 4):
-            expected = model.a[i - 1] * model.p_integral(i, 0.0, 1.0)
+            expected = model.a[i - 1] * model.p.integral(i - 1, 0.0, 1.0)
             assert moment_b(model, (i,)) == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("name", ["fig4", "fig5"])
@@ -139,13 +138,21 @@ class TestMomentTable:
         with pytest.raises(KeyError):
             table.lookup((1, 2, 3))
 
+    @pytest.mark.parametrize("word", [(0,), (-1,), (4,), (0, 2), (2, 4)])
+    def test_out_of_range_symbols_rejected(self, word):
+        model = model_for("fig4")
+        table = build_moment_table(model, 2)
+        for query in (moment_a, moment_b, lambda _, w: table.lookup(w)):
+            with pytest.raises(ValueError):
+                query(model, word)
+
 
 class TestAveragingOperator:
     def test_interior_point_with_decoupled_visible(self):
         model = solve_model(make_problem(alphas=(0.0, 0.0, 0.0), betas=(0.0, 0.0, 0.0)))
         for i in range(1, 4):
             mid = model.b[i - 1] + model.a[i - 1] / 2
-            expected = model.p_integral(i, 0.0, 1.0)   # mean of f1 over the interval
+            expected = model.p.integral(i - 1, 0.0, 1.0)   # mean of f1 over the interval
             assert q_m_operator(model, 1, float(mid)) == pytest.approx(expected, rel=1e-13)
 
     def test_constant_data_is_reproduced_at_every_level(self):
