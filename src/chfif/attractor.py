@@ -24,14 +24,30 @@ CHAOS_BURN_IN = 100
 DEFAULT_MAX_POINTS = 20_000_000
 
 
+def _map_coefficients(model: ChfifModel, j, x):
+    # the parts of the maps that do not depend on (f1, f2)
+    return model.alpha[j], model.beta[j], model.gamma[j], model.p(j, x), model.q(j, x)
+
+
+def _apply_maps(coefficients, f1, f2):
+    # alpha*f1 + beta*f2 + p and gamma*f2 + q, in that order, summed in
+    # place into the fresh products
+    alpha, beta, gamma, p, q = coefficients
+    out1 = alpha * f1
+    out1 += beta * f2
+    out1 += p
+    out2 = gamma * f2
+    out2 += q
+    return out1, out2
+
+
 def map_images(model: ChfifModel, j, x, f1, f2):
     """Values of (f1, f2) at L_j(x), given their values at x.
 
     alpha_j f1 + beta_j f2 + p_j(x) and gamma_j f2 + q_j(x), with ``j`` a
     0-based interval index or an index array aligned with ``x``.
     """
-    return (model.alpha[j] * f1 + model.beta[j] * f2 + model.p(j, x),
-            model.gamma[j] * f2 + model.q(j, x))
+    return _apply_maps(_map_coefficients(model, j, x), f1, f2)
 
 
 @dataclass(frozen=True)
@@ -96,6 +112,46 @@ def _interval_index(model: ChfifModel, xs: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, model.n_intervals - 1)
 
 
+class _SweepPlan:
+    """The parts of an operator sweep that stay fixed on one grid.
+
+    Built once per grid: the interval of each abscissa x, its preimage
+    u = L_i^{-1}(x), np.interp's bracket for u and the map coefficients
+    at u.  A sweep then reads each component at the preimages with the
+    two-tap gather ((f[hi] - f[lo]) / dx) * t + f[lo].  Where u lies
+    strictly between two grid points that is np.interp's arithmetic in
+    np.interp's order.  Elsewhere np.interp returns a stored sample (u on
+    a grid point, or at or past either end of the grid); there the plan
+    holds hi = lo and t = -0.0, so the product is -0.0 and f[lo] + -0.0 is
+    f[lo] bit for bit, signed zeros included.  Sweeps are therefore
+    bit-identical to interpolating with np.interp, for finite values.
+    """
+
+    def __init__(self, model: ChfifModel, xs) -> None:
+        xs = np.asarray(xs, dtype=float)
+        idx = _interval_index(model, xs)
+        u = np.clip((xs - model.b[idx]) / model.a[idx], 0.0, 1.0)
+        lo = np.clip(np.searchsorted(xs, u, side="right") - 1, 0, len(xs) - 1)
+        between = (xs[0] <= u) & (u < xs[-1]) & (xs[lo] != u)
+        self.lo = lo
+        self.hi = np.where(between, lo + 1, lo)
+        self.t = np.where(between, u - xs[lo], -0.0)
+        self.dx = np.where(between, xs[self.hi] - xs[lo], 1.0)
+        self.coefficients = _map_coefficients(model, idx, u)
+
+    def _gather(self, f: np.ndarray) -> np.ndarray:
+        lo = f.take(self.lo)
+        g = f.take(self.hi)
+        g -= lo
+        g /= self.dx
+        g *= self.t
+        g += lo
+        return g
+
+    def __call__(self, f1: np.ndarray, f2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _apply_maps(self.coefficients, self._gather(f1), self._gather(f2))
+
+
 def apply_operator(model: ChfifModel, xs: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One sweep of the contraction operator on a grid function.
 
@@ -103,9 +159,12 @@ def apply_operator(model: ChfifModel, xs: np.ndarray, f1: np.ndarray, f2: np.nda
     the current iterate at L_i^{-1}(x) are obtained by linear interpolation
     between grid samples.
     """
-    idx = _interval_index(model, xs)
-    u = np.clip((xs - model.b[idx]) / model.a[idx], 0.0, 1.0)
-    return map_images(model, idx, u, np.interp(u, xs, f1), np.interp(u, xs, f2))
+    return _SweepPlan(model, xs)(np.asarray(f1, dtype=float), np.asarray(f2, dtype=float))
+
+
+def _sup_distance(a: np.ndarray, b: np.ndarray) -> float:
+    d = a - b
+    return float(np.max(np.abs(d, out=d)))
 
 
 @dataclass(frozen=True)
@@ -147,14 +206,15 @@ def fixed_point_iterate(
     f1 = np.interp(xs, model.node_x, model.y)
     f2 = np.interp(xs, model.node_x, model.z)
 
+    sweep = _SweepPlan(model, xs)
     d1s: list[float] = []
     d2s: list[float] = []
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        new_f1, new_f2 = apply_operator(model, xs, f1, f2)
-        d1 = float(np.max(np.abs(new_f1 - f1)))
-        d2 = float(np.max(np.abs(new_f2 - f2)))
+        new_f1, new_f2 = sweep(f1, f2)
+        d1 = _sup_distance(new_f1, f1)
+        d2 = _sup_distance(new_f2, f2)
         f1, f2 = new_f1, new_f2
         d1s.append(d1)
         d2s.append(d2)

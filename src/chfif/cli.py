@@ -30,7 +30,7 @@ from .exceptions import (
     EXIT_VALIDATION,
     ChfifError,
     ConfigError,
-    DegenerateExponentError,
+    NotConvergedError,
 )
 from .geometry import (
     InterpolationProblem,
@@ -385,7 +385,7 @@ def generate(config_ref, out, depth, method, seed, points, grid_size, tol, preci
         elif opts.method == "iterate":
             result = fixed_point_iterate(model, opts.grid_size, opts.iterations, opts.tol)
             if not result.converged:
-                raise DegenerateExponentError(
+                raise NotConvergedError(
                     f"iteration did not reach tol {opts.tol} in {opts.iterations} sweeps "
                     f"(last distance {result.distances[-1]:.3g})")
             xs, f1, f2 = result.graph.xs, result.graph.f1s, result.graph.f2s

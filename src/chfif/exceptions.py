@@ -50,6 +50,12 @@ class DegenerateExponentError(ChfifError):
     exit_code = EXIT_DEGENERATE
 
 
+class NotConvergedError(ChfifError):
+    """The fixed-point sweep did not reach its tolerance within its sweep budget."""
+
+    exit_code = EXIT_DEGENERATE
+
+
 class ConfigError(ChfifError):
     """Configuration text failed to parse or validate.
 

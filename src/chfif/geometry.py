@@ -112,11 +112,21 @@ def validate(problem: InterpolationProblem) -> ValidationResult:
         bad.append(Violation(
             "params", f"length {len(problem.params)} != number of intervals {n - 1}"))
 
+    for i, (x, y) in enumerate(problem.nodes):
+        for name, value in (("x", x), ("y", y)):
+            if not math.isfinite(value):
+                bad.append(Violation(f"nodes[{i}]", f"{name}_{i} = {value} is not finite"))
+    for i, z in enumerate(problem.hidden):
+        if not math.isfinite(z):
+            bad.append(Violation(f"hidden[{i}]", f"z_{i} = {z} is not finite"))
+
     xs = [p[0] for p in problem.nodes]
     for i in range(1, n):
-        if not xs[i] > xs[i - 1]:
+        if math.isfinite(xs[i]) and math.isfinite(xs[i - 1]) and not xs[i] > xs[i - 1]:
             bad.append(Violation(
                 f"nodes[{i}]", f"abscissas not strictly increasing: x_{i} = {xs[i]} <= x_{i-1} = {xs[i-1]}"))
+    if n and math.isfinite(xs[0]) and math.isfinite(xs[-1]) and not math.isfinite(xs[-1] - xs[0]):
+        bad.append(Violation("nodes", f"abscissa span x_{n-1} - x_0 overflows"))
 
     for i, prm in enumerate(problem.params, start=1):
         if not abs(prm.alpha) < 1.0:
@@ -126,9 +136,14 @@ def validate(problem: InterpolationProblem) -> ValidationResult:
             bad.append(Violation(
                 f"params[{i}]", f"|beta_{i}|+|gamma_{i}| = {s} >= 1"))
         for name, term in (("p_power", prm.p_power), ("q_power", prm.q_power)):
-            if term is not None and not 0.0 < term.exponent <= 1.0:
+            if term is None:
+                continue
+            if not 0.0 < term.exponent <= 1.0:
                 bad.append(Violation(
                     f"params[{i}].{name}", f"exponent {term.exponent} outside (0, 1]"))
+            if not math.isfinite(term.coeff):
+                bad.append(Violation(
+                    f"params[{i}].{name}", f"coeff {term.coeff} is not finite"))
 
     return ValidationResult(ok=not bad, violations=tuple(bad))
 
@@ -224,12 +239,12 @@ class ChfifModel:
 
     # -- map evaluation on the unit domain -------------------------------
 
-    def L(self, i: int, x):
-        """Domain map of interval i (1-based), unit-domain coordinates."""
-        return self.a[i - 1] * x + self.b[i - 1]
+    def L(self, j: int, x):
+        """Domain map of the interval with 0-based index j, unit-domain coordinates."""
+        return self.a[j] * x + self.b[j]
 
-    def L_inv(self, i: int, x):
-        return (x - self.b[i - 1]) / self.a[i - 1]
+    def L_inv(self, j: int, x):
+        return (x - self.b[j]) / self.a[j]
 
     # -- coordinates ------------------------------------------------------
 

@@ -199,7 +199,7 @@ def address_of(model: ChfifModel, x: float, m: int) -> tuple[int, ...]:
     for _ in range(m):
         idx = int(np.clip(np.searchsorted(model.node_x, x, side="right") - 1, 0, model.n_intervals - 1))
         word.append(idx + 1)
-        x = min(max(model.L_inv(idx + 1, x), 0.0), 1.0)
+        x = min(max(model.L_inv(idx, x), 0.0), 1.0)
     return tuple(reversed(word))
 
 

@@ -61,3 +61,29 @@ def equidistant_problem(alphas, betas, gammas, ys=(0.0, 1.0, 0.0), zs=None, q_po
 
 def power(coeff: float, exponent: float) -> PowerTerm:
     return PowerTerm(coeff=coeff, exponent=exponent)
+
+
+def preimages(model, xs):
+    """Interval index of each unit-domain abscissa and its preimage L_i^{-1}(x)."""
+    idx = np.clip(np.searchsorted(model.node_x, xs, side="left") - 1, 0, model.n_intervals - 1)
+    return idx, np.clip((xs - model.b[idx]) / model.a[idx], 0.0, 1.0)
+
+
+def interp_sweep(model, xs, f1, f2):
+    """Oracle for one operator sweep: np.interp at the preimages, then the maps.
+
+    The direct way to write the sweep, to check the library's precomputed
+    gather against bit for bit.  The map arithmetic is written out rather
+    than taken from the library, so the oracle shares no code with it.
+    """
+    idx, u = preimages(model, xs)
+    g1 = np.interp(u, xs, f1)
+    g2 = np.interp(u, xs, f2)
+    return (model.alpha[idx] * g1 + model.beta[idx] * g2 + model.p(idx, u),
+            model.gamma[idx] * g2 + model.q(idx, u))
+
+
+def bit_identical(a, b) -> bool:
+    """Same dtype, shape and bytes: equal values and equal signs of zeros."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()

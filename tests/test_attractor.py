@@ -1,10 +1,15 @@
 """Tests for the three evaluation routes and their cross-checks."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chfif import (
     DepthLimitError,
+    apply_operator,
     chaos_game,
     exact_residuals,
     fixed_point_iterate,
@@ -13,9 +18,26 @@ from chfif import (
     max_oscillation,
     sample_exact,
     solve_model,
+    validate,
+)
+from chfif.attractor import _SweepPlan
+from chfif.cli import resolve_config
+
+from helpers import (
+    NODES_X,
+    NODES_Y,
+    bit_identical,
+    equidistant_problem,
+    interp_sweep,
+    make_problem,
+    model_for,
+    power,
+    preimages,
+    sampled_for,
+    zero_param_problem,
 )
 
-from helpers import NODES_X, NODES_Y, model_for, sampled_for, zero_param_problem
+POWER_CONFIG = Path(__file__).resolve().parent / "data" / "power.yaml"
 
 
 def node_indices(model, xs):
@@ -54,7 +76,7 @@ class TestIntervalOf:
         start, length = interval_of(model, word)
         inner_start, inner_length = interval_of(model, word[:-1])
         r = word[-1]
-        assert start == pytest.approx(model.L(r, inner_start), rel=1e-14)
+        assert start == pytest.approx(model.L(r - 1, inner_start), rel=1e-14)
         assert length == pytest.approx(model.a[r - 1] * inner_length, rel=1e-14)
 
     def test_symbol_out_of_range(self):
@@ -174,6 +196,101 @@ class TestFixedPointIterate:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             fixed_point_iterate(model_for("fig4"), 3)
+
+
+def _reference_iterate(model, grid_size, sweeps):
+    """Run ``sweeps`` oracle sweeps from the nodes' piecewise-linear interpolant."""
+    xs = np.linspace(0.0, 1.0, grid_size)
+    f1 = np.interp(xs, model.node_x, model.y)
+    f2 = np.interp(xs, model.node_x, model.z)
+    d1s, d2s = [], []
+    for _ in range(sweeps):
+        new_f1, new_f2 = interp_sweep(model, xs, f1, f2)
+        d1s.append(float(np.max(np.abs(new_f1 - f1))))
+        d2s.append(float(np.max(np.abs(new_f2 - f2))))
+        f1, f2 = new_f1, new_f2
+    return f1, f2, tuple(d1s), tuple(d2s)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A random admissible problem, a uniform grid and two grid functions."""
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        # equidistant nodes on a grid with a multiple of n steps: many
+        # preimages land exactly on grid points
+        grid_size = n * draw(st.integers(1, 300)) + 1
+        xs = np.linspace(0.0, 1.0, n + 1)
+    else:
+        grid_size = draw(st.integers(n + 1, 3000))
+        gaps = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        x0 = draw(st.floats(-5.0, 5.0))
+        xs = x0 + np.concatenate(([0.0], np.cumsum(gaps)))
+    values = st.floats(-10.0, 10.0)
+    ys = draw(st.lists(values, min_size=n + 1, max_size=n + 1))
+    zs = draw(st.lists(values, min_size=n + 1, max_size=n + 1))
+    alphas = draw(st.lists(st.floats(-0.99, 0.99), min_size=n, max_size=n))
+    betas = draw(st.lists(st.floats(-0.49, 0.49), min_size=n, max_size=n))
+    gammas = draw(st.lists(st.floats(-0.49, 0.49), min_size=n, max_size=n))
+    term = st.none() | st.builds(power, st.floats(-3.0, 3.0), st.floats(0.05, 1.0))
+    p_powers = draw(st.lists(term, min_size=n, max_size=n))
+    q_powers = draw(st.lists(term, min_size=n, max_size=n))
+    problem = make_problem(
+        nodes=tuple(zip(xs.tolist(), ys)), hidden=tuple(zs), alphas=tuple(alphas),
+        betas=tuple(betas), gammas=tuple(gammas), p_powers=tuple(p_powers),
+        q_powers=tuple(q_powers))
+    assume(validate(problem).ok)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f1, f2 = rng.normal(scale=5.0, size=(2, grid_size))
+    # signed zeros must survive the sweep's copies of stored samples
+    f1[rng.random(grid_size) < 0.1] = -0.0
+    f2[rng.random(grid_size) < 0.1] = 0.0
+    return solve_model(problem), np.linspace(0.0, 1.0, grid_size), f1, f2
+
+
+class TestSweepMatchesInterp:
+    """The precomputed sweep against the np.interp oracle, bit for bit."""
+
+    @pytest.mark.parametrize("config, grid_size, max_iters", [
+        ("fig2", 6561, 300),
+        (str(POWER_CONFIG), 1000, 10_000),
+    ])
+    def test_fixed_point_iterate(self, config, grid_size, max_iters):
+        model = solve_model(resolve_config(config).problem)
+        result = fixed_point_iterate(model, grid_size, max_iters=max_iters, tol=1e-10)
+        f1, f2, d1s, d2s = _reference_iterate(model, grid_size, result.iterations)
+        assert bit_identical(result.graph.f1s, f1)
+        assert bit_identical(result.graph.f2s, f2)
+        assert result.f1_distances == d1s
+        assert result.f2_distances == d2s
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(sweep_cases())
+    def test_random_problems_and_grids(self, case):
+        model, xs, f1, f2 = case
+        for got, want in zip(apply_operator(model, xs, f1, f2), interp_sweep(model, xs, f1, f2)):
+            assert bit_identical(got, want)
+        # the gathered values themselves, where signed zeros still show
+        plan = _SweepPlan(model, xs)
+        _, u = preimages(model, xs)
+        for f in (f1, f2):
+            assert bit_identical(plan._gather(f), np.interp(u, xs, f))
+
+    def test_preimage_on_last_grid_point(self):
+        # the node x = 0.5 closes interval 0, whose inverse map sends it to
+        # u = 1.0 = xs[-1], where np.interp returns the last sample
+        model = solve_model(equidistant_problem((0.3, -0.4), (0.2, 0.1), (0.5, -0.6),
+                                                ys=(1.0, -2.0, 0.5), zs=(0.0, 3.0, -1.0)))
+        xs = np.linspace(0.0, 1.0, 5)
+        assert model.L_inv(0, xs[2]) == xs[-1]
+        f1 = np.array([0.5, -1.0, 2.0, 0.25, -0.0])
+        f2 = np.array([1.5, 0.0, -3.0, 2.5, 4.0])
+        t1, t2 = apply_operator(model, xs, f1, f2)
+        assert t1[2] == model.alpha[0] * f1[-1] + model.beta[0] * f2[-1] + model.p(0, 1.0)
+        assert t2[2] == model.gamma[0] * f2[-1] + model.q(0, 1.0)
+        want1, want2 = interp_sweep(model, xs, f1, f2)
+        assert bit_identical(t1, want1)
+        assert bit_identical(t2, want2)
 
 
 class TestChaosGame:

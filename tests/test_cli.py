@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from chfif import ConfigError, validate
+from chfif import cli
 from chfif.cli import (
     bundled_config_names,
     load_bundled_config,
@@ -241,6 +242,50 @@ class TestCommands:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)   # not a traceback
         assert result.stderr.startswith("error: ")
+
+    def test_iterate_non_convergence_exits_degenerate(self, tmp_path):
+        path = tmp_path / "slow.yaml"
+        path.write_text(MINIMAL + "options:\n  method: iterate\n  grid_size: 257\n  iterations: 5\n")
+        result = self.run("generate", "--config", str(path))
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)   # not a traceback
+        assert "did not reach tol" in result.stderr
+        assert "in 5 sweeps" in result.stderr
+
+    @pytest.mark.parametrize("old, new, where", [
+        ("[0.35, 7.0]", "[.nan, 7.0]", "nodes[1]"),
+        ("[1.0, 9.0]", "[.inf, 9.0]", "nodes[3]"),
+        ("[0.75, 4.0]", "[0.75, .nan]", "nodes[2]"),
+        ("[0.0, 2.0]", "[0.0, -.inf]", "nodes[0]"),
+        ("hidden: [3.0, 1.0, 8.0, 5.0]", "hidden: [3.0, .nan, 8.0, 5.0]", "hidden[1]"),
+        ("hidden: [3.0, 1.0, 8.0, 5.0]", "hidden: [3.0, 1.0, 8.0, .inf]", "hidden[3]"),
+        ("{alpha: 0.2, beta: 0.4, gamma: 0.3}",
+         "{alpha: 0.2, beta: 0.4, gamma: 0.3, p_power: {coeff: .nan, exponent: 0.5}}",
+         "params[1].p_power"),
+        ("{alpha: 0.38, beta: 0.35, gamma: 0.3}",
+         "{alpha: 0.38, beta: 0.35, gamma: 0.3, q_power: {coeff: -.inf, exponent: 0.7}}",
+         "params[2].q_power"),
+    ])
+    def test_non_finite_input_is_rejected_with_its_path(self, old, new, where, tmp_path, monkeypatch):
+        assert MINIMAL.count(old) == 1
+        path = tmp_path / "bad.yaml"
+        path.write_text(MINIMAL.replace(old, new))
+        result = self.run("validate", "--config", str(path))
+        assert result.exit_code == 1
+        assert "ok: false" in result.output
+        assert f"{where}: " in result.output and "is not finite" in result.output
+
+        sweeps = []
+        monkeypatch.setattr(cli, "fixed_point_iterate", lambda *args: sweeps.append(args))
+        for command in (("classify",), ("dimension", "--depth", "4", "--eps-max-exp", "5"),
+                        ("moments", "--depth", "1"), ("generate", "--depth", "2"),
+                        ("generate", "--method", "iterate", "--grid-size", "257")):
+            result = self.run(*command, "--config", str(path), "--out", str(tmp_path / "out.txt"))
+            assert result.exit_code == 1, command
+            assert isinstance(result.exception, SystemExit)
+            assert result.stderr.startswith("error: invalid interpolation problem")
+            assert f"{where}: " in result.stderr
+        assert not sweeps
 
     @pytest.mark.parametrize("name", bundled_config_names())
     def test_every_bundled_config_runs_end_to_end(self, name, tmp_path):

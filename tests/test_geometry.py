@@ -50,6 +50,10 @@ class TestValidate:
             alphas=(0.2,), betas=(0.4,), gammas=(0.3,))
         assert not validate(problem).ok
 
+    def test_overflowing_abscissa_span(self):
+        problem = make_problem(nodes=((-1e308, 2.0), (0.0, 7.0), (0.5, 4.0), (1e308, 9.0)))
+        assert [v.where for v in validate(problem).violations] == ["nodes"]
+
     def test_power_exponent_range(self):
         problem = make_problem(p_powers=(power(0.5, 1.5), None, None))
         assert any("exponent" in str(v) for v in validate(problem).violations)
@@ -64,8 +68,8 @@ class TestSolveModel:
     def test_domain_map_endpoint_conditions_exact(self):
         model = model_for("fig8")
         for i in range(1, model.n_intervals + 1):
-            assert model.L(i, 0.0) == model.node_x[i - 1]
-            assert model.L(i, 1.0) == pytest.approx(model.node_x[i], abs=1e-15)
+            assert model.L(i - 1, 0.0) == model.node_x[i - 1]
+            assert model.L(i - 1, 1.0) == pytest.approx(model.node_x[i], abs=1e-15)
 
     def test_contractive_homeomorphism(self):
         model = model_for("fig5")
@@ -73,7 +77,7 @@ class TestSolveModel:
             a = model.a[i - 1]
             assert 0.0 < a < 1.0
             x, xp = 0.12, 0.87
-            assert abs(model.L(i, x) - model.L(i, xp)) == pytest.approx(a * abs(x - xp))
+            assert abs(model.L(i - 1, x) - model.L(i - 1, xp)) == pytest.approx(a * abs(x - xp))
 
     @pytest.mark.parametrize("name", ALL_GALLERY)
     def test_map_endpoint_conditions(self, name):
