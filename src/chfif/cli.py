@@ -12,6 +12,7 @@ exponent, non-convergence, or too-coarse sampling).
 from __future__ import annotations
 
 import itertools
+import re
 import sys
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
@@ -80,6 +81,20 @@ _INTERVAL_KEYS = {"alpha", "beta", "gamma", "p_power", "q_power"}
 _POWER_KEYS = {"coeff", "exponent"}
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats such as 1e-12, 2e5 and 1.0e308.
+
+    YAML 1.1, which PyYAML follows, wants a dot and a signed exponent, and
+    reads those numbers as strings.  Quoted scalars stay strings.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
 def _require_mapping(obj, where: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(where, f"expected a mapping, got {type(obj).__name__}")
@@ -114,7 +129,7 @@ def parse_config(text: str, name: str = "config") -> RunConfig:
     two failure kinds stay distinguishable.
     """
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"line {mark.line + 1}" if mark else "document"
@@ -263,11 +278,37 @@ def fmt(value, precision: int) -> str:
     return str(value)
 
 
-def _write_out(text: str, out: str | None) -> None:
+# Rows per %-format call in `generate`: enough to amortise the call, few
+# enough that one chunk's floats and text stay a few MB at any row count.
+_CHUNK_ROWS = 65_536
+
+
+def _csv_pieces(xs, f1, f2, precision: int):
+    """The ``x,f1,f2`` table as text pieces, one %-format call per chunk of rows.
+
+    ``"%.{p}g" % v`` and ``format(v, ".{p}g")`` print a float the same way,
+    so the bytes equal those of formatting each value with :func:`fmt`.
+    """
+    yield "x,f1,f2\n"
+    row = f"%.{precision}g,%.{precision}g,%.{precision}g\n"
+    for start in range(0, len(xs), _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        block = np.stack((xs[start:stop], f1[start:stop], f2[start:stop]), axis=1)
+        yield row * len(block) % tuple(block.ravel().tolist())
+
+
+def _write_out(pieces, out: str | None) -> None:
+    """Write text pieces in order to ``out``, or to stdout when it is None or "-".
+
+    Each piece is written as soon as it is produced, so a generator of
+    pieces is never held in memory whole.
+    """
     if out is None or out == "-":
-        click.echo(text, nl=False)
+        for piece in pieces:
+            click.echo(piece, nl=False)
         return
-    Path(out).write_text(text, encoding="utf-8", newline="\n")
+    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(pieces)
 
 
 def _kv_lines(pairs, precision: int) -> str:
@@ -341,6 +382,11 @@ def _load(config_ref: str, overrides: dict) -> RunConfig:
     fields = {k: v for k, v in overrides.items() if v is not None}
     if fields:
         config = replace(config, options=replace(config.options, **fields))
+    # checked before any output is opened: a chunked writer would already
+    # have written the header when the first row failed to format
+    if config.options.precision < 0:
+        raise ConfigError("options.precision",
+                          f"expected a non-negative integer, got {config.options.precision}")
     return config
 
 
@@ -392,9 +438,7 @@ def generate(config_ref, out, depth, method, seed, points, grid_size, tol, preci
         else:
             graph = sample_exact(model, opts.depth)
             xs, f1, f2 = graph.xs, graph.f1s, graph.f2s
-        p = opts.precision
-        rows = [f"{fmt(x, p)},{fmt(v1, p)},{fmt(v2, p)}" for x, v1, v2 in zip(xs, f1, f2)]
-        _write_out("x,f1,f2\n" + "\n".join(rows) + "\n", opts.out)
+        _write_out(_csv_pieces(xs, f1, f2, opts.precision), opts.out)
     _run(body)
 
 
@@ -409,7 +453,7 @@ def classify_cmd(config_ref, out, precision):
         model = solve_model(config.problem)
         report = classify(model)
         text = _kv_lines(_classification_pairs(config, model, report), config.options.precision)
-        _write_out(text, config.options.out)
+        _write_out((text,), config.options.out)
         if report.degenerate:
             click.echo(f"warning: {report.degeneracy}", err=True)
             sys.exit(EXIT_DEGENERATE)
@@ -466,7 +510,7 @@ def dimension(config_ref, out, depth, eps_min_exp, eps_max_exp, precision):
             pairs.append(("dimension_one_note", rep.dimension_one_note))
         if smooth.degenerate:
             pairs.append(("warning", smooth.degeneracy))
-        _write_out(_kv_lines(pairs, opts.precision), opts.out)
+        _write_out((_kv_lines(pairs, opts.precision),), opts.out)
         if smooth.degenerate:
             click.echo(f"warning: {smooth.degeneracy}", err=True)
             sys.exit(EXIT_DEGENERATE)
@@ -503,7 +547,7 @@ def moments(config_ref, out, depth, precision):
         lines.append("m,sup_error")
         for m, err in profile:
             lines.append(f"{m},{fmt(err, p)}")
-        _write_out("\n".join(lines) + "\n", opts.out)
+        _write_out(("\n".join(lines) + "\n",), opts.out)
     _run(body)
 
 
@@ -519,7 +563,7 @@ def validate_cmd(config_ref, out, precision):
         pairs = [("command", "validate"), ("config", config.name), ("ok", result.ok)]
         for i, violation in enumerate(result.violations):
             pairs.append((f"violation_{i}", str(violation)))
-        _write_out(_kv_lines(pairs, config.options.precision), config.options.out)
+        _write_out((_kv_lines(pairs, config.options.precision),), config.options.out)
         if not result.ok:
             sys.exit(EXIT_VALIDATION)
     _run(body)

@@ -99,8 +99,17 @@ def validate(problem: InterpolationProblem) -> ValidationResult:
     """Check every invariant of the interpolation data.
 
     Violations are returned as data, not raised; each one names the index
-    and the inequality it breaks.
+    and the inequality it breaks.  Data that passes the checks on its own
+    is solved, and an interval whose solved model is not finite is a
+    violation too, so ``ok`` holds exactly when :func:`solve_model` succeeds.
     """
+    bad = _data_violations(problem)
+    if not bad:
+        bad = _non_finite_violations(_solve(problem))
+    return ValidationResult(ok=not bad, violations=tuple(bad))
+
+
+def _data_violations(problem: InterpolationProblem) -> list[Violation]:
     bad: list[Violation] = []
     n = len(problem.nodes)
     if n < 3:
@@ -144,8 +153,25 @@ def validate(problem: InterpolationProblem) -> ValidationResult:
             if not math.isfinite(term.coeff):
                 bad.append(Violation(
                     f"params[{i}].{name}", f"coeff {term.coeff} is not finite"))
+    return bad
 
-    return ValidationResult(ok=not bad, violations=tuple(bad))
+
+def _non_finite_violations(model: ChfifModel) -> list[Violation]:
+    """One violation per interval whose solved coefficients or ratios are not finite.
+
+    Finite data near the float limit can still overflow in the solve
+    (nodes at y = +-1e308 give an infinite c), or a short interval can
+    underflow to length 0 on the unit domain (an infinite omega_i); every
+    curve, report and bound computed from such a model is inf or nan.
+    """
+    named = (("c", model.p.lin), ("d", model.p.const), ("e", model.q.lin), ("f", model.q.const),
+             ("omega_i", model.omega_i), ("gamma_i", model.gamma_i), ("theta_i", model.theta_i))
+    bad = []
+    for j in range(model.n_intervals):
+        off = [f"{name} = {values[j]}" for name, values in named if not math.isfinite(values[j])]
+        if off:
+            bad.append(Violation(f"params[{j + 1}]", "solved model is not finite: " + ", ".join(off)))
+    return bad
 
 
 def _freeze_arrays(obj) -> None:
@@ -277,10 +303,18 @@ def solve_model(problem: InterpolationProblem) -> ChfifModel:
     onto the interval's end nodes, which determines (c_i, d_i) and
     (e_i, f_i) once the optional power coefficients are fixed.
     """
-    result = validate(problem)
-    if not result.ok:
-        raise ValidationError(result.violations)
+    bad = _data_violations(problem)
+    if not bad:
+        model = _solve(problem)
+        bad = _non_finite_violations(model)
+    if bad:
+        raise ValidationError(bad)
+    return model
 
+
+# overflow is reported by _non_finite_violations, not as a numpy warning
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _solve(problem: InterpolationProblem) -> ChfifModel:
     xs_raw = problem.xs()
     y = problem.ys()
     z = np.array(problem.hidden, dtype=float)

@@ -87,3 +87,10 @@ def bit_identical(a, b) -> bool:
     """Same dtype, shape and bytes: equal values and equal signs of zeros."""
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def csv_text(xs, f1, f2, precision: int) -> str:
+    """Oracle for ``generate`` output: the header, then every value formatted on its own."""
+    rows = ["x,f1,f2"] + [",".join(format(float(v), f".{precision}g") for v in row)
+                          for row in zip(xs, f1, f2)]
+    return "\n".join(rows) + "\n"

@@ -1,5 +1,7 @@
 """Tests for config parsing, serialization and the command surface."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -14,6 +16,8 @@ from chfif.cli import (
     resolve_config,
     serialize_config,
 )
+
+from helpers import csv_text
 
 MINIMAL = """\
 problem:
@@ -81,6 +85,18 @@ class TestParseConfig:
         result = validate(config.problem)
         assert not result.ok
         assert any("beta_1" in str(v) for v in result.violations)
+
+    def test_yaml_1_2_exponent_floats(self):
+        # YAML 1.1 reads these as strings; a quoted number must stay one
+        text = (MINIMAL.replace("[1.0, 9.0]", "[1e0, 9E+0]").replace("5.0]", "5e0]")
+                + "options:\n  tol: 1e-12\n")
+        config = parse_config(text)
+        assert config.problem.nodes[3] == (1.0, 9.0)
+        assert config.problem.hidden[3] == 5.0
+        assert config.options.tol == 1e-12
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + "options:\n  tol: '1e-12'\n")
+        assert "options.tol: expected a number, got '1e-12'" in str(err.value)
 
     def test_power_terms(self):
         text = MINIMAL.replace(
@@ -287,6 +303,43 @@ class TestCommands:
             assert f"{where}: " in result.stderr
         assert not sweeps
 
+    @pytest.mark.parametrize("command", [
+        ("generate", "--depth", "2"), ("generate", "--method", "chaos", "--points", "10"),
+        ("classify",), ("dimension", "--depth", "4", "--eps-max-exp", "5"),
+        ("moments", "--depth", "1"), ("validate",),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_precision_is_rejected_before_output(self, command, source, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text(MINIMAL + ("options:\n  precision: -1\n" if source == "config" else ""))
+        flag = ("--precision", "-1") if source == "flag" else ()
+        out = tmp_path / "out.txt"
+        result = self.run(*command, "--config", str(path), *flag, "--out", str(out))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)   # not a traceback
+        assert result.stderr.startswith("error: options.precision: ")
+        assert not out.exists()
+
+    def test_overflowing_solved_model_is_rejected_with_its_path(self, tmp_path):
+        path = tmp_path / "huge.yaml"
+        path.write_text(MINIMAL.replace("[0.0, 2.0]", "[0.0, 1.0e+308]")
+                        .replace("[0.35, 7.0]", "[0.35, -1.0e+308]")
+                        .replace("[0.75, 4.0]", "[0.75, 1.0e+308]"))
+        result = self.run("validate", "--config", str(path))
+        assert result.exit_code == 1
+        assert "ok: false" in result.output
+        assert "params[1]: solved model is not finite: c = " in result.output
+        for command in (("classify",), ("dimension", "--depth", "4", "--eps-max-exp", "5"),
+                        ("moments", "--depth", "1"), ("generate", "--depth", "2"),
+                        ("generate", "--method", "iterate", "--grid-size", "257"),
+                        ("generate", "--method", "chaos", "--points", "10")):
+            out = tmp_path / "out.txt"
+            result = self.run(*command, "--config", str(path), "--out", str(out))
+            assert result.exit_code == 1, command
+            assert isinstance(result.exception, SystemExit)
+            assert result.stderr.startswith("error: invalid interpolation problem: params[1]: ")
+            assert not out.exists()
+
     @pytest.mark.parametrize("name", bundled_config_names())
     def test_every_bundled_config_runs_end_to_end(self, name, tmp_path):
         out = tmp_path / "report.txt"
@@ -297,3 +350,45 @@ class TestCommands:
         assert self.run("generate", "--config", name, "--depth", "3",
                         "--out", str(curve)).exit_code == 0
         assert len(curve.read_text().splitlines()) == 3**4 + 2
+
+
+SPECIAL_VALUES = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 0.1, -2.5, 1 / 3, 0.0, 7.0])
+
+
+class TestGenerateWriter:
+    """The chunked ``generate`` writer against a per-value formatting oracle."""
+
+    CHUNK = 7   # odd and small: rows cross chunk boundaries, the last chunk is partial
+
+    def run(self, *args):
+        return CliRunner().invoke(main, list(args))
+
+    @pytest.mark.parametrize("precision", [0, 1, 12, 17])
+    def test_special_values_match_oracle(self, precision, tmp_path, monkeypatch):
+        xs = np.resize(SPECIAL_VALUES, 23)
+        f1, f2 = np.roll(xs, 3), -np.roll(xs, 5)
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", self.CHUNK)
+        monkeypatch.setattr(cli, "sample_exact", lambda model, depth: SimpleNamespace(
+            xs=xs, f1s=f1, f2s=f2))
+        want = csv_text(xs, f1, f2, precision)
+        out = tmp_path / "curve.csv"
+        args = ("generate", "--config", "fig4", "--precision", str(precision))
+        assert self.run(*args, "--out", str(out)).exit_code == 0
+        assert out.read_bytes() == want.encode()
+        result = self.run(*args)
+        assert result.exit_code == 0
+        assert result.stdout_bytes == want.encode()
+
+    @pytest.mark.parametrize("args", [
+        ("--depth", "3"),
+        ("--method", "iterate", "--grid-size", "257", "--tol", "1e-9"),
+        ("--method", "chaos", "--points", "100", "--seed", "4"),
+    ])
+    def test_stdout_equals_out_file_on_every_route(self, args, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", self.CHUNK)
+        out = tmp_path / "curve.csv"
+        assert self.run("generate", "--config", "fig4", *args, "--out", str(out)).exit_code == 0
+        result = self.run("generate", "--config", "fig4", *args)
+        assert result.exit_code == 0
+        assert result.stdout_bytes == out.read_bytes()
+        assert out.read_text().count("\n") > 2 * self.CHUNK

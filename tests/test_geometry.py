@@ -58,6 +58,21 @@ class TestValidate:
         problem = make_problem(p_powers=(power(0.5, 1.5), None, None))
         assert any("exponent" in str(v) for v in validate(problem).violations)
 
+    @pytest.mark.parametrize("nodes, where, field", [
+        # finite data whose solved map coefficient c overflows
+        (((0.0, 1e308), (0.35, -1e308), (0.75, 1e308), (1.0, 9.0)), ["params[1]", "params[2]"], "c = "),
+        # an interval too short to keep a length on the unit domain
+        (((0.0, 2.0), (1e-310, 7.0), (0.75, 4.0), (1e300, 9.0)), ["params[1]"], "omega_i = inf"),
+    ])
+    def test_overflowing_solved_model(self, nodes, where, field):
+        problem = make_problem(nodes=nodes)
+        result = validate(problem)
+        assert [v.where for v in result.violations] == where
+        assert all(field in v.message for v in result.violations)
+        with pytest.raises(ValidationError) as err:
+            solve_model(problem)
+        assert err.value.violations == result.violations
+
 
 class TestSolveModel:
     def test_domain_map_coefficients(self):
