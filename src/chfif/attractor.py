@@ -11,17 +11,33 @@ Three routes are provided on purpose, because each one checks the others:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DepthLimitError
+from .exceptions import CurveOverflowError, DepthLimitError
 from .geometry import ChfifModel
 
 CHAOS_BURN_IN = 100
 
 # sample_exact(depth) materialises N**(depth+1) + 1 points per component.
 DEFAULT_MAX_POINTS = 20_000_000
+
+# chaos-game steps converted to Python floats at a time: enough to amortise
+# the conversion, few enough that the lists stay well under a MB
+_CHAOS_CHUNK = 4096
+
+
+def check_finite(what: str, *arrays) -> None:
+    """Raise :class:`CurveOverflowError` unless every value is finite.
+
+    Finite, validated coefficients can still carry the curve past the
+    float range (a node near 1e308 and scalings near 1); the routes
+    compute with overflow warnings off and report it here instead.
+    """
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise CurveOverflowError(f"{what} overflows: the curve leaves the float range")
 
 
 def _map_coefficients(model: ChfifModel, j, x):
@@ -67,6 +83,7 @@ class SampledGraph:
         return len(self.xs)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sample_exact(model: ChfifModel, depth: int, *, max_points: int = DEFAULT_MAX_POINTS) -> SampledGraph:
     """Exact values of (f1, f2) on the level-``depth`` subdivision grid.
 
@@ -103,6 +120,7 @@ def sample_exact(model: ChfifModel, depth: int, *, max_points: int = DEFAULT_MAX
         f1 = np.concatenate(b1)
         f2 = np.concatenate(b2)
 
+    check_finite(f"sample_exact at depth {depth}", f1, f2)
     return SampledGraph(xs=model.to_raw(xs), f1s=f1, f2s=f2, depth=depth)
 
 
@@ -182,6 +200,7 @@ class IterationResult:
         return tuple(max(d1, d2) for d1, d2 in zip(self.f1_distances, self.f2_distances))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fixed_point_iterate(
     model: ChfifModel,
     grid_size: int,
@@ -218,6 +237,9 @@ def fixed_point_iterate(
         f1, f2 = new_f1, new_f2
         d1s.append(d1)
         d2s.append(d2)
+        if not (math.isfinite(d1) and math.isfinite(d2)):
+            # finite sweeps far apart can overflow only their difference
+            check_finite(f"fixed_point_iterate at sweep {iterations}", f1, f2)
         if max(d1, d2) < tol:
             converged = True
             break
@@ -272,34 +294,49 @@ def exact_residuals(model: ChfifModel, depth: int) -> tuple[float, float]:
     return worst1, worst2
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def chaos_game(model: ChfifModel, n_points: int, seed: int, burn_in: int = CHAOS_BURN_IN) -> np.ndarray:
     """Random-iteration rendering of the attractor.
 
     Applies a uniformly chosen map per step from a seeded pseudorandom
     stream, discards ``burn_in`` initial points, and returns an
     (n_points, 3) array of (x, f1, f2) rows.  Bit-identical for identical
-    (seed, n_points, burn_in).
+    (seed, n_points, burn_in).  The two recurrences run on Python floats
+    (the same double arithmetic as numpy scalars, at a fraction of the
+    cost), converted a chunk of steps at a time so memory stays flat.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, model.n_intervals, size=burn_in + n_points)
+    chunks = [slice(start, start + _CHAOS_CHUNK) for start in range(0, len(picks), _CHAOS_CHUNK)]
 
     # the abscissa orbit never reads (f1, f2), so it runs first and p, q are
     # evaluated on it as vectors; only the (f1, f2) recurrence stays scalar
     xs = np.empty(len(picks) + 1)
     x = xs[0] = 0.0
-    for k, (a, b) in enumerate(zip(model.a[picks], model.b[picks]), start=1):
-        x = xs[k] = a * x + b
+    for chunk in chunks:
+        orbit = []
+        j = picks[chunk]
+        for a, b in zip(model.a[j].tolist(), model.b[j].tolist()):
+            x = a * x + b
+            orbit.append(x)
+        xs[1:][chunk] = orbit
     ps = model.p(picks, xs[:-1])
     qs = model.q(picks, xs[:-1])
 
     f1 = np.empty(len(picks))
     f2 = np.empty(len(picks))
-    fy, fz = model.y[0], model.z[0]
-    steps = zip(model.alpha[picks], model.beta[picks], model.gamma[picks], ps, qs)
-    for k, (alpha, beta, gamma, p, q) in enumerate(steps):
-        fy, fz = alpha * fy + beta * fz + p, gamma * fz + q
-        f1[k] = fy
-        f2[k] = fz
+    fy, fz = float(model.y[0]), float(model.z[0])
+    for chunk in chunks:
+        ys, zs = [], []
+        j = picks[chunk]
+        steps = (v.tolist() for v in (model.alpha[j], model.beta[j], model.gamma[j], ps[chunk], qs[chunk]))
+        for alpha, beta, gamma, p, q in zip(*steps):
+            fy, fz = alpha * fy + beta * fz + p, gamma * fz + q
+            ys.append(fy)
+            zs.append(fz)
+        f1[chunk] = ys
+        f2[chunk] = zs
+    check_finite("chaos_game", f1, f2)
     return np.column_stack((model.to_raw(xs[burn_in + 1:]), f1[burn_in:], f2[burn_in:]))

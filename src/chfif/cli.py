@@ -6,7 +6,8 @@ byte-identical output for identical config, options and seed.
 
 Exit codes: 0 success, 1 validation/parse failure or a rejected option
 value, 2 I/O failure, 3 numeric degeneracy (degenerate classification
-exponent, non-convergence, or too-coarse sampling).
+exponent, non-convergence, too-coarse sampling, or a curve that leaves
+the float range).
 """
 
 from __future__ import annotations

@@ -137,8 +137,11 @@ def box_count(
     from below, so a ``v`` on a row boundary is not charged to a row the
     left column never enters.  Column boundaries are the floating-point
     products ``j*eps`` themselves, so rounding in ``x/eps`` cannot move a
-    boundary value out of its column.  Refuses (rather than undercounts)
-    when the sample spacing exceeds epsilon / density_factor.
+    boundary value out of its column.  The sorted samples are split into
+    columns by one ``searchsorted`` of the boundaries, and each column's
+    extent is the min and max of its run of samples, folded with its
+    boundary values.  Refuses (rather than undercounts) when the sample
+    spacing exceeds epsilon / density_factor.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -154,25 +157,28 @@ def box_count(
     j_hi = math.floor(xs[-1] / epsilon)
     crossings = epsilon * np.arange(j_lo + 1, j_hi + 1, dtype=float)
     cross_y = np.interp(crossings, xs, ys)
-    ax = np.concatenate([xs, crossings])
-    order = np.argsort(ax, kind="stable")
-    ay = np.concatenate([ys, cross_y])[order]
-    cols = np.searchsorted(crossings, ax[order], side="right")
-    run_starts = np.concatenate([[0], np.nonzero(np.diff(cols))[0] + 1])
-    row_lo = np.floor(np.minimum.reduceat(ay, run_starts) / epsilon)
-    row_hi = np.floor(np.maximum.reduceat(ay, run_starts) / epsilon)
+    # column c holds the samples xs[s[c-1]:s[c]] (s[-1] = 0, s[C] = n) and,
+    # for c > 0, crossing c - 1; the first column's run can be empty
+    s = np.searchsorted(xs, crossings, side="left")
+    starts = np.concatenate(([0], s))
+    filled = starts < np.append(s, xs.size)
+    top = np.concatenate(([-np.inf], cross_y))
+    bot = np.concatenate(([np.inf], cross_y))
+    top[filled] = np.maximum(top[filled], np.maximum.reduceat(ys, starts[filled]))
+    bot[filled] = np.minimum(bot[filled], np.minimum.reduceat(ys, starts[filled]))
+    row_lo = np.floor(bot / epsilon)
+    row_hi = np.floor(top / epsilon)
 
-    # crossing i closes column i, reached from the left along [xs[k-1], xs[k]]
-    k = np.clip(np.searchsorted(xs, crossings, side="left"), 1, xs.size - 1)
+    # crossing c closes column c, reached from the left along [xs[k-1], xs[k]]
+    k = np.clip(s, 1, xs.size - 1)
     limit_row = np.where(ys[k] > ys[k - 1], np.ceil(cross_y / epsilon) - 1.0,
                          np.floor(cross_y / epsilon))
-    # every column after the first holds its left crossing, so the runs are
-    # the columns in order; the first is empty only when rounding puts xs[0]
-    # at or past the first crossing, and then crossing 0 closes no column
-    closing = limit_row[cols[0]:]
-    row_lo[:closing.size] = np.minimum(row_lo[:closing.size], closing)
-    row_hi[:closing.size] = np.maximum(row_hi[:closing.size], closing)
-    return int(np.sum(row_hi - row_lo + 1.0))
+    row_lo[:-1] = np.minimum(row_lo[:-1], limit_row)
+    row_hi[:-1] = np.maximum(row_hi[:-1], limit_row)
+    # the first column is empty only when rounding puts xs[0] at or past the
+    # first crossing; it is then not counted, so crossing 0 closes no column
+    first = 0 if filled[0] else 1
+    return int(np.sum(row_hi[first:] - row_lo[first:] + 1.0))
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,8 @@ class InsufficientScalesError(ChfifError):
     exit_code = EXIT_DEGENERATE
 
 
-class DegenerateExponentError(ChfifError):
-    """A classification formula produced an exponent outside (0, 1]."""
+class CurveOverflowError(ChfifError):
+    """Finite inputs whose curve or moments leave the float range."""
 
     exit_code = EXIT_DEGENERATE
 

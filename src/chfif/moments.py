@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attractor import SampledGraph, sample_exact
+from .attractor import SampledGraph, check_finite, sample_exact
 from .geometry import ChfifModel
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def whole_interval_integrals(model: ChfifModel) -> tuple[float, float]:
     """Whole-domain integrals (A, B) of the hidden and visible components.
 
@@ -38,6 +39,7 @@ def whole_interval_integrals(model: ChfifModel) -> tuple[float, float]:
         np.sum(lengths * (int_p + model.beta * a_val))
         / (1.0 - np.sum(lengths * model.alpha))
     )
+    check_finite("whole_interval_integrals", a_val, b_val)
     return a_val, b_val
 
 

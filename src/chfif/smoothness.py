@@ -12,7 +12,6 @@ their largest admissible value and tagged accordingly.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Literal
 
@@ -181,32 +180,47 @@ def remark_special_case(model: ChfifModel, rtol: float = CRITICAL_RTOL) -> Smoot
 def max_oscillation(xs: np.ndarray, ys: np.ndarray, window: float) -> float:
     """Largest |y - y'| over abscissa pairs at most ``window`` apart.
 
-    Sliding-window max/min with monotonic deques over the sorted abscissas;
-    linear in the number of samples.
+    ``xs`` must be sorted.  The window ending at sample ``hi`` starts at
+    ``lo``, the first sample with ``xs[hi] - xs[lo] <= window``.  A sparse
+    table gives every window's max and min at once: level k holds the max
+    (min) of each run of 2**k samples, and a window of L samples is covered
+    by the two level-floor(log2 L) runs at its ends.  Levels are built in
+    place, one after another, only up to the widest window, and each
+    window is answered when its level is built.  Max and min only select
+    samples, so the result equals a sliding-window scan's bit for bit.
+    O(n log w) for windows of at most w samples.
     """
+    if not window >= 0.0:
+        raise ValueError(f"window must be >= 0, got {window}")
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
     n = len(xs)
-    best = 0.0
-    lo = 0
-    max_q: deque[int] = deque()   # indices, ys decreasing
-    min_q: deque[int] = deque()   # indices, ys increasing
-    for hi in range(n):
-        yhi = ys[hi]
-        while max_q and ys[max_q[-1]] <= yhi:
-            max_q.pop()
-        max_q.append(hi)
-        while min_q and ys[min_q[-1]] >= yhi:
-            min_q.pop()
-        min_q.append(hi)
-        while xs[hi] - xs[lo] > window:
-            lo += 1
-        while max_q[0] < lo:
-            max_q.popleft()
-        while min_q[0] < lo:
-            min_q.popleft()
-        spread = ys[max_q[0]] - ys[min_q[0]]
-        if spread > best:
-            best = spread
-    return float(best)
+    if n < 2:
+        return 0.0
+    # searchsorted compares xs against the rounded xs - window; correct each
+    # start against xs[hi] - xs[lo] <= window itself, a run of equal
+    # abscissas at a time
+    lo = np.searchsorted(xs, xs - window, side="left")
+    while (late := np.flatnonzero(xs - xs[lo] > window)).size:
+        lo[late] = np.searchsorted(xs, xs[lo[late]], side="right")
+    while (early := np.flatnonzero((lo > 0) & (xs - xs[lo - 1] <= window))).size:
+        lo[early] = np.searchsorted(xs, xs[lo[early] - 1], side="left")
+
+    level = np.frexp(np.arange(n) - lo + 1)[1] - 1   # floor(log2(window length))
+    mx = ys.copy()
+    mn = ys.copy()
+    spread = np.zeros(n)   # windows of one sample spread 0
+    for k in range(1, int(level.max()) + 1):
+        half, m = 1 << (k - 1), n - (1 << k) + 1
+        np.maximum(mx[:m], mx[half:half + m], out=mx[:m])
+        np.minimum(mn[:m], mn[half:half + m], out=mn[:m])
+        at = np.flatnonzero(level == k)
+        a, b = lo[at], at - (1 << k) + 1
+        spread[at] = np.maximum(mx[a], mx[b]) - np.minimum(mn[a], mn[b])
+    # fmax skips the nan of inf - inf, as the scan's `spread > best` did; the
+    # test also turns a -0.0 spread (-0.0 over 0.0) into the scan's 0.0
+    best = float(np.fmax.reduce(spread))
+    return best if best > 0.0 else 0.0
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+from collections import deque
 
 import numpy as np
 
@@ -94,3 +95,41 @@ def csv_text(xs, f1, f2, precision: int) -> str:
     rows = ["x,f1,f2"] + [",".join(format(float(v), f".{precision}g") for v in row)
                           for row in zip(xs, f1, f2)]
     return "\n".join(rows) + "\n"
+
+
+def brute_force_oscillation(xs, ys, window) -> float:
+    """Oracle for ``max_oscillation``: the largest |ys[j] - ys[i]| over all pairs i <= j with xs[j] - xs[i] <= window.
+
+    O(n**2) in time and memory; keep n small.
+    """
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    i, j = np.triu_indices(xs.size)
+    spreads = np.abs(ys[j] - ys[i])[xs[j] - xs[i] <= window]
+    return float(spreads.max()) if spreads.size else 0.0
+
+
+def deque_oscillation(xs, ys, window) -> float:
+    """Oracle for ``max_oscillation``: the sliding-window scan with monotonic deques it replaced."""
+    n = len(xs)
+    best = 0.0
+    lo = 0
+    max_q: deque[int] = deque()   # indices, ys decreasing
+    min_q: deque[int] = deque()   # indices, ys increasing
+    for hi in range(n):
+        yhi = ys[hi]
+        while max_q and ys[max_q[-1]] <= yhi:
+            max_q.pop()
+        max_q.append(hi)
+        while min_q and ys[min_q[-1]] >= yhi:
+            min_q.pop()
+        min_q.append(hi)
+        while xs[hi] - xs[lo] > window:
+            lo += 1
+        while max_q[0] < lo:
+            max_q.popleft()
+        while min_q[0] < lo:
+            min_q.popleft()
+        spread = ys[max_q[0]] - ys[min_q[0]]
+        if spread > best:
+            best = spread
+    return float(best)

@@ -33,6 +33,16 @@ problem:
     - {alpha: 0.2, beta: 0.5, gamma: 0.24}
 """
 
+# finite nodes and scalings whose curve climbs past the float range
+OVERFLOWING = """\
+problem:
+  nodes: [[0.0, 0.0], [0.5, 1.6e308], [1.0, 0.0]]
+  hidden: [0.0, 1.6e308, 0.0]
+  intervals:
+    - {alpha: 0.9, beta: 0.05, gamma: 0.9}
+    - {alpha: 0.9, beta: 0.05, gamma: 0.9}
+"""
+
 
 class TestParseConfig:
     def test_minimal_document(self):
@@ -339,6 +349,25 @@ class TestCommands:
             assert isinstance(result.exception, SystemExit)
             assert result.stderr.startswith("error: invalid interpolation problem: params[1]: ")
             assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")   # and no numpy overflow warning on the way
+    @pytest.mark.parametrize("command, where", [
+        (("dimension", "--depth", "8"), "sample_exact at depth 8"),
+        (("moments",), "whole_interval_integrals"),
+        (("generate", "--depth", "3"), "sample_exact at depth 3"),
+        (("generate", "--method", "chaos", "--points", "50"), "chaos_game"),
+        (("generate", "--method", "iterate", "--grid-size", "100"), "fixed_point_iterate at sweep 1"),
+    ])
+    def test_curve_past_the_float_range_exits_degenerate(self, command, where, tmp_path):
+        path = tmp_path / "overflow.yaml"
+        path.write_text(OVERFLOWING)
+        assert self.run("validate", "--config", str(path)).exit_code == 0   # every input is finite
+        out = tmp_path / "out.txt"
+        result = self.run(*command, "--config", str(path), "--out", str(out))
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)   # not a traceback
+        assert result.stderr == f"error: {where} overflows: the curve leaves the float range\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", bundled_config_names())
     def test_every_bundled_config_runs_end_to_end(self, name, tmp_path):

@@ -166,6 +166,26 @@ class TestBoxCount:
         assert box_count(graph, 0.7, density_factor=1.5) == 4
         assert brute_force_count(graph, 0.7, points_per_cell=64) == 4
 
+    def test_first_sample_rounded_onto_the_first_crossing(self):
+        # xs[0] = 3 * 0.7 rounds to 2.0999999999999996, which floors to column 2
+        # but is the product boundary of column 3: column 2 holds no sample
+        # and is not counted, and crossing 0 closes nothing.  Column 3 has
+        # rows 0..2 (the last a limit of the rise to 2.0), column 4 rows 0..2.
+        xs = np.array([3 * 0.7, 2.5, 2.9, 3.3])
+        graph = SampledGraph(xs=xs, f1s=np.array([0.0, 1.0, 2.0, 0.5]), f2s=xs)
+        assert box_count(graph, 0.7, density_factor=1.5) == 6
+        # the oracle floors x / eps, so it also charges xs[0] (below 3 * eps in
+        # exact arithmetic) to cell (2, 0); it agrees on every other cell
+        assert brute_force_count(graph, 0.7, points_per_cell=64) == 7
+
+    def test_column_without_samples(self):
+        # y = x from 0 to 2.5 with one-cell boxes: column 1 holds only its
+        # crossing, so its rows come from the crossings at x = 1 and x = 2
+        xs = np.array([0.0, 2.5])
+        graph = SampledGraph(xs=xs, f1s=xs.copy(), f2s=xs)
+        assert box_count(graph, 1.0, density_factor=0.25) == 3
+        assert brute_force_count(graph, 1.0, points_per_cell=64) == 3
+
     @pytest.mark.parametrize("model, depth, exponents, density_factor", [
         (synthetic_self_affine(), 12, range(4, 13), 2.0),
         (model_for("fig4"), 10, range(4, 11), 4.0),

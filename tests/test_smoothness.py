@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chfif import (
     InsufficientScalesError,
     SampledGraph,
     classify,
     empirical_holder,
+    max_oscillation,
     remark_special_case,
     sample_exact,
     solve_model,
@@ -17,6 +20,8 @@ from chfif.smoothness import regime_state
 
 from helpers import (
     ALL_GALLERY,
+    brute_force_oscillation,
+    deque_oscillation,
     equidistant_problem,
     make_problem,
     model_for,
@@ -270,3 +275,75 @@ class TestEmpiricalHolder:
         estimate = empirical_holder(sampled_for("fig4", 8), 4, 9)
         assert len(estimate.scales) == len(estimate.oscillations) == len(estimate.residuals)
         assert len(estimate.scales) == 6
+
+
+@st.composite
+def oscillation_cases(draw):
+    """Sorted abscissas, values and a window chosen to sit on the window rule's edges."""
+    n = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        xs = draw(st.lists(st.floats(-3.0, 7.0), min_size=n, max_size=n))
+    else:
+        # a coarse decimal grid: tied abscissas and gaps that are not exact
+        xs = [0.1 * k for k in draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))]
+    xs = np.sort(np.array(xs, dtype=float))
+    if draw(st.booleans()):
+        ys = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    else:
+        ys = draw(st.lists(st.sampled_from([-1.5, 0.0, 2.0]), min_size=n, max_size=n))
+    ys = np.array(ys, dtype=float)
+    kind = draw(st.sampled_from(["gap", "below", "above", "wide", "any"]))
+    if n and kind in ("gap", "below", "above"):
+        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2)))
+        window = float(xs[j] - xs[i])
+        # one ulp either side: xs - window can round onto or across a sample
+        if kind != "gap":
+            window = float(np.nextafter(window, np.inf if kind == "above" else 0.0))
+        if draw(st.booleans()):
+            # make (i, j) the widest pair, so whether it fits decides the result
+            ys[i], ys[j] = 1e4, -1e4
+    elif kind == "wide":
+        window = float(np.ptp(xs)) + 1.0 if n else 1.0
+    else:
+        window = draw(st.floats(0.0, 12.0))
+    return xs, ys, window
+
+
+class TestMaxOscillation:
+    """The sparse-table scan against a brute-force pair scan and the deque scan it replaced."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(oscillation_cases())
+    def test_matches_oracles(self, case):
+        xs, ys, window = case
+        got = max_oscillation(xs, ys, window)
+        assert type(got) is float
+        assert got == brute_force_oscillation(xs, ys, window) == deque_oscillation(xs, ys, window)
+
+    @pytest.mark.parametrize("xs, ys, window, expected", [
+        ((), (), 1.0, 0.0),
+        ((0.5,), (3.0,), 1.0, 0.0),
+        ((0.0, 1.0), (0.0, 2.0), 1.0, 2.0),    # the gap equals the window: the pair counts
+        ((0.0, 1.0), (0.0, 2.0), 0.5, 0.0),
+        ((0.0, 1.0, 1.0), (5.0, 1.0, 4.0), 0.0, 3.0),   # tied abscissas are 0 apart
+    ])
+    def test_small_cases(self, xs, ys, window, expected):
+        assert max_oscillation(np.array(xs), np.array(ys), window) == expected
+
+    def test_every_window_length(self):
+        # windows of every length up to 2**7 + 1 samples, one query level each
+        xs = np.arange(300.0)
+        ys = np.random.default_rng(3).normal(size=xs.size)
+        for width in range(130):
+            assert max_oscillation(xs, ys, float(width)) == deque_oscillation(xs, ys, float(width))
+
+    @pytest.mark.parametrize("name", ["fig4", "fig9"])
+    def test_gallery_scales(self, name):
+        graph = sampled_for(name, 8)
+        for j in range(4, 11):
+            assert max_oscillation(graph.xs, graph.f1s, 2.0 ** -j) == deque_oscillation(
+                graph.xs, graph.f1s, 2.0 ** -j)
+
+    def test_rejects_negative_window(self):
+        with pytest.raises(ValueError):
+            max_oscillation(np.arange(3.0), np.arange(3.0), -1.0)
