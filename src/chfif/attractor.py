@@ -3,7 +3,8 @@
 Three routes are provided on purpose, because each one checks the others:
 
 * :func:`sample_exact` propagates node values through the functional
-  equations, giving exact values on address-refined grids;
+  equations, giving exact values on address-refined grids
+  (:func:`exact_blocks` streams the same grid a block at a time);
 * :func:`fixed_point_iterate` runs the contraction operator on a uniform
   grid until successive sweeps agree;
 * :func:`chaos_game` renders the attractor by seeded random iteration.
@@ -11,6 +12,7 @@ Three routes are provided on purpose, because each one checks the others:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +25,11 @@ CHAOS_BURN_IN = 100
 
 # sample_exact(depth) materialises N**(depth+1) + 1 points per component.
 DEFAULT_MAX_POINTS = 20_000_000
+
+# exact_blocks holds the deepest level with at most this many points, so a
+# block costs a few hundred KB; held grids of 730 to 59,050 points timed
+# alike on a depth-12 export, the per-block overhead being amortised by then
+_BLOCK_POINTS = 8192
 
 # chaos-game steps converted to Python floats at a time: enough to amortise
 # the conversion, few enough that the lists stay well under a MB
@@ -83,7 +90,69 @@ class SampledGraph:
         return len(self.xs)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+def _check_depth(model: ChfifModel, depth: int, max_points: int) -> None:
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    final = model.n_intervals ** (depth + 1) + 1
+    if final > max_points:
+        raise DepthLimitError(
+            f"depth {depth} needs {final} points, above the limit of {max_points}")
+
+
+def _image(model: ChfifModel, j: int, xs, f1, f2, ends_at_one: bool):
+    # W_j on a block; while the block still ends at x = 1 its image ends on
+    # the node x_{j+1}, set exactly so shared boundaries stay canonical
+    img_x = model.a[j] * xs + model.b[j]
+    if ends_at_one:
+        img_x[-1] = model.node_x[j + 1]
+    return (img_x, *map_images(model, j, xs, f1, f2))
+
+
+def _blocks(model: ChfifModel, depth: int, held: int):
+    # the level-``held`` grid, built level by level, then each word's image of it
+    n = model.n_intervals
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, f1, f2 = model.node_x.copy(), model.y.copy(), model.z.copy()
+        for _ in range(held):
+            bx, b1, b2 = zip(*(_image(model, j, xs, f1, f2, True) for j in range(n)))
+            # every block but the first drops its first point, the previous block's endpoint
+            xs = np.concatenate((bx[0], *(v[1:] for v in bx[1:])))
+            f1 = np.concatenate((b1[0], *(v[1:] for v in b1[1:])))
+            f2 = np.concatenate((b2[0], *(v[1:] for v in b2[1:])))
+            del bx, b1, b2   # else they stay alive next to the next level's images
+    grid = xs, f1, f2
+    for index, word in enumerate(itertools.product(range(n), repeat=depth - held)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            block, ends_at_one = grid, True
+            for j in reversed(word):   # the innermost map acts first
+                block = _image(model, j, *block, ends_at_one)
+                ends_at_one = ends_at_one and j == n - 1
+            xs, f1, f2 = (v[1:] for v in block) if index else block
+            check_finite(f"sample_exact at depth {depth}", f1, f2)
+            xs = model.to_raw(xs)
+        yield xs, f1, f2
+
+
+def exact_blocks(model: ChfifModel, depth: int):
+    """The level-``depth`` grid of :func:`sample_exact` as consecutive ``(xs, f1, f2)`` blocks.
+
+    The graph is the attractor of the maps W_j, so the level-``depth`` grid
+    is the images W_j1(...W_jm(G)) of a shallower grid G, word by word in
+    lexicographic order.  G is the deepest level with at most
+    ``_BLOCK_POINTS`` points; each block is one word's image, less the
+    point it shares with the block before.  Every value goes through the
+    same chain of map applications as in :func:`sample_exact`, so the
+    concatenated blocks equal its arrays bit for bit, while memory holds G
+    and one block.  The depth checks, with :func:`sample_exact`'s default
+    point budget, run at the call, before any block.
+    """
+    _check_depth(model, depth, DEFAULT_MAX_POINTS)
+    held = 0
+    while held < depth and model.n_intervals ** (held + 2) + 1 <= _BLOCK_POINTS:
+        held += 1
+    return _blocks(model, depth, held)
+
+
 def sample_exact(model: ChfifModel, depth: int, *, max_points: int = DEFAULT_MAX_POINTS) -> SampledGraph:
     """Exact values of (f1, f2) on the level-``depth`` subdivision grid.
 
@@ -92,36 +161,13 @@ def sample_exact(model: ChfifModel, depth: int, *, max_points: int = DEFAULT_MAX
     beta_i f2(x) + p_i(x) and gamma_i f2(x) + q_i(x).  No truncation error
     is introduced; every output value is an exact (floating-point) image of
     the seed values.  Depth m produces N**(m+1) + 1 points; depth 0 returns
-    the original nodes.
+    the original nodes.  The whole grid is one block of
+    :func:`exact_blocks`' construction, held at level ``depth``; stream
+    with :func:`exact_blocks` when the grid is not needed at once.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    n = model.n_intervals
-    final = n ** (depth + 1) + 1
-    if final > max_points:
-        raise DepthLimitError(
-            f"depth {depth} needs {final} points, above the limit of {max_points}")
-
-    xs = model.node_x.copy()
-    f1 = model.y.copy()
-    f2 = model.z.copy()
-    for _ in range(depth):
-        bx, b1, b2 = [], [], []
-        for j in range(n):
-            img_x = model.a[j] * xs + model.b[j]
-            img_x[-1] = model.node_x[j + 1]   # keep shared boundaries canonical
-            img_1, img_2 = map_images(model, j, xs, f1, f2)
-            if j > 0:   # drop the duplicate of the previous block's endpoint
-                img_x, img_1, img_2 = img_x[1:], img_1[1:], img_2[1:]
-            bx.append(img_x)
-            b1.append(img_1)
-            b2.append(img_2)
-        xs = np.concatenate(bx)
-        f1 = np.concatenate(b1)
-        f2 = np.concatenate(b2)
-
-    check_finite(f"sample_exact at depth {depth}", f1, f2)
-    return SampledGraph(xs=model.to_raw(xs), f1s=f1, f2s=f2, depth=depth)
+    _check_depth(model, depth, max_points)
+    (xs, f1, f2), = _blocks(model, depth, depth)
+    return SampledGraph(xs=xs, f1s=f1, f2s=f2, depth=depth)
 
 
 def _interval_index(model: ChfifModel, xs: np.ndarray) -> np.ndarray:

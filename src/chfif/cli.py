@@ -13,6 +13,7 @@ the float range).
 from __future__ import annotations
 
 import itertools
+import os
 import re
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -24,7 +25,7 @@ import numpy as np
 import yaml
 
 from . import presets
-from .attractor import chaos_game, fixed_point_iterate, sample_exact
+from .attractor import chaos_game, exact_blocks, fixed_point_iterate, sample_exact
 from .dimension import dimension_report
 from .exceptions import (
     EXIT_DEGENERATE,
@@ -280,36 +281,56 @@ def fmt(value, precision: int) -> str:
 
 
 # Rows per %-format call in `generate`: enough to amortise the call, few
-# enough that one chunk's floats and text stay a few MB at any row count.
-_CHUNK_ROWS = 65_536
+# enough that one chunk's float list, value tuple and text each stay under
+# glibc's 128 KiB mmap threshold, so the heap reuses them chunk after chunk.
+_CHUNK_ROWS = 2048
 
 
-def _csv_pieces(xs, f1, f2, precision: int):
-    """The ``x,f1,f2`` table as text pieces, one %-format call per chunk of rows.
+def _csv_pieces(blocks, precision: int):
+    """The ``x,f1,f2`` table of consecutive ``(xs, f1, f2)`` blocks as text pieces.
 
+    One %-format call per chunk of at most ``_CHUNK_ROWS`` rows of a block.
     ``"%.{p}g" % v`` and ``format(v, ".{p}g")`` print a float the same way,
     so the bytes equal those of formatting each value with :func:`fmt`.
     """
     yield "x,f1,f2\n"
     row = f"%.{precision}g,%.{precision}g,%.{precision}g\n"
-    for start in range(0, len(xs), _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
-        block = np.stack((xs[start:stop], f1[start:stop], f2[start:stop]), axis=1)
-        yield row * len(block) % tuple(block.ravel().tolist())
+    for xs, f1, f2 in blocks:
+        for start in range(0, len(xs), _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            chunk = np.stack((xs[start:stop], f1[start:stop], f2[start:stop]), axis=1)
+            yield row * len(chunk) % tuple(chunk.ravel().tolist())
 
 
 def _write_out(pieces, out: str | None) -> None:
     """Write text pieces in order to ``out``, or to stdout when it is None or "-".
 
     Each piece is written as soon as it is produced, so a generator of
-    pieces is never held in memory whole.
+    pieces is never held in memory whole.  A file is written whole or not
+    at all: the pieces go to a temporary file beside it, which replaces
+    ``out`` after the last piece and is removed if producing one raises.
+    Stdout keeps whatever was written before the error.
     """
     if out is None or out == "-":
         for piece in pieces:
             click.echo(piece, nl=False)
         return
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(pieces)
+    target = os.path.realpath(out)
+    if os.path.exists(target) and not os.path.isfile(target):
+        # a device or pipe cannot be replaced; write to it directly
+        with open(target, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(pieces)
+        return
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(pieces)
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _kv_lines(pairs, precision: int) -> str:
@@ -428,18 +449,17 @@ def generate(config_ref, out, depth, method, seed, points, grid_size, tol, preci
         model = solve_model(config.problem)
         if opts.method == "chaos":
             cloud = chaos_game(model, opts.points, opts.seed)
-            xs, f1, f2 = cloud[:, 0], cloud[:, 1], cloud[:, 2]
+            blocks = [(cloud[:, 0], cloud[:, 1], cloud[:, 2])]
         elif opts.method == "iterate":
             result = fixed_point_iterate(model, opts.grid_size, opts.iterations, opts.tol)
             if not result.converged:
                 raise NotConvergedError(
                     f"iteration did not reach tol {opts.tol} in {opts.iterations} sweeps "
                     f"(last distance {result.distances[-1]:.3g})")
-            xs, f1, f2 = result.graph.xs, result.graph.f1s, result.graph.f2s
+            blocks = [(result.graph.xs, result.graph.f1s, result.graph.f2s)]
         else:
-            graph = sample_exact(model, opts.depth)
-            xs, f1, f2 = graph.xs, graph.f1s, graph.f2s
-        _write_out(_csv_pieces(xs, f1, f2, opts.precision), opts.out)
+            blocks = exact_blocks(model, opts.depth)
+        _write_out(_csv_pieces(blocks, opts.precision), opts.out)
     _run(body)
 
 

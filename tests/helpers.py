@@ -8,11 +8,23 @@ from collections import deque
 import numpy as np
 
 from chfif import InterpolationProblem, IntervalParams, PowerTerm, sample_exact, solve_model
+from chfif.attractor import map_images
 from chfif.presets import GALLERY_NAMES, gallery_problem
 
 ALL_GALLERY = GALLERY_NAMES
 NODES_X = np.array([0.0, 0.35, 0.75, 1.0])
 NODES_Y = np.array([2.0, 7.0, 4.0, 9.0])
+
+# finite inputs whose curve leaves the float range, though not in the first
+# level-2 block when blocks hold N + 1 points
+LATE_OVERFLOW = """\
+problem:
+  nodes: [[0.0, 0.0], [0.5, 1.0e308], [1.0, 0.0]]
+  hidden: [0.0, 1.0e308, 0.0]
+  intervals:
+    - {alpha: 0.9, beta: 0.05, gamma: 0.9}
+    - {alpha: 0.9, beta: 0.05, gamma: 0.9}
+"""
 
 
 @functools.lru_cache(maxsize=None)
@@ -88,6 +100,34 @@ def bit_identical(a, b) -> bool:
     """Same dtype, shape and bytes: equal values and equal signs of zeros."""
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def breadth_first_exact(model, depth):
+    """Oracle for the exact route: the level loop that built the whole grid before streaming.
+
+    Every level is all N images of the level before, concatenated; returns
+    raw-domain ``(xs, f1, f2)`` with no finiteness check.
+    """
+    n = model.n_intervals
+    xs = model.node_x.copy()
+    f1 = model.y.copy()
+    f2 = model.z.copy()
+    for _ in range(depth):
+        bx, b1, b2 = [], [], []
+        for j in range(n):
+            img_x = model.a[j] * xs + model.b[j]
+            img_x[-1] = model.node_x[j + 1]   # keep shared boundaries canonical
+            img_1, img_2 = map_images(model, j, xs, f1, f2)
+            if j > 0:   # drop the duplicate of the previous block's endpoint
+                img_x, img_1, img_2 = img_x[1:], img_1[1:], img_2[1:]
+            bx.append(img_x)
+            b1.append(img_1)
+            b2.append(img_2)
+        xs = np.concatenate(bx)
+        f1 = np.concatenate(b1)
+        f2 = np.concatenate(b2)
+    return model.to_raw(xs), f1, f2
 
 
 def csv_text(xs, f1, f2, precision: int) -> str:

@@ -8,9 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chfif import (
+    CurveOverflowError,
     DepthLimitError,
     apply_operator,
     chaos_game,
+    exact_blocks,
     exact_residuals,
     fixed_point_iterate,
     functional_residuals,
@@ -20,13 +22,16 @@ from chfif import (
     solve_model,
     validate,
 )
+from chfif import attractor
 from chfif.attractor import _SweepPlan
-from chfif.cli import resolve_config
+from chfif.cli import bundled_config_names, parse_config, resolve_config
 
 from helpers import (
+    LATE_OVERFLOW,
     NODES_X,
     NODES_Y,
     bit_identical,
+    breadth_first_exact,
     equidistant_problem,
     interp_sweep,
     make_problem,
@@ -38,6 +43,7 @@ from helpers import (
 )
 
 POWER_CONFIG = Path(__file__).resolve().parent / "data" / "power.yaml"
+ALL_CONFIGS = (*bundled_config_names(), str(POWER_CONFIG))
 
 
 def node_indices(model, xs):
@@ -140,6 +146,59 @@ class TestSampleExact:
         r1, r2 = functional_residuals(model_for(name), graph)
         assert r1 <= 1e-10
         assert r2 <= 1e-10
+
+
+class TestExactBlocks:
+    """The streamed exact route against the breadth-first level loop it replaced."""
+
+    @pytest.mark.parametrize("ref", ALL_CONFIGS, ids=lambda ref: Path(ref).stem)
+    def test_blocks_equal_breadth_first_oracle(self, ref, monkeypatch):
+        model = solve_model(resolve_config(ref).problem)
+        n = model.n_intervals
+        sizes = (1, 2, n + 1, n + 2, 100, attractor._BLOCK_POINTS)
+        for depth in range(10):
+            want = breadth_first_exact(model, depth)
+            graph = sample_exact(model, depth)
+            for have, oracle in zip((graph.xs, graph.f1s, graph.f2s), want):
+                assert bit_identical(have, oracle), depth
+            # below N**2 + 1 points only level 0 is held, and depth 9 would be
+            # N**9 tiny blocks of nine maps each: those sizes stop at depth 5
+            for size in (s for s in sizes if depth <= 5 or s > n ** 2):
+                monkeypatch.setattr(attractor, "_BLOCK_POINTS", size)
+                blocks = list(exact_blocks(model, depth))
+                got = [np.concatenate([block[k] for block in blocks]) for k in range(3)]
+                for have, oracle in zip(got, want):
+                    assert bit_identical(have, oracle), (depth, size)
+                assert np.all(np.diff(got[0]) > 0), (depth, size)   # across block joins too
+
+    @pytest.mark.parametrize("block_points, depth, held", [
+        (1, 3, 0), (4, 3, 0), (9, 3, 0), (10, 3, 1), (100, 4, 3), (6562, 9, 7),
+        (8192, 9, 7), (8192, 5, 5), (8192, 0, 0),
+    ])
+    def test_held_level_is_the_deepest_that_fits(self, block_points, depth, held, monkeypatch):
+        monkeypatch.setattr(attractor, "_BLOCK_POINTS", block_points)
+        n = model_for("fig4").n_intervals
+        sizes = [len(xs) for xs, _, _ in exact_blocks(model_for("fig4"), depth)]
+        assert sizes == [n ** (held + 1) + 1] + [n ** (held + 1)] * (n ** (depth - held) - 1)
+
+    def test_depth_checks_run_at_the_call(self):
+        with pytest.raises(ValueError):
+            exact_blocks(model_for("fig4"), -1)
+        with pytest.raises(DepthLimitError):
+            exact_blocks(model_for("fig4"), 15)   # 3**16 + 1 points
+
+    @pytest.mark.filterwarnings("error")   # overflow stays inside each block's errstate
+    def test_overflow_past_the_first_block(self, monkeypatch):
+        monkeypatch.setattr(attractor, "_BLOCK_POINTS", 3)
+        model = solve_model(parse_config(LATE_OVERFLOW).problem)
+        settings_before = np.geterr()
+        blocks = exact_blocks(model, 2)
+        xs, f1, f2 = next(blocks)
+        assert len(xs) == 3 and np.isfinite(f1).all() and np.isfinite(f2).all()
+        assert np.geterr() == settings_before
+        with pytest.raises(CurveOverflowError, match="sample_exact at depth 2 overflows"):
+            next(blocks)
+        assert np.geterr() == settings_before
 
 
 class TestFixedPointIterate:

@@ -1,13 +1,15 @@
 """Tests for config parsing, serialization and the command surface."""
 
-from types import SimpleNamespace
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from chfif import ConfigError, validate
-from chfif import cli
+from chfif import ConfigError, exact_blocks, solve_model, validate
+from chfif import attractor, cli
 from chfif.cli import (
     bundled_config_names,
     load_bundled_config,
@@ -17,7 +19,7 @@ from chfif.cli import (
     serialize_config,
 )
 
-from helpers import csv_text
+from helpers import LATE_OVERFLOW, csv_text
 
 MINIMAL = """\
 problem:
@@ -258,6 +260,29 @@ class TestCommands:
         result = self.run("classify", "--config", "fig4", "--out", str(tmp_path))
         assert result.exit_code == 2
 
+    def test_out_through_a_symlink_writes_its_target(self, tmp_path):
+        target = tmp_path / "report.txt"
+        target.write_text("earlier run\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        assert self.run("classify", "--config", "fig4", "--out", str(link)).exit_code == 0
+        assert link.is_symlink()
+        assert target.read_text().startswith("command: classify\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "report.txt"]
+
+    def test_out_may_be_a_pipe(self, tmp_path):
+        # a pipe cannot be replaced by a finished file: it is written directly
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        result = self.run("classify", "--config", "fig4", "--out", str(pipe))
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert result.exit_code == 0
+        assert received[0].startswith(b"command: classify\n")
+
     @pytest.mark.parametrize("args", [
         ("--depth", "-1"),
         ("--method", "chaos", "--points", "0"),
@@ -369,6 +394,34 @@ class TestCommands:
         assert result.stderr == f"error: {where} overflows: the curve leaves the float range\n"
         assert not out.exists()
 
+    def test_overflow_past_the_first_block_leaves_out_untouched(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(attractor, "_BLOCK_POINTS", 3)   # N + 1 points
+        path = tmp_path / "late.yaml"
+        path.write_text(LATE_OVERFLOW)
+        error = "error: sample_exact at depth 2 overflows: the curve leaves the float range\n"
+        out = tmp_path / "out.csv"
+        result = self.run("generate", "--config", str(path), "--depth", "2", "--out", str(out))
+        assert result.exit_code == 3
+        assert result.stderr == error
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["late.yaml"]   # no temporary left
+        out.write_bytes(b"earlier run\n")
+        result = self.run("generate", "--config", str(path), "--depth", "2", "--out", str(out))
+        assert result.exit_code == 3
+        assert out.read_bytes() == b"earlier run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["late.yaml", "out.csv"]
+        # stdout keeps the rows streamed before the overflow
+        result = self.run("generate", "--config", str(path), "--depth", "2")
+        assert result.exit_code == 3
+        first = next(exact_blocks(solve_model(parse_config(LATE_OVERFLOW).problem), 2))
+        assert result.stdout == csv_text(*first, 12)
+        assert result.stderr == error
+
+    def test_refused_depth_writes_nothing(self):
+        result = self.run("generate", "--config", "fig4", "--depth", "15")
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: depth 15 needs ")
+
     @pytest.mark.parametrize("name", bundled_config_names())
     def test_every_bundled_config_runs_end_to_end(self, name, tmp_path):
         out = tmp_path / "report.txt"
@@ -397,8 +450,7 @@ class TestGenerateWriter:
         xs = np.resize(SPECIAL_VALUES, 23)
         f1, f2 = np.roll(xs, 3), -np.roll(xs, 5)
         monkeypatch.setattr(cli, "_CHUNK_ROWS", self.CHUNK)
-        monkeypatch.setattr(cli, "sample_exact", lambda model, depth: SimpleNamespace(
-            xs=xs, f1s=f1, f2s=f2))
+        monkeypatch.setattr(cli, "exact_blocks", lambda model, depth: [(xs, f1, f2)])
         want = csv_text(xs, f1, f2, precision)
         out = tmp_path / "curve.csv"
         args = ("generate", "--config", "fig4", "--precision", str(precision))
@@ -421,3 +473,17 @@ class TestGenerateWriter:
         assert result.exit_code == 0
         assert result.stdout_bytes == out.read_bytes()
         assert out.read_text().count("\n") > 2 * self.CHUNK
+
+    def test_exact_route_holds_one_block(self, tmp_path):
+        # one copy of the level-10 grid: three arrays of 3**11 + 1 doubles
+        grid_bytes = 3 * (3 ** 11 + 1) * 8
+        out = tmp_path / "curve.csv"
+        tracemalloc.start()
+        try:
+            result = self.run("generate", "--config", "fig4", "--depth", "10", "--out", str(out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0
+        assert out.read_text().count("\n") == 3 ** 11 + 2
+        assert peak < grid_bytes
