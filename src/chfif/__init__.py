@@ -44,10 +44,8 @@ from .geometry import (
     IntervalParams,
     MapFunction,
     PowerTerm,
-    RatioSummary,
     ValidationResult,
     Violation,
-    classification_ratios,
     is_equidistant,
     is_self_affine_config,
     self_affine_discrepancies,
@@ -78,64 +76,3 @@ from .smoothness import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ChfifError",
-    "ChfifModel",
-    "ConfigError",
-    "CurveOverflowError",
-    "DepthLimitError",
-    "DimensionOneResult",
-    "DimensionReport",
-    "EmpiricalDimension",
-    "HolderEstimate",
-    "InsufficientScalesError",
-    "InterpolationProblem",
-    "IntervalParams",
-    "IterationResult",
-    "MapFunction",
-    "MomentTable",
-    "NotConvergedError",
-    "PowerTerm",
-    "RatioSummary",
-    "SampledGraph",
-    "SamplingTooCoarseError",
-    "SmoothnessReport",
-    "TauBounds",
-    "TheoreticalBounds",
-    "ValidationError",
-    "ValidationResult",
-    "Violation",
-    "address_of",
-    "apply_operator",
-    "box_count",
-    "build_moment_table",
-    "chaos_game",
-    "classification_ratios",
-    "classify",
-    "convergence_profile",
-    "dimension_one_predicate",
-    "dimension_report",
-    "empirical_holder",
-    "exact_residuals",
-    "estimate_dimension",
-    "exact_blocks",
-    "fixed_point_iterate",
-    "functional_residuals",
-    "interval_of",
-    "is_equidistant",
-    "is_self_affine_config",
-    "max_oscillation",
-    "moment_a",
-    "moment_b",
-    "q_m_operator",
-    "q_m_values",
-    "regime_state",
-    "remark_special_case",
-    "sample_exact",
-    "self_affine_discrepancies",
-    "solve_model",
-    "theoretical_bounds",
-    "validate",
-    "whole_interval_integrals",
-]

@@ -14,18 +14,14 @@ from __future__ import annotations
 
 import itertools
 import os
-import re
 import sys
-from dataclasses import dataclass, field, fields, replace
-from importlib import resources
-from pathlib import Path
+from dataclasses import replace
 
 import click
 import numpy as np
-import yaml
 
-from . import presets
 from .attractor import chaos_game, exact_blocks, fixed_point_iterate, sample_exact
+from .config import RunConfig, resolve_config
 from .dimension import dimension_report
 from .exceptions import (
     EXIT_DEGENERATE,
@@ -35,236 +31,9 @@ from .exceptions import (
     ConfigError,
     NotConvergedError,
 )
-from .geometry import (
-    InterpolationProblem,
-    IntervalParams,
-    PowerTerm,
-    classification_ratios,
-    is_self_affine_config,
-    self_affine_discrepancies,
-    solve_model,
-    validate,
-)
+from .geometry import is_self_affine_config, self_affine_discrepancies, solve_model, validate
 from .moments import build_moment_table, convergence_profile
 from .smoothness import classify
-
-
-@dataclass(frozen=True)
-class RunOptions:
-    """Command options with their documented defaults."""
-
-    depth: int = 10
-    iterations: int = 60_000
-    tol: float = 1e-10
-    eps_min_exp: int = 4
-    eps_max_exp: int = 12
-    seed: int = 0
-    precision: int = 12
-    points: int = 20_000
-    method: str = "exact"
-    grid_size: int = 6561
-    moments_depth: int = 3
-    profile_m_max: int = 8
-    probe_depth: int = 10
-    out: str | None = None
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    problem: InterpolationProblem
-    options: RunOptions = field(default_factory=RunOptions)
-    name: str = "config"
-
-
-# option name -> annotation text ("int", "float", "str", "str | None")
-_OPTION_TYPES = {f.name: f.type for f in fields(RunOptions)}
-
-_INTERVAL_KEYS = {"alpha", "beta", "gamma", "p_power", "q_power"}
-_POWER_KEYS = {"coeff", "exponent"}
-
-
-class _Loader(yaml.SafeLoader):
-    """SafeLoader that also reads YAML 1.2 floats such as 1e-12, 2e5 and 1.0e308.
-
-    YAML 1.1, which PyYAML follows, wants a dot and a signed exponent, and
-    reads those numbers as strings.  Quoted scalars stay strings.
-    """
-
-
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
-    list("-+.0123456789"))
-
-
-def _require_mapping(obj, where: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(where, f"expected a mapping, got {type(obj).__name__}")
-    return obj
-
-
-def _number(obj, where: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ConfigError(where, f"expected a number, got {obj!r}")
-    return float(obj)
-
-
-def _parse_power(obj, where: str) -> PowerTerm:
-    mapping = _require_mapping(obj, where)
-    unknown = set(mapping) - _POWER_KEYS
-    if unknown:
-        raise ConfigError(f"{where}.{sorted(unknown)[0]}", "unknown key")
-    missing = _POWER_KEYS - set(mapping)
-    if missing:
-        raise ConfigError(where, f"missing key {sorted(missing)[0]!r}")
-    return PowerTerm(
-        coeff=_number(mapping["coeff"], f"{where}.coeff"),
-        exponent=_number(mapping["exponent"], f"{where}.exponent"),
-    )
-
-
-def parse_config(text: str, name: str = "config") -> RunConfig:
-    """Parse and strictly validate a YAML configuration document.
-
-    Schema errors carry the dotted path of the offending field; semantic
-    constraints on the parameters themselves are left to validation so the
-    two failure kinds stay distinguishable.
-    """
-    try:
-        doc = yaml.load(text, Loader=_Loader)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        where = f"line {mark.line + 1}" if mark else "document"
-        raise ConfigError(where, f"YAML parse error: {exc}") from exc
-    if doc is None:
-        raise ConfigError("document", "empty document; required sections: problem")
-    doc = _require_mapping(doc, "document")
-
-    unknown = set(doc) - {"problem", "options"}
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown key")
-    if "problem" not in doc:
-        raise ConfigError("document", "missing required section 'problem'")
-
-    prob = _require_mapping(doc["problem"], "problem")
-    unknown = set(prob) - {"nodes", "hidden", "intervals"}
-    if unknown:
-        raise ConfigError(f"problem.{sorted(unknown)[0]}", "unknown key")
-    for key in ("nodes", "hidden", "intervals"):
-        if key not in prob:
-            raise ConfigError("problem", f"missing required key {key!r}")
-
-    if not isinstance(prob["nodes"], list):
-        raise ConfigError("problem.nodes", "expected a list of [x, y] pairs")
-    nodes = []
-    for i, entry in enumerate(prob["nodes"]):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ConfigError(f"problem.nodes[{i}]", "expected a [x, y] pair")
-        nodes.append((
-            _number(entry[0], f"problem.nodes[{i}][0]"),
-            _number(entry[1], f"problem.nodes[{i}][1]"),
-        ))
-
-    if not isinstance(prob["hidden"], list):
-        raise ConfigError("problem.hidden", "expected a list of numbers")
-    hidden = tuple(
-        _number(v, f"problem.hidden[{i}]") for i, v in enumerate(prob["hidden"])
-    )
-
-    if not isinstance(prob["intervals"], list):
-        raise ConfigError("problem.intervals", "expected a list of parameter mappings")
-    params = []
-    for i, entry in enumerate(prob["intervals"]):
-        where = f"problem.intervals[{i}]"
-        mapping = _require_mapping(entry, where)
-        unknown = set(mapping) - _INTERVAL_KEYS
-        if unknown:
-            raise ConfigError(f"{where}.{sorted(unknown)[0]}", "unknown key")
-        for key in ("alpha", "beta", "gamma"):
-            if key not in mapping:
-                raise ConfigError(where, f"missing key {key!r}")
-        params.append(IntervalParams(
-            alpha=_number(mapping["alpha"], f"{where}.alpha"),
-            beta=_number(mapping["beta"], f"{where}.beta"),
-            gamma=_number(mapping["gamma"], f"{where}.gamma"),
-            p_power=_parse_power(mapping["p_power"], f"{where}.p_power") if mapping.get("p_power") is not None else None,
-            q_power=_parse_power(mapping["q_power"], f"{where}.q_power") if mapping.get("q_power") is not None else None,
-        ))
-
-    options = RunOptions()
-    if "options" in doc and doc["options"] is not None:
-        opts = _require_mapping(doc["options"], "options")
-        unknown = set(opts) - set(_OPTION_TYPES)
-        if unknown:
-            raise ConfigError(f"options.{sorted(unknown)[0]}", "unknown key")
-        values = {}
-        for key, value in opts.items():
-            kind = _OPTION_TYPES[key]
-            where = f"options.{key}"
-            if kind == "int":
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(where, f"expected an integer, got {value!r}")
-                values[key] = value
-            elif kind == "float":
-                values[key] = _number(value, where)
-            else:
-                if not isinstance(value, str):
-                    raise ConfigError(where, f"expected a string, got {value!r}")
-                values[key] = value
-        options = replace(options, **values)
-        if options.method not in ("exact", "iterate", "chaos"):
-            raise ConfigError("options.method", f"expected exact|iterate|chaos, got {options.method!r}")
-
-    problem = InterpolationProblem(nodes=tuple(nodes), hidden=hidden, params=tuple(params))
-    return RunConfig(problem=problem, options=options, name=name)
-
-
-def serialize_config(config: RunConfig) -> str:
-    """YAML text that re-parses to an equivalent configuration."""
-    intervals = []
-    for p in config.problem.params:
-        entry: dict = {"alpha": p.alpha, "beta": p.beta, "gamma": p.gamma}
-        if p.p_power is not None:
-            entry["p_power"] = {"coeff": p.p_power.coeff, "exponent": p.p_power.exponent}
-        if p.q_power is not None:
-            entry["q_power"] = {"coeff": p.q_power.coeff, "exponent": p.q_power.exponent}
-        intervals.append(entry)
-    doc = {
-        "problem": {
-            "nodes": [[x, y] for x, y in config.problem.nodes],
-            "hidden": list(config.problem.hidden),
-            "intervals": intervals,
-        },
-        "options": {
-            key: getattr(config.options, key)
-            for key in _OPTION_TYPES
-            if getattr(config.options, key) != getattr(RunOptions(), key)
-        },
-    }
-    if not doc["options"]:
-        del doc["options"]
-    return yaml.safe_dump(doc, sort_keys=False)
-
-
-def bundled_config_names() -> tuple[str, ...]:
-    return presets.GALLERY_NAMES + ("fig1_corrected",)
-
-
-def load_bundled_config(name: str) -> str:
-    path = resources.files("chfif").joinpath("configs", f"{name}.yaml")
-    return path.read_text(encoding="utf-8")
-
-
-def resolve_config(ref: str) -> RunConfig:
-    """Load a config from a path, or by bundled name when no file matches."""
-    path = Path(ref)
-    if path.exists():
-        return parse_config(path.read_text(encoding="utf-8"), name=path.stem)
-    if ref in bundled_config_names():
-        return parse_config(load_bundled_config(ref), name=ref)
-    raise FileNotFoundError(
-        f"{ref!r} is neither an existing file nor a bundled config "
-        f"({', '.join(bundled_config_names())})")
 
 
 # -- output formatting ----------------------------------------------------
@@ -358,7 +127,6 @@ def _near_self_affine_warning(model) -> str | None:
 
 
 def _classification_pairs(config: RunConfig, model, report):
-    ratios = classification_ratios(model)
     pairs = [
         ("command", "classify"),
         ("config", config.name),
@@ -366,12 +134,12 @@ def _classification_pairs(config: RunConfig, model, report):
         ("interval_lengths", model.a),
         ("lambda", model.lam),
         ("mu", model.mu),
-        ("omega_i", ratios.omega_i),
-        ("gamma_i", ratios.gamma_i),
-        ("theta_i", ratios.theta_i),
-        ("omega", ratios.omega),
-        ("gamma", ratios.gamma),
-        ("theta", ratios.theta),
+        ("omega_i", model.omega_i),
+        ("gamma_i", model.gamma_i),
+        ("theta_i", model.theta_i),
+        ("omega", model.omega),
+        ("gamma", model.gamma_ratio),
+        ("theta", model.theta),
         ("theta_regime", report.theta_regime),
         ("omega_state", report.omega_state),
         ("gamma_state", report.gamma_state),

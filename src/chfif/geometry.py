@@ -379,30 +379,6 @@ def _solve(problem: InterpolationProblem) -> ChfifModel:
     )
 
 
-@dataclass(frozen=True)
-class RatioSummary:
-    """Classification ratios: maxima and the per-interval lists."""
-
-    omega: float
-    gamma: float
-    theta: float
-    omega_i: tuple[float, ...]
-    gamma_i: tuple[float, ...]
-    theta_i: tuple[float, ...]
-
-
-def classification_ratios(model: ChfifModel) -> RatioSummary:
-    """Return the ratio maxima driving the smoothness classification."""
-    return RatioSummary(
-        omega=model.omega,
-        gamma=model.gamma_ratio,
-        theta=model.theta,
-        omega_i=tuple(model.omega_i),
-        gamma_i=tuple(model.gamma_i),
-        theta_i=tuple(model.theta_i),
-    )
-
-
 def _templates_equal(model: ChfifModel, j: int, atol: float) -> bool:
     p, q = model.p, model.q
     return (

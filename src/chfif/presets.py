@@ -5,41 +5,15 @@ smoothness regime (each placement of Theta, Omega, Gamma against 1) is
 exercised, plus extreme-scaling and sign-flipped variants.  ``fig1`` is the
 nominally self-affine set; its third interval breaks the collapse identity
 alpha + beta = gamma (0.3 - 0.2 != 0.6), which the classifier reports as a
-discrepancy, and ``fig1_corrected`` repairs it (gamma_3 = 0.1).
+discrepancy, and ``fig1_corrected`` repairs it (gamma_3 = 0.1).  The data
+live only in the YAML files under ``configs/``.
 """
 
 from __future__ import annotations
 
-from .geometry import InterpolationProblem, IntervalParams
-
-NODES: tuple[tuple[float, float], ...] = ((0.0, 2.0), (0.35, 7.0), (0.75, 4.0), (1.0, 9.0))
-
-# Hidden ordinates: sets 1-3 ride on the node ordinates, 4-15 use the main
-# alternative, 16 a second alternative.
-HIDDEN_MAIN: tuple[float, ...] = (3.0, 1.0, 8.0, 5.0)
-HIDDEN_ALT: tuple[float, ...] = (7.0, 9.0, 10.0, 8.0)
-
-# name -> (alphas, betas, gammas)
-PARAMETERS: dict[str, tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]] = {
-    "fig1": ((0.8, 0.7, 0.3), (-0.3, -0.4, -0.2), (0.5, 0.3, 0.6)),
-    "fig2": ((0.99, 0.99, 0.99), (0.99, 0.99, 0.99), (0.005, 0.005, 0.005)),
-    "fig3": ((-0.999, -0.999, -0.999), (-0.99, -0.99, -0.005), (-0.005, -0.005, -0.005)),
-    "fig4": ((0.2, 0.38, 0.2), (0.4, 0.35, 0.5), (0.3, 0.3, 0.24)),
-    "fig5": ((0.2, 0.4, 0.22), (0.4, 0.35, 0.5), (0.35, 0.3, 0.2)),
-    "fig6": ((0.4, 0.3, 0.5), (0.4, 0.35, 0.5), (0.3, 0.5, 0.4)),
-    "fig7": ((0.2, 0.38, 0.2), (0.4, 0.35, 0.5), (0.3, 0.5, 0.4)),
-    "fig8": ((0.4, 0.3, 0.5), (0.4, 0.35, 0.5), (0.3, 0.3, 0.24)),
-    "fig9": ((0.2, 0.4, 0.22), (0.4, 0.35, 0.5), (0.3, 0.3, 0.24)),
-    "fig10": ((0.2, 0.38, 0.2), (0.4, 0.35, 0.5), (0.35, 0.3, 0.2)),
-    "fig11": ((0.2, 0.4, 0.22), (0.4, 0.35, 0.5), (0.3, 0.5, 0.4)),
-    "fig12": ((0.4, 0.3, 0.5), (0.4, 0.35, 0.5), (0.35, 0.3, 0.2)),
-    "fig13": ((0.2, 0.38, 0.2), (-0.6, -0.45, -0.4), (0.3, 0.3, 0.24)),
-    "fig14": ((0.4, 0.3, 0.5), (-0.6, -0.45, -0.4), (0.3, 0.5, 0.4)),
-    "fig15": ((0.4, 0.3, 0.5), (-0.6, -0.45, -0.4), (0.3, 0.3, 0.24)),
-    "fig16": ((0.4, 0.3, 0.5), (-0.6, -0.45, -0.4), (0.3, 0.5, 0.4)),
-}
-
-GALLERY_NAMES: tuple[str, ...] = tuple(PARAMETERS)
+from .config import GALLERY_NAMES  # re-exported: the gallery's names
+from .config import bundled_config_names, load_bundled_config, parse_config
+from .geometry import InterpolationProblem
 
 # Expected (theta, omega, gamma) regime per gallery entry with ratios
 # computed from the fixed data set; used by tests and documented in the
@@ -61,32 +35,8 @@ EXPECTED_REGIMES: dict[str, tuple[str, str, str]] = {
 }
 
 
-def hidden_for(name: str) -> tuple[float, ...]:
-    num = int(name.removeprefix("fig").removesuffix("_corrected"))
-    if num <= 3:
-        return tuple(y for _, y in NODES)
-    if num == 16:
-        return HIDDEN_ALT
-    return HIDDEN_MAIN
-
-
 def gallery_problem(name: str) -> InterpolationProblem:
-    """Interpolation problem for one gallery entry.
-
-    ``fig1_corrected`` is fig1 with gamma_3 replaced by 0.1 so that
-    alpha_i + beta_i = gamma_i holds on every interval and the two
-    components provably coincide.
-    """
-    base = name.removesuffix("_corrected")
-    if base not in PARAMETERS:
+    """Interpolation problem of one bundled gallery entry (fig1..fig16, fig1_corrected)."""
+    if name not in bundled_config_names():
         raise KeyError(f"unknown gallery entry {name!r}")
-    alphas, betas, gammas = PARAMETERS[base]
-    if name.endswith("_corrected"):
-        if base != "fig1":
-            raise KeyError(f"no corrected variant for {base!r}")
-        gammas = (0.5, 0.3, 0.1)
-    params = tuple(
-        IntervalParams(alpha=a, beta=b, gamma=g)
-        for a, b, g in zip(alphas, betas, gammas)
-    )
-    return InterpolationProblem(nodes=NODES, hidden=hidden_for(name), params=params)
+    return parse_config(load_bundled_config(name)).problem

@@ -24,7 +24,7 @@ from chfif import (
 )
 from chfif import attractor
 from chfif.attractor import _SweepPlan
-from chfif.cli import bundled_config_names, parse_config, resolve_config
+from chfif.config import bundled_config_names, parse_config, resolve_config
 
 from helpers import (
     LATE_OVERFLOW,

@@ -3,17 +3,31 @@
 import os
 import threading
 import tracemalloc
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chfif import ConfigError, exact_blocks, solve_model, validate
+from chfif import (
+    ConfigError,
+    InterpolationProblem,
+    IntervalParams,
+    PowerTerm,
+    exact_blocks,
+    solve_model,
+    validate,
+)
 from chfif import attractor, cli
-from chfif.cli import (
+from chfif.cli import main
+from chfif.config import (
     bundled_config_names,
     load_bundled_config,
-    main,
+    RunConfig,
+    RunOptions,
     parse_config,
     resolve_config,
     serialize_config,
@@ -44,6 +58,35 @@ problem:
     - {alpha: 0.9, beta: 0.05, gamma: 0.9}
     - {alpha: 0.9, beta: 0.05, gamma: 0.9}
 """
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# one value strategy per RunOptions annotation
+OPTION_VALUES = {
+    "int": st.integers(),
+    "float": finite,
+    "str": st.sampled_from(["exact", "iterate", "chaos"]),
+    "str | None": st.none() | st.text(),
+}
+
+
+@st.composite
+def run_configs(draw):
+    """Admissible configs: increasing nodes, |alpha| < 1, |beta| + |gamma| < 1, exponents in (0, 1]."""
+    xs = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=6, unique=True)))
+    scale = st.floats(-0.49, 0.49)
+    power = st.none() | st.builds(PowerTerm, coeff=finite, exponent=st.floats(0.01, 1.0))
+    params = tuple(
+        draw(st.builds(IntervalParams, alpha=st.floats(-0.99, 0.99), beta=scale, gamma=scale,
+                       p_power=power, q_power=power))
+        for _ in xs[1:])
+    problem = InterpolationProblem(
+        nodes=tuple((x, draw(finite)) for x in xs),
+        hidden=tuple(draw(finite) for _ in xs),
+        params=params)
+    options = draw(st.fixed_dictionaries(
+        {}, optional={f.name: OPTION_VALUES[f.type] for f in fields(RunOptions)}))
+    return RunConfig(problem=problem, options=RunOptions(**options))
 
 
 class TestParseConfig:
@@ -117,11 +160,45 @@ class TestParseConfig:
         config = parse_config(text)
         assert config.problem.params[0].p_power.exponent == 0.6
 
-    def test_round_trip(self):
-        original = parse_config(MINIMAL)
-        again = parse_config(serialize_config(original))
-        assert again.problem == original.problem
-        assert again.options == original.options
+    @pytest.mark.parametrize("text", [
+        MINIMAL + "options: null\n",
+        MINIMAL.replace("gamma: 0.3}", "gamma: 0.3, p_power: null}", 1),
+    ])
+    def test_nulls_mean_defaults(self, text):
+        assert parse_config(text) == parse_config(MINIMAL)
+
+    def test_int_is_accepted_for_a_float(self):
+        tol = parse_config(MINIMAL + "options:\n  tol: 1\n").options.tol
+        assert tol == 1.0 and isinstance(tol, float)
+
+    def test_out_may_be_null(self):
+        # out is `str | None`; null keeps the default, writing to stdout
+        assert parse_config(MINIMAL + "options:\n  out: null\n").options.out is None
+
+    def test_unknown_keys_of_mixed_types(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL + "options: {1: 2, depht: 3}\n")
+        assert str(err.value) == "options.1: unknown key"
+
+    @pytest.mark.parametrize("name", bundled_config_names() + ("power",))
+    def test_round_trip(self, name):
+        if name == "power":
+            text = (Path(__file__).parent / "data" / "power.yaml").read_text()
+        else:
+            text = load_bundled_config(name)
+        original = parse_config(text, name=name)
+        assert parse_config(serialize_config(original), name=name) == original
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_round_trip_random_configs(self, data):
+        config = data.draw(run_configs())
+        assert parse_config(serialize_config(config)) == config
+
+    def test_float_like_strings_round_trip(self):
+        # YAML 1.1 writes "1e5" unquoted, and the config loader reads it as a float
+        config = replace(parse_config(MINIMAL), options=RunOptions(out="1e5"))
+        assert parse_config(serialize_config(config)) == config
 
     def test_all_bundled_configs_parse_and_validate(self):
         for name in bundled_config_names():

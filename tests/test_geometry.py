@@ -5,7 +5,6 @@ import pytest
 
 from chfif import (
     ValidationError,
-    classification_ratios,
     is_equidistant,
     is_self_affine_config,
     self_affine_discrepancies,
@@ -148,22 +147,21 @@ class TestSolveModel:
 
 class TestClassificationRatios:
     def test_mild_configuration_values(self):
-        ratios = classification_ratios(model_for("fig4"))
+        model = model_for("fig4")
         np.testing.assert_allclose(
-            ratios.omega_i, [0.2 / 0.35, 0.95, 0.8], rtol=1e-12)
-        assert ratios.omega == pytest.approx(0.95, abs=1e-15)
-        assert ratios.omega < 1.0
+            model.omega_i, [0.2 / 0.35, 0.95, 0.8], rtol=1e-12)
+        assert model.omega == pytest.approx(0.95, abs=1e-15)
+        assert model.omega < 1.0
 
     def test_critical_configuration_is_exactly_one(self):
-        ratios = classification_ratios(model_for("fig5"))
-        assert ratios.omega == 1.0
-        assert ratios.gamma == 1.0
-        assert ratios.theta == 1.0
+        model = model_for("fig5")
+        assert model.omega == 1.0
+        assert model.gamma_ratio == 1.0
+        assert model.theta == 1.0
 
     def test_zero_alphas(self):
         model = solve_model(make_problem(alphas=(0.0, 0.0, 0.0)))
-        ratios = classification_ratios(model)
-        assert ratios.omega == 0.0 and ratios.theta == 0.0
+        assert model.omega == 0.0 and model.theta == 0.0
 
     @pytest.mark.parametrize("name", ALL_GALLERY)
     def test_equal_exponents_make_omega_equal_theta(self, name):
@@ -173,9 +171,12 @@ class TestClassificationRatios:
         np.testing.assert_array_equal(model.omega_i, model.theta_i)
 
     def test_recomputation_is_bit_identical(self):
-        first = classification_ratios(solve_model(gallery_problem("fig7")))
-        second = classification_ratios(solve_model(gallery_problem("fig7")))
-        assert first == second
+        first = solve_model(gallery_problem("fig7"))
+        second = solve_model(gallery_problem("fig7"))
+        for name in ("omega_i", "gamma_i", "theta_i"):
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+        assert (first.omega, first.gamma_ratio, first.theta) == (
+            second.omega, second.gamma_ratio, second.theta)
 
 
 class TestSelfAffine:

@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from chfif.cli import bundled_config_names, main
+from chfif.cli import main
+from chfif.config import bundled_config_names
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
