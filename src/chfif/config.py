@@ -92,7 +92,7 @@ def _number(obj, where: str) -> float:
 
 
 def _value(kind: str, obj, where: str):
-    """Check ``obj`` against a field annotation: float, int, str, a record, or one of them | None."""
+    """Check ``obj`` against a field annotation: float, int, str, a record, or ``... | None``."""
     if kind.endswith(" | None"):
         if obj is None:
             return None

@@ -180,8 +180,14 @@ class TestParseConfig:
             parse_config(MINIMAL + "options: {1: 2, depht: 3}\n")
         assert str(err.value) == "options.1: unknown key"
 
+    def test_round_trip(self):
+        original = parse_config(MINIMAL)
+        again = parse_config(serialize_config(original))
+        assert again.problem == original.problem
+        assert again.options == original.options
+
     @pytest.mark.parametrize("name", bundled_config_names() + ("power",))
-    def test_round_trip(self, name):
+    def test_bundled_configs_round_trip(self, name):
         if name == "power":
             text = (Path(__file__).parent / "data" / "power.yaml").read_text()
         else:
@@ -190,9 +196,8 @@ class TestParseConfig:
         assert parse_config(serialize_config(original), name=name) == original
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(st.data())
-    def test_round_trip_random_configs(self, data):
-        config = data.draw(run_configs())
+    @given(run_configs())
+    def test_round_trip_random_configs(self, config):
         assert parse_config(serialize_config(config)) == config
 
     def test_float_like_strings_round_trip(self):
