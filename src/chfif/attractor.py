@@ -75,16 +75,11 @@ def map_images(model: ChfifModel, j, x, f1, f2):
 
 @dataclass(frozen=True)
 class SampledGraph:
-    """Sorted abscissas with the two component values at each point.
-
-    ``depth`` records the refinement level when the grid is an
-    address-refined node grid; None for other grids.
-    """
+    """Sorted abscissas with the two component values at each point."""
 
     xs: np.ndarray
     f1s: np.ndarray
     f2s: np.ndarray
-    depth: int | None = None
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -167,7 +162,7 @@ def sample_exact(model: ChfifModel, depth: int, *, max_points: int = DEFAULT_MAX
     """
     _check_depth(model, depth, max_points)
     (xs, f1, f2), = _blocks(model, depth, depth)
-    return SampledGraph(xs=xs, f1s=f1, f2s=f2, depth=depth)
+    return SampledGraph(xs=xs, f1s=f1, f2s=f2)
 
 
 def _interval_index(model: ChfifModel, xs: np.ndarray) -> np.ndarray:
@@ -290,7 +285,7 @@ def fixed_point_iterate(
             converged = True
             break
 
-    graph = SampledGraph(xs=model.to_raw(xs), f1s=f1, f2s=f2, depth=None)
+    graph = SampledGraph(xs=model.to_raw(xs), f1s=f1, f2s=f2)
     return IterationResult(
         graph=graph,
         f1_distances=tuple(d1s),
@@ -341,20 +336,20 @@ def exact_residuals(model: ChfifModel, depth: int) -> tuple[float, float]:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def chaos_game(model: ChfifModel, n_points: int, seed: int, burn_in: int = CHAOS_BURN_IN) -> np.ndarray:
+def chaos_game(model: ChfifModel, n_points: int, seed: int) -> np.ndarray:
     """Random-iteration rendering of the attractor.
 
     Applies a uniformly chosen map per step from a seeded pseudorandom
-    stream, discards ``burn_in`` initial points, and returns an
+    stream, discards the first ``CHAOS_BURN_IN`` points, and returns an
     (n_points, 3) array of (x, f1, f2) rows.  Bit-identical for identical
-    (seed, n_points, burn_in).  The two recurrences run on Python floats
+    (seed, n_points).  The two recurrences run on Python floats
     (the same double arithmetic as numpy scalars, at a fraction of the
     cost), converted a chunk of steps at a time so memory stays flat.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     rng = np.random.default_rng(seed)
-    picks = rng.integers(0, model.n_intervals, size=burn_in + n_points)
+    picks = rng.integers(0, model.n_intervals, size=CHAOS_BURN_IN + n_points)
     chunks = [slice(start, start + _CHAOS_CHUNK) for start in range(0, len(picks), _CHAOS_CHUNK)]
 
     # the abscissa orbit never reads (f1, f2), so it runs first and p, q are
@@ -385,4 +380,4 @@ def chaos_game(model: ChfifModel, n_points: int, seed: int, burn_in: int = CHAOS
         f1[chunk] = ys
         f2[chunk] = zs
     check_finite("chaos_game", f1, f2)
-    return np.column_stack((model.to_raw(xs[burn_in + 1:]), f1[burn_in:], f2[burn_in:]))
+    return np.column_stack((model.to_raw(xs[CHAOS_BURN_IN + 1:]), f1[CHAOS_BURN_IN:], f2[CHAOS_BURN_IN:]))

@@ -31,7 +31,8 @@ from .exceptions import (
     ConfigError,
     NotConvergedError,
 )
-from .geometry import is_self_affine_config, self_affine_discrepancies, solve_model, validate
+from .geometry import (ENDPOINT_ATOL, is_self_affine_config, self_affine_discrepancies,
+                       solve_model, validate)
 from .moments import build_moment_table, convergence_profile
 from .smoothness import classify
 
@@ -113,13 +114,21 @@ def _kv_lines(pairs, precision: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _report(pairs, opts, degeneracy: str | None) -> None:
+    """Write a key-value report; then, if ``degeneracy`` names one, warn on stderr and exit 3."""
+    _write_out((_kv_lines(pairs, opts.precision),), opts.out)
+    if degeneracy is not None:
+        click.echo(f"warning: {degeneracy}", err=True)
+        sys.exit(EXIT_DEGENERATE)
+
+
 def _near_self_affine_warning(model) -> str | None:
     # hidden ordinates ride on the data and the collapse identity holds on
     # some intervals but not all: likely a mistyped parameter
-    if not bool(np.all(np.abs(model.y - model.z) <= 1e-12)):
+    if not bool(np.all(np.abs(model.y - model.z) <= ENDPOINT_ATOL)):
         return None
     gaps = np.abs(model.alpha + model.beta - model.gamma)
-    failing = int(np.sum(gaps > 1e-12))
+    failing = int(np.sum(gaps > ENDPOINT_ATOL))
     if 0 < failing < model.n_intervals:
         issues = self_affine_discrepancies(model)
         return "near-self-affine: " + "; ".join(issues)
@@ -241,11 +250,7 @@ def classify_cmd(config_ref, out, precision):
         config = _load(config_ref, dict(precision=precision, out=out))
         model = solve_model(config.problem)
         report = classify(model)
-        text = _kv_lines(_classification_pairs(config, model, report), config.options.precision)
-        _write_out((text,), config.options.out)
-        if report.degenerate:
-            click.echo(f"warning: {report.degeneracy}", err=True)
-            sys.exit(EXIT_DEGENERATE)
+        _report(_classification_pairs(config, model, report), config.options, report.degeneracy)
     _run(body)
 
 
@@ -299,10 +304,7 @@ def dimension(config_ref, out, depth, eps_min_exp, eps_max_exp, precision):
             pairs.append(("dimension_one_note", rep.dimension_one_note))
         if smooth.degenerate:
             pairs.append(("warning", smooth.degeneracy))
-        _write_out((_kv_lines(pairs, opts.precision),), opts.out)
-        if smooth.degenerate:
-            click.echo(f"warning: {smooth.degeneracy}", err=True)
-            sys.exit(EXIT_DEGENERATE)
+        _report(pairs, opts, smooth.degeneracy)
     _run(body)
 
 
@@ -352,7 +354,7 @@ def validate_cmd(config_ref, out, precision):
         pairs = [("command", "validate"), ("config", config.name), ("ok", result.ok)]
         for i, violation in enumerate(result.violations):
             pairs.append((f"violation_{i}", str(violation)))
-        _write_out((_kv_lines(pairs, config.options.precision),), config.options.out)
+        _report(pairs, config.options, None)
         if not result.ok:
             sys.exit(EXIT_VALIDATION)
     _run(body)

@@ -140,6 +140,8 @@ def parse_config(text: str, name: str = "config") -> RunConfig:
         mark = getattr(exc, "problem_mark", None)
         where = f"line {mark.line + 1}" if mark else "document"
         raise ConfigError(where, f"YAML parse error: {exc}") from exc
+    except RecursionError as exc:   # PyYAML composes nested collections recursively
+        raise ConfigError("document", "YAML parse error: nested too deeply") from exc
     if doc is None:
         raise ConfigError("document", "empty document; required sections: problem")
     doc = _require_mapping(doc, "document")

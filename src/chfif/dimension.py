@@ -17,7 +17,7 @@ import numpy as np
 from .attractor import SampledGraph
 from .exceptions import InsufficientScalesError, SamplingTooCoarseError
 from .geometry import CRITICAL_RTOL, ChfifModel, is_equidistant
-from .smoothness import SmoothnessReport, regime_state
+from .smoothness import SmoothnessReport, loglog_fit
 
 # Sample spacing must be at most epsilon / DENSITY_FACTOR, or counts at the
 # finest scales are biased low.
@@ -46,19 +46,12 @@ class TheoreticalBounds:
     equidistant: bool
 
 
-def _critical_conditions(model: ChfifModel, rtol: float) -> tuple[bool, bool, bool]:
-    return (
-        regime_state(model.omega, rtol) == "EQ1",
-        regime_state(model.gamma_ratio, rtol) == "EQ1",
-        regime_state(model.theta, rtol) == "EQ1",
-    )
+def _abs_sum(model: ChfifModel, channel: Literal["alpha", "gamma"]) -> float:
+    """sum |alpha_i| or sum |gamma_i|."""
+    return float(np.sum(np.abs(getattr(model, channel))))
 
 
-def theoretical_bounds(
-    model: ChfifModel,
-    report: SmoothnessReport,
-    rtol: float = CRITICAL_RTOL,
-) -> TheoreticalBounds | None:
+def theoretical_bounds(model: ChfifModel, report: SmoothnessReport) -> TheoreticalBounds | None:
     """Dimension bounds for the visible component's graph, if critical.
 
     With I_max the largest interval length, N the interval count and S the
@@ -69,26 +62,23 @@ def theoretical_bounds(
         upper = 1 - delta - log(N) / log(I_max)
 
     For equidistant nodes these reduce to 1 + log(S)/log(N) and 2 - delta.
-    Returns None when no critical condition holds, or when the classifier's
+    Returns None when the classifier found no critical ratio, or when its
     exponent is degenerate.
     """
-    omega_crit, gamma_crit, theta_crit = _critical_conditions(model, rtol)
     if report.degenerate:
         return None
-    if omega_crit:
+    if report.omega_state == "EQ1":
         condition: CriticalCondition = "omega"
         channel: Literal["alpha", "gamma"] = "alpha"
-        s = float(np.sum(np.abs(model.alpha)))
-    elif gamma_crit:
+    elif report.gamma_state == "EQ1":
         condition = "gamma"
         channel = "gamma"
-        s = float(np.sum(np.abs(model.gamma)))
-    elif theta_crit:
+    elif report.theta_regime == "EQ1":
         condition = "theta"
         channel = "alpha"
-        s = float(np.sum(np.abs(model.alpha)))
     else:
         return None
+    s = _abs_sum(model, channel)
 
     log_imax = math.log(model.length_max)
     n = model.n_intervals
@@ -213,14 +203,9 @@ def estimate_dimension(
     for j in exponents:
         counts.append(box_count(sampled, 2.0 ** (-j), density_factor, component))
     log_inv_eps = np.array(exponents, dtype=float) * math.log(2.0)
-    log_n = np.log(np.array(counts, dtype=float))
-    slope, intercept = np.polyfit(log_inv_eps, log_n, 1)
-    fitted = slope * log_inv_eps + intercept
-    ss_res = float(np.sum((log_n - fitted) ** 2))
-    ss_tot = float(np.sum((log_n - np.mean(log_n)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, r2, _ = loglog_fit(log_inv_eps, np.log(np.array(counts, dtype=float)))
     return EmpiricalDimension(
-        estimate=float(slope),
+        estimate=slope,
         r_squared=r2,
         eps_min=2.0 ** (-exponents[-1]),
         eps_max=2.0 ** (-exponents[0]),
@@ -247,32 +232,24 @@ _DIMENSION_ONE_CASES = (
 )
 
 
-def dimension_one_predicate(
-    model: ChfifModel,
-    report: SmoothnessReport,
-    rtol: float = CRITICAL_RTOL,
-) -> DimensionOneResult:
+def dimension_one_predicate(model: ChfifModel, report: SmoothnessReport) -> DimensionOneResult:
     """Whether the graph provably has dimension exactly 1.
 
     Only stated for equidistant nodes; each case requires the classifier's
     exponent tag to equal 1 and the relevant parameter sum to stay at or
     below 1.
     """
-    if not is_equidistant(model, rtol):
+    if not is_equidistant(model):
         return DimensionOneResult(False, "equidistant hypothesis fails")
     if report.degenerate:
         return DimensionOneResult(False, "classification exponent is degenerate")
-    sums = {
-        "alpha": float(np.sum(np.abs(model.alpha))),
-        "gamma": float(np.sum(np.abs(model.gamma))),
-    }
-    delta_is_one = abs(report.delta - 1.0) <= rtol
+    delta_is_one = abs(report.delta - 1.0) <= CRITICAL_RTOL
     for regimes, tags, channels in _DIMENSION_ONE_CASES:
         if report.theta_regime not in regimes:
             continue
         if report.delta_tag not in tags or not delta_is_one:
             continue
-        if any(sums[ch] <= 1.0 + rtol for ch in channels):
+        if any(_abs_sum(model, ch) <= 1.0 + CRITICAL_RTOL for ch in channels):
             return DimensionOneResult(True)
     return DimensionOneResult(False)
 
@@ -296,19 +273,16 @@ def dimension_report(
     report: SmoothnessReport,
     sampled: SampledGraph,
     eps_exponents: Iterable[int],
-    density_factor: float = DEFAULT_DENSITY_FACTOR,
-    rtol: float = CRITICAL_RTOL,
 ) -> DimensionReport:
-    """Assemble the full dimension report for one configuration."""
-    omega_crit, gamma_crit, theta_crit = _critical_conditions(model, rtol)
-    bounds = theoretical_bounds(model, report, rtol)
-    empirical = estimate_dimension(sampled, eps_exponents, density_factor)
-    one = dimension_one_predicate(model, report, rtol)
+    """Assemble the dimension report; which ratios are critical is read from ``report``."""
+    bounds = theoretical_bounds(model, report)
+    empirical = estimate_dimension(sampled, eps_exponents)
+    one = dimension_one_predicate(model, report)
     return DimensionReport(
         critical_condition=bounds.critical_condition if bounds else "none",
-        omega_critical=omega_crit,
-        gamma_critical=gamma_crit,
-        theta_critical=theta_crit,
+        omega_critical=report.omega_state == "EQ1",
+        gamma_critical=report.gamma_state == "EQ1",
+        theta_critical=report.theta_regime == "EQ1",
         bounds=bounds,
         empirical=empirical,
         dimension_one_flag=one.holds,

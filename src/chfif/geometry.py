@@ -415,6 +415,6 @@ def is_self_affine_config(model: ChfifModel) -> bool:
     return not self_affine_discrepancies(model)
 
 
-def is_equidistant(model: ChfifModel, rtol: float = CRITICAL_RTOL) -> bool:
+def is_equidistant(model: ChfifModel) -> bool:
     ref = model.a[0]
-    return bool(np.all(np.abs(model.a - ref) <= rtol * ref))
+    return bool(np.all(np.abs(model.a - ref) <= CRITICAL_RTOL * ref))

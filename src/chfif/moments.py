@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attractor import SampledGraph, check_finite, sample_exact
+from .attractor import check_finite, sample_exact
 from .geometry import ChfifModel
 
 
@@ -182,7 +182,7 @@ def q_m_values(
     return level.b_values[idx] / level.lengths[idx]
 
 
-def q_m_operator(model: ChfifModel, m: int, x: float, table: MomentTable | None = None) -> float:
+def q_m_operator(model: ChfifModel, m: int, x: float) -> float:
     """Mean of f1 over the level-m cell containing ``x``.
 
     Cells partition [0, 1] half-open with the last cell closed, so shared
@@ -190,7 +190,7 @@ def q_m_operator(model: ChfifModel, m: int, x: float, table: MomentTable | None 
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError("x must lie in [0, 1]")
-    return float(q_m_values(model, m, np.array([x]), table)[0])
+    return float(q_m_values(model, m, np.array([x]))[0])
 
 
 def address_of(model: ChfifModel, x: float, m: int) -> tuple[int, ...]:
@@ -205,12 +205,7 @@ def address_of(model: ChfifModel, x: float, m: int) -> tuple[int, ...]:
     return tuple(reversed(word))
 
 
-def convergence_profile(
-    model: ChfifModel,
-    m_max: int,
-    probe_depth: int,
-    probe: SampledGraph | None = None,
-) -> tuple[tuple[int, float], ...]:
+def convergence_profile(model: ChfifModel, m_max: int, probe_depth: int) -> tuple[tuple[int, float], ...]:
     """Empirical uniform-convergence certificate for the averaging operator.
 
     For each level m <= m_max, the sup over a level-``probe_depth`` exact
@@ -218,8 +213,7 @@ def convergence_profile(
     """
     if probe_depth < m_max:
         raise ValueError("probe_depth must be >= m_max")
-    if probe is None:
-        probe = sample_exact(model, probe_depth)
+    probe = sample_exact(model, probe_depth)
     xs = (np.asarray(probe.xs, dtype=float) - model.x0) / model.span
     table = build_moment_table(model, m_max)
     out = []

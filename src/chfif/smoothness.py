@@ -25,9 +25,9 @@ Regime = Literal["LT1", "EQ1", "GT1"]
 ModulusOrder = Literal["LIP_DELTA", "DELTA_LOG", "DELTA_LOG2"]
 
 
-def regime_state(value: float, rtol: float = CRITICAL_RTOL) -> Regime:
+def regime_state(value: float) -> Regime:
     """Place a ratio relative to 1, treating near-1 as critical."""
-    if abs(value - 1.0) <= rtol:
+    if abs(value - 1.0) <= CRITICAL_RTOL:
         return "EQ1"
     return "LT1" if value < 1.0 else "GT1"
 
@@ -97,29 +97,24 @@ def _delta_for_states_high(model: ChfifModel, omega: Regime, gamma: Regime, taus
     return min(model.lam, taus.tau1), "delta5"
 
 
-def classify(model: ChfifModel, rtol: float = CRITICAL_RTOL) -> SmoothnessReport:
+def classify(model: ChfifModel) -> SmoothnessReport:
     """Full regime classification of the visible component.
 
     Exactly one branch of the case table fires.  A nonpositive exponent is
     possible for some admissible parameter sets (the delta6 formula); the
     report then carries ``degenerate=True`` and names the formula instead
-    of silently clamping.
+    of silently clamping.  The modulus carries one log factor for each
+    critical ratio among Theta and (Omega or Gamma).
     """
-    theta = regime_state(model.theta, rtol)
-    omega = regime_state(model.omega, rtol)
-    gamma = regime_state(model.gamma_ratio, rtol)
+    theta = regime_state(model.theta)
+    omega = regime_state(model.omega)
+    gamma = regime_state(model.gamma_ratio)
     taus = compute_tau_bounds(model)
 
     critical_subcase = omega == "EQ1" or gamma == "EQ1"
-    if theta == "GT1":
-        delta, tag = _delta_for_states_high(model, omega, gamma, taus)
-        order: ModulusOrder = "DELTA_LOG" if critical_subcase else "LIP_DELTA"
-    elif theta == "EQ1":
-        delta, tag = _delta_for_states(model, omega, gamma, taus)
-        order = "DELTA_LOG2" if critical_subcase else "DELTA_LOG"
-    else:
-        delta, tag = _delta_for_states(model, omega, gamma, taus)
-        order = "DELTA_LOG" if critical_subcase else "LIP_DELTA"
+    delta_for = _delta_for_states_high if theta == "GT1" else _delta_for_states
+    delta, tag = delta_for(model, omega, gamma, taus)
+    order: ModulusOrder = ("LIP_DELTA", "DELTA_LOG", "DELTA_LOG2")[(theta == "EQ1") + critical_subcase]
 
     degenerate = not delta > 0.0
     degeneracy = None
@@ -158,7 +153,7 @@ _SPECIAL_CASE_TAGS = {
 }
 
 
-def remark_special_case(model: ChfifModel, rtol: float = CRITICAL_RTOL) -> SmoothnessReport:
+def remark_special_case(model: ChfifModel) -> SmoothnessReport:
     """Refined three-subcase classification available when lam = mu.
 
     With equal Lipschitz exponents the Omega and Theta ratio lists
@@ -168,7 +163,7 @@ def remark_special_case(model: ChfifModel, rtol: float = CRITICAL_RTOL) -> Smoot
     """
     if model.lam != model.mu:
         raise ValueError(f"requires lam == mu, got lam={model.lam}, mu={model.mu}")
-    base = classify(model, rtol)
+    base = classify(model)
     tag = _SPECIAL_CASE_TAGS[(base.theta_regime, base.gamma_state)]
     return replace(
         base,
@@ -223,6 +218,15 @@ def max_oscillation(xs: np.ndarray, ys: np.ndarray, window: float) -> float:
     return best if best > 0.0 else 0.0
 
 
+def loglog_fit(log_x: np.ndarray, log_y: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Least-squares line through (log_x, log_y): its slope, r squared and residuals."""
+    slope, intercept = np.polyfit(log_x, log_y, 1)
+    res = log_y - (slope * log_x + intercept)
+    ss_tot = float(np.sum((log_y - np.mean(log_y)) ** 2))
+    r2 = 1.0 - float(np.sum(res**2)) / ss_tot if ss_tot > 0 else 1.0
+    return float(slope), r2, res
+
+
 @dataclass(frozen=True)
 class HolderEstimate:
     """Log-log regression of oscillation against dyadic scale."""
@@ -259,15 +263,9 @@ def empirical_holder(sampled: SampledGraph, scale_min_exp: int, scale_max_exp: i
         raise InsufficientScalesError(
             f"only {len(ts)} scales with measurable oscillation, need at least 3")
 
-    log_t = np.log(ts)
-    log_o = np.log(oscs)
-    slope, intercept = np.polyfit(log_t, log_o, 1)
-    fitted = slope * log_t + intercept
-    res = log_o - fitted
-    ss_tot = float(np.sum((log_o - np.mean(log_o)) ** 2))
-    r2 = 1.0 - float(np.sum(res**2)) / ss_tot if ss_tot > 0 else 1.0
+    slope, r2, res = loglog_fit(np.log(ts), np.log(oscs))
     return HolderEstimate(
-        estimate=float(slope),
+        estimate=slope,
         r_squared=r2,
         scales=tuple(ts),
         oscillations=tuple(oscs),

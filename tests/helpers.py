@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import functools
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 
 from chfif import InterpolationProblem, IntervalParams, PowerTerm, sample_exact, solve_model
 from chfif.attractor import map_images
+from chfif.geometry import CRITICAL_RTOL
 from chfif.presets import GALLERY_NAMES, gallery_problem
+from chfif.smoothness import _delta_for_states, _delta_for_states_high, compute_tau_bounds
 
 ALL_GALLERY = GALLERY_NAMES
 NODES_X = np.array([0.0, 0.35, 0.75, 1.0])
@@ -173,3 +176,39 @@ def deque_oscillation(xs, ys, window) -> float:
         if spread > best:
             best = spread
     return float(best)
+
+
+def classify_oracle(model):
+    """Oracle for ``classify``: the three-way branch block that spelt out the modulus order per regime.
+
+    Decides each ratio's regime with its own copy of the critical window.
+    Returns the regimes ``theta``, ``omega``, ``gamma`` and the report's
+    ``order``, ``delta``, ``tag`` and ``degenerate``.
+    """
+    def regime_state(value, rtol):
+        if abs(value - 1.0) <= rtol:
+            return "EQ1"
+        return "LT1" if value < 1.0 else "GT1"
+
+    rtol = CRITICAL_RTOL
+    theta = regime_state(model.theta, rtol)
+    omega = regime_state(model.omega, rtol)
+    gamma = regime_state(model.gamma_ratio, rtol)
+    taus = compute_tau_bounds(model)
+
+    critical_subcase = omega == "EQ1" or gamma == "EQ1"
+    if theta == "GT1":
+        delta, tag = _delta_for_states_high(model, omega, gamma, taus)
+        order = "DELTA_LOG" if critical_subcase else "LIP_DELTA"
+    elif theta == "EQ1":
+        delta, tag = _delta_for_states(model, omega, gamma, taus)
+        order = "DELTA_LOG2" if critical_subcase else "DELTA_LOG"
+    else:
+        delta, tag = _delta_for_states(model, omega, gamma, taus)
+        order = "DELTA_LOG" if critical_subcase else "LIP_DELTA"
+
+    degenerate = not delta > 0.0
+    if not degenerate and delta > 1.0:
+        delta = 1.0
+    return SimpleNamespace(theta=theta, omega=omega, gamma=gamma, order=order, delta=delta,
+                           tag=tag, degenerate=degenerate)

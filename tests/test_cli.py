@@ -338,6 +338,23 @@ class TestCommands:
         assert "lower_bound: 1" in text
         assert "empirical_estimate:" in text
 
+    @pytest.mark.parametrize("alpha, critical", [
+        (0.5 * (1.0 + 5e-10), True),   # Omega = 1 + 5e-10: inside the critical window
+        (0.5 * (1.0 + 2e-9), False),   # Omega = 1 + 2e-9: outside it
+    ])
+    def test_dimension_at_the_critical_window_edge(self, alpha, critical, tmp_path):
+        path = tmp_path / "edge.yaml"
+        path.write_text("problem:\n  nodes: [[0.0, 0.0], [0.5, 1.0], [1.0, 0.0]]\n"
+                        "  hidden: [0.0, 1.0, 0.0]\n  intervals:\n"
+                        f"    - {{alpha: {alpha!r}, beta: 0.2, gamma: 0.3}}\n"
+                        f"    - {{alpha: {alpha!r}, beta: 0.2, gamma: 0.3}}\n")
+        result = self.run("dimension", "--config", str(path), "--depth", "8",
+                          "--eps-min-exp", "2", "--eps-max-exp", "6")
+        assert result.exit_code == 0
+        assert f"omega_critical: {'true' if critical else 'false'}\n" in result.stdout
+        assert ("lower_bound: " in result.stdout) == critical
+        assert ("upper_bound: " in result.stdout) == critical
+
     def test_unwritable_output_is_io_error(self, tmp_path):
         result = self.run("classify", "--config", "fig4", "--out", str(tmp_path))
         assert result.exit_code == 2

@@ -53,6 +53,8 @@ CASES = {
     "scalar-document": ("just text\n", "document: expected a mapping, got str"),
     "yaml-syntax": ("problem: [unclosed\n", YAML_SYNTAX),
     "yaml-reader": ("\x07", YAML_READER),
+    "yaml-too-deep": ("problem: " + "[" * 5000 + "]" * 5000 + "\n",
+                      "document: YAML parse error: nested too deeply"),
     "unknown-top-key": (problem() + "extra: 1\n", "extra: unknown key"),
     "unknown-top-keys": (problem() + "zeta: 1\nbeta: 2\n", "beta: unknown key"),
     "missing-problem": ("options: {depth: 3}\n", "document: missing required section 'problem'"),

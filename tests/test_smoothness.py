@@ -2,25 +2,29 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chfif import (
     InsufficientScalesError,
     SampledGraph,
     classify,
+    dimension_report,
     empirical_holder,
     max_oscillation,
     remark_special_case,
     sample_exact,
     solve_model,
+    validate,
 )
+from chfif.geometry import CRITICAL_RTOL
 from chfif.presets import EXPECTED_REGIMES
 from chfif.smoothness import regime_state
 
 from helpers import (
     ALL_GALLERY,
     brute_force_oscillation,
+    classify_oracle,
     deque_oscillation,
     equidistant_problem,
     make_problem,
@@ -347,3 +351,69 @@ class TestMaxOscillation:
     def test_rejects_negative_window(self):
         with pytest.raises(ValueError):
             max_oscillation(np.arange(3.0), np.arange(3.0), -1.0)
+
+
+# both sides of each edge of the critical window |ratio - 1| <= CRITICAL_RTOL
+WINDOW_EDGES = tuple(1.0 + s * f * CRITICAL_RTOL for s in (-1.0, 1.0) for f in (0.5, 2.0))
+
+
+@st.composite
+def placed_ratio_problems(draw):
+    """Admissible models whose Omega or Theta, and Gamma, may sit just inside or outside the window."""
+    n = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        xs = np.linspace(0.0, 1.0, n + 1)
+    else:
+        gaps = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+        xs = np.concatenate(([0.0], np.cumsum(gaps)))
+    lam, mu = (draw(st.sampled_from([1.0, 0.5]) | st.floats(0.2, 1.0)) for _ in range(2))
+    p_powers = tuple(power(draw(st.floats(-2.0, 2.0)), lam) for _ in range(n)) if lam < 1.0 else None
+    q_powers = tuple(power(draw(st.floats(-2.0, 2.0)), mu) for _ in range(n)) if mu < 1.0 else None
+    ys, zs = (tuple(draw(st.lists(st.floats(-5.0, 5.0), min_size=n + 1, max_size=n + 1)))
+              for _ in range(2))
+    nodes = tuple(zip(xs.tolist(), ys))
+    a = solve_model(make_problem(nodes=nodes, hidden=zs, alphas=(0.0,) * n, betas=(0.0,) * n,
+                                 gammas=(0.0,) * n, p_powers=p_powers, q_powers=q_powers)).a
+
+    def placed(exponent):
+        # |value_k| / |I_k|**exponent is the target; every other interval's ratio is below it
+        target = draw(st.sampled_from((1.0,) + WINDOW_EDGES) | st.floats(0.0, 1.6))
+        fractions = np.array(draw(st.lists(st.floats(0.0, 0.9), min_size=n, max_size=n)))
+        fractions[draw(st.integers(0, n - 1))] = 1.0
+        signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+        return tuple((signs * fractions * target * a ** exponent).tolist())
+
+    alphas = placed(draw(st.sampled_from([lam, mu])))   # places Omega or Theta
+    gammas = placed(mu)
+    betas = tuple(b * (1.0 - abs(g)) for b, g in zip(
+        draw(st.lists(st.floats(-0.9, 0.9), min_size=n, max_size=n)), gammas))
+    problem = make_problem(nodes=nodes, hidden=zs, alphas=alphas, betas=betas, gammas=gammas,
+                           p_powers=p_powers, q_powers=q_powers)
+    assume(validate(problem).ok)
+    return solve_model(problem)
+
+
+# a fine straight graph: dimension_report's box count needs one, and its value is not checked
+LINE = SampledGraph(xs=np.linspace(0.0, 1.0, 257), f1s=np.linspace(0.0, 1.0, 257),
+                    f2s=np.zeros(257))
+
+
+class TestClassifyMatchesOracle:
+    """``classify`` and ``dimension_report`` against the per-regime branch block they replaced."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(placed_ratio_problems())
+    def test_random_problems_at_the_window_edges(self, model):
+        want = classify_oracle(model)
+        report = classify(model)
+        assert (report.theta_regime, report.omega_state, report.gamma_state) == (
+            want.theta, want.omega, want.gamma)
+        assert (report.modulus_order, report.delta, report.delta_tag, report.degenerate) == (
+            want.order, want.delta, want.tag, want.degenerate)
+
+        rep = dimension_report(model, report, LINE, range(1, 5))
+        critical = {"omega": want.omega == "EQ1", "gamma": want.gamma == "EQ1",
+                    "theta": want.theta == "EQ1"}
+        assert (rep.omega_critical, rep.gamma_critical, rep.theta_critical) == tuple(critical.values())
+        first = next((name for name, crit in critical.items() if crit), "none")
+        assert rep.critical_condition == ("none" if want.degenerate else first)
