@@ -85,13 +85,13 @@ class SampledGraph:
         return len(self.xs)
 
 
-def _check_depth(model: ChfifModel, depth: int, max_points: int) -> None:
+def _check_depth(model: ChfifModel, depth: int) -> None:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     final = model.n_intervals ** (depth + 1) + 1
-    if final > max_points:
+    if final > DEFAULT_MAX_POINTS:
         raise DepthLimitError(
-            f"depth {depth} needs {final} points, above the limit of {max_points}")
+            f"depth {depth} needs {final} points, above the limit of {DEFAULT_MAX_POINTS}")
 
 
 def _image(model: ChfifModel, j: int, xs, f1, f2, ends_at_one: bool):
@@ -138,17 +138,17 @@ def exact_blocks(model: ChfifModel, depth: int):
     point it shares with the block before.  Every value goes through the
     same chain of map applications as in :func:`sample_exact`, so the
     concatenated blocks equal its arrays bit for bit, while memory holds G
-    and one block.  The depth checks, with :func:`sample_exact`'s default
-    point budget, run at the call, before any block.
+    and one block.  The depth checks, with :func:`sample_exact`'s
+    ``DEFAULT_MAX_POINTS`` budget, run at the call, before any block.
     """
-    _check_depth(model, depth, DEFAULT_MAX_POINTS)
+    _check_depth(model, depth)
     held = 0
     while held < depth and model.n_intervals ** (held + 2) + 1 <= _BLOCK_POINTS:
         held += 1
     return _blocks(model, depth, held)
 
 
-def sample_exact(model: ChfifModel, depth: int, *, max_points: int = DEFAULT_MAX_POINTS) -> SampledGraph:
+def sample_exact(model: ChfifModel, depth: int) -> SampledGraph:
     """Exact values of (f1, f2) on the level-``depth`` subdivision grid.
 
     Seeds the node values and pushes them through the functional equations
@@ -160,7 +160,7 @@ def sample_exact(model: ChfifModel, depth: int, *, max_points: int = DEFAULT_MAX
     :func:`exact_blocks`' construction, held at level ``depth``; stream
     with :func:`exact_blocks` when the grid is not needed at once.
     """
-    _check_depth(model, depth, max_points)
+    _check_depth(model, depth)
     (xs, f1, f2), = _blocks(model, depth, depth)
     return SampledGraph(xs=xs, f1s=f1, f2s=f2)
 
@@ -242,12 +242,7 @@ class IterationResult:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def fixed_point_iterate(
-    model: ChfifModel,
-    grid_size: int,
-    max_iters: int = 10_000,
-    tol: float = 1e-10,
-) -> IterationResult:
+def fixed_point_iterate(model: ChfifModel, grid_size: int, max_iters: int, tol: float) -> IterationResult:
     """Iterate the operator on a uniform grid until sweeps stop moving.
 
     Starts from the piecewise-linear interpolant of the nodes (which already
@@ -259,6 +254,8 @@ def fixed_point_iterate(
     """
     if grid_size < model.n_intervals + 1:
         raise ValueError("grid_size must be at least N + 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
 

@@ -12,6 +12,7 @@ the float range).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import sys
@@ -176,9 +177,9 @@ def main() -> None:
     """Construct, classify and measure coalescence fractal interpolants."""
 
 
-def _load(config_ref: str, overrides: dict) -> RunConfig:
+def _load(config_ref: str, flags: dict) -> RunConfig:
     config = resolve_config(config_ref)
-    fields = {k: v for k, v in overrides.items() if v is not None}
+    fields = {k: v for k, v in flags.items() if v is not None}
     if fields:
         config = replace(config, options=replace(config.options, **fields))
     # checked before any output is opened: a chunked writer would already
@@ -189,175 +190,158 @@ def _load(config_ref: str, overrides: dict) -> RunConfig:
     return config
 
 
-def _run(body) -> None:
-    try:
-        body()
-    except (ChfifError, OSError, ValueError) as exc:
-        # a plain ValueError is an option value the library rejects (depth -1)
-        code = EXIT_IO if isinstance(exc, OSError) else getattr(exc, "exit_code", EXIT_VALIDATION)
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(code)
+_CONFIG = click.option("--config", "config_ref", required=True,
+                       help="Config file path or bundled name (fig1..fig16, fig1_corrected).")
+_OUT = click.option("--out", help="Output path (default: config's out, else stdout).")
+_PRECISION = click.option("--precision", type=int, help="Significant digits in output.")
 
 
-config_opt = click.option("--config", "config_ref", required=True,
-                          help="Config file path or bundled name (fig1..fig16, fig1_corrected).")
-out_opt = click.option("--out", default=None, help="Output path (default: config's out, else stdout).")
-precision_opt = click.option("--precision", type=int, default=None, help="Significant digits in output.")
+def _command(*options):
+    """Make ``body(config)`` a command with ``--config``, ``--out``, ``options`` and ``--precision``.
+
+    Each option's destination is the :class:`RunOptions` field it sets; an
+    option left unset keeps the config's value.  A package, I/O or value
+    error ends the run with an ``error:`` line and its exit code.
+    """
+    def decorate(body):
+        @functools.wraps(body)
+        def callback(config_ref: str, **flags) -> None:
+            try:
+                body(_load(config_ref, flags))
+            except (ChfifError, OSError, ValueError) as exc:
+                # a plain ValueError is an option value the library rejects (depth -1)
+                code = EXIT_IO if isinstance(exc, OSError) else getattr(exc, "exit_code", EXIT_VALIDATION)
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(code)
+        for option in reversed((_CONFIG, _OUT, *options, _PRECISION)):
+            callback = option(callback)
+        return callback
+    return decorate
 
 
 @main.command()
-@config_opt
-@out_opt
-@click.option("--depth", type=int, default=None, help="Refinement depth of the output grid.")
-@click.option("--method", type=click.Choice(["exact", "iterate", "chaos"]), default=None,
-              help="Evaluation route (default exact).")
-@click.option("--seed", type=int, default=None, help="Chaos-game seed.")
-@click.option("--points", type=int, default=None, help="Chaos-game point count.")
-@click.option("--grid-size", type=int, default=None, help="Iteration grid size.")
-@click.option("--tol", type=float, default=None, help="Iteration tolerance.")
-@precision_opt
-def generate(config_ref, out, depth, method, seed, points, grid_size, tol, precision):
+@_command(
+    click.option("--depth", type=int, help="Refinement depth of the output grid."),
+    click.option("--method", type=click.Choice(["exact", "iterate", "chaos"]),
+                 help="Evaluation route (default exact)."),
+    click.option("--seed", type=int, help="Chaos-game seed."),
+    click.option("--points", type=int, help="Chaos-game point count."),
+    click.option("--grid-size", type=int, help="Iteration grid size."),
+    click.option("--tol", type=float, help="Iteration tolerance."),
+)
+def generate(config: RunConfig) -> None:
     """Write the curve as delimiter-separated x,f1,f2 rows."""
-    def body():
-        config = _load(config_ref, dict(depth=depth, method=method, seed=seed,
-                                        points=points, grid_size=grid_size, tol=tol,
-                                        precision=precision, out=out))
-        opts = config.options
-        model = solve_model(config.problem)
-        if opts.method == "chaos":
-            cloud = chaos_game(model, opts.points, opts.seed)
-            blocks = [(cloud[:, 0], cloud[:, 1], cloud[:, 2])]
-        elif opts.method == "iterate":
-            result = fixed_point_iterate(model, opts.grid_size, opts.iterations, opts.tol)
-            if not result.converged:
-                raise NotConvergedError(
-                    f"iteration did not reach tol {opts.tol} in {opts.iterations} sweeps "
-                    f"(last distance {result.distances[-1]:.3g})")
-            blocks = [(result.graph.xs, result.graph.f1s, result.graph.f2s)]
-        else:
-            blocks = exact_blocks(model, opts.depth)
-        _write_out(_csv_pieces(blocks, opts.precision), opts.out)
-    _run(body)
+    opts = config.options
+    model = solve_model(config.problem)
+    if opts.method == "chaos":
+        cloud = chaos_game(model, opts.points, opts.seed)
+        blocks = [(cloud[:, 0], cloud[:, 1], cloud[:, 2])]
+    elif opts.method == "iterate":
+        result = fixed_point_iterate(model, opts.grid_size, opts.iterations, opts.tol)
+        if not result.converged:
+            raise NotConvergedError(
+                f"iteration did not reach tol {opts.tol} in {opts.iterations} sweeps "
+                f"(last distance {result.distances[-1]:.3g})")
+        blocks = [(result.graph.xs, result.graph.f1s, result.graph.f2s)]
+    else:
+        blocks = exact_blocks(model, opts.depth)
+    _write_out(_csv_pieces(blocks, opts.precision), opts.out)
 
 
 @main.command(name="classify")
-@config_opt
-@out_opt
-@precision_opt
-def classify_cmd(config_ref, out, precision):
+@_command()
+def classify_cmd(config: RunConfig) -> None:
     """Write the smoothness classification report."""
-    def body():
-        config = _load(config_ref, dict(precision=precision, out=out))
-        model = solve_model(config.problem)
-        report = classify(model)
-        _report(_classification_pairs(config, model, report), config.options, report.degeneracy)
-    _run(body)
+    model = solve_model(config.problem)
+    report = classify(model)
+    _report(_classification_pairs(config, model, report), config.options, report.degeneracy)
 
 
 @main.command()
-@config_opt
-@out_opt
-@click.option("--depth", type=int, default=None, help="Sampling depth for box counting.")
-@click.option("--eps-min-exp", type=int, default=None, help="Smallest dyadic exponent.")
-@click.option("--eps-max-exp", type=int, default=None, help="Largest dyadic exponent.")
-@precision_opt
-def dimension(config_ref, out, depth, eps_min_exp, eps_max_exp, precision):
+@_command(
+    click.option("--depth", type=int, help="Sampling depth for box counting."),
+    click.option("--eps-min-exp", type=int, help="Smallest dyadic exponent."),
+    click.option("--eps-max-exp", type=int, help="Largest dyadic exponent."),
+)
+def dimension(config: RunConfig) -> None:
     """Write dimension bounds and the box-counting estimate."""
-    def body():
-        config = _load(config_ref, dict(depth=depth, eps_min_exp=eps_min_exp,
-                                        eps_max_exp=eps_max_exp, precision=precision, out=out))
-        opts = config.options
-        model = solve_model(config.problem)
-        smooth = classify(model)
-        sampled = sample_exact(model, opts.depth)
-        rep = dimension_report(
-            model, smooth, sampled,
-            range(opts.eps_min_exp, opts.eps_max_exp + 1))
-        pairs = [
-            ("command", "dimension"),
-            ("config", config.name),
-            ("critical_condition", rep.critical_condition),
-            ("omega_critical", rep.omega_critical),
-            ("gamma_critical", rep.gamma_critical),
-            ("theta_critical", rep.theta_critical),
-        ]
-        if rep.bounds is not None:
-            pairs += [
-                ("lower_bound", rep.bounds.lower),
-                ("upper_bound", rep.bounds.upper),
-                ("lower_bound_unclamped", rep.bounds.lower_unclamped),
-                ("upper_bound_unclamped", rep.bounds.upper_unclamped),
-                ("bounds_delta", rep.bounds.delta),
-                ("bounds_delta_tag", rep.bounds.delta_tag),
-                ("bounds_equidistant", rep.bounds.equidistant),
-            ]
+    opts = config.options
+    model = solve_model(config.problem)
+    smooth = classify(model)
+    sampled = sample_exact(model, opts.depth)
+    rep = dimension_report(model, smooth, sampled, range(opts.eps_min_exp, opts.eps_max_exp + 1))
+    pairs = [
+        ("command", "dimension"),
+        ("config", config.name),
+        ("critical_condition", rep.critical_condition),
+        ("omega_critical", rep.omega_critical),
+        ("gamma_critical", rep.gamma_critical),
+        ("theta_critical", rep.theta_critical),
+    ]
+    if rep.bounds is not None:
         pairs += [
-            ("empirical_estimate", rep.empirical.estimate),
-            ("eps_min", rep.empirical.eps_min),
-            ("eps_max", rep.empirical.eps_max),
-            ("eps_exponents", rep.empirical.exponents),
-            ("box_counts", rep.empirical.counts),
-            ("r_squared", rep.empirical.r_squared),
-            ("dimension_one_flag", rep.dimension_one_flag),
+            ("lower_bound", rep.bounds.lower),
+            ("upper_bound", rep.bounds.upper),
+            ("lower_bound_unclamped", rep.bounds.lower_unclamped),
+            ("upper_bound_unclamped", rep.bounds.upper_unclamped),
+            ("bounds_delta", rep.bounds.delta),
+            ("bounds_delta_tag", rep.bounds.delta_tag),
+            ("bounds_equidistant", rep.bounds.equidistant),
         ]
-        if rep.dimension_one_note:
-            pairs.append(("dimension_one_note", rep.dimension_one_note))
-        if smooth.degenerate:
-            pairs.append(("warning", smooth.degeneracy))
-        _report(pairs, opts, smooth.degeneracy)
-    _run(body)
+    pairs += [
+        ("empirical_estimate", rep.empirical.estimate),
+        ("eps_min", rep.empirical.eps_min),
+        ("eps_max", rep.empirical.eps_max),
+        ("eps_exponents", rep.empirical.exponents),
+        ("box_counts", rep.empirical.counts),
+        ("r_squared", rep.empirical.r_squared),
+        ("dimension_one_flag", rep.dimension_one_flag),
+    ]
+    if rep.dimension_one_note:
+        pairs.append(("dimension_one_note", rep.dimension_one_note))
+    if smooth.degenerate:
+        pairs.append(("warning", smooth.degeneracy))
+    _report(pairs, opts, smooth.degeneracy)
 
 
 @main.command()
-@config_opt
-@out_opt
-@click.option("--depth", type=int, default=None, help="Maximum address length tabulated.")
-@precision_opt
-def moments(config_ref, out, depth, precision):
+@_command(click.option("--depth", "moments_depth", type=int, help="Maximum address length tabulated."))
+def moments(config: RunConfig) -> None:
     """Write per-address moment values and the averaging-operator profile."""
-    def body():
-        config = _load(config_ref, dict(precision=precision, out=out))
-        opts = config.options
-        table_depth = depth if depth is not None else opts.moments_depth
-        model = solve_model(config.problem)
-        table = build_moment_table(model, table_depth)
-        p = opts.precision
-        lines = [f"# config: {config.name}",
-                 f"# whole-interval integrals: B={fmt(table.whole_b, p)} A={fmt(table.whole_a, p)}",
-                 "word,start,length,b,a"]
-        symbols = range(1, model.n_intervals + 1)
-        for length, level in enumerate(table.levels, start=1):
-            # spatial order: word r_1..r_m has index digits (r_m ... r_1) base N
-            words = ("".join(map(str, reversed(w)))
-                     for w in itertools.product(symbols, repeat=length))
-            for w, s, l, b, a in zip(words, level.starts, level.lengths,
-                                     level.b_values, level.a_values):
-                lines.append(f"{w},{fmt(s, p)},{fmt(l, p)},{fmt(b, p)},{fmt(a, p)}")
-        profile = convergence_profile(model, opts.profile_m_max, opts.probe_depth)
-        lines.append("")
-        lines.append("m,sup_error")
-        for m, err in profile:
-            lines.append(f"{m},{fmt(err, p)}")
-        _write_out(("\n".join(lines) + "\n",), opts.out)
-    _run(body)
+    opts = config.options
+    model = solve_model(config.problem)
+    table = build_moment_table(model, opts.moments_depth)
+    p = opts.precision
+    lines = [f"# config: {config.name}",
+             f"# whole-interval integrals: B={fmt(table.whole_b, p)} A={fmt(table.whole_a, p)}",
+             "word,start,length,b,a"]
+    symbols = range(1, model.n_intervals + 1)
+    for length, level in enumerate(table.levels, start=1):
+        # spatial order: word r_1..r_m has index digits (r_m ... r_1) base N
+        words = ("".join(map(str, reversed(w)))
+                 for w in itertools.product(symbols, repeat=length))
+        for w, s, l, b, a in zip(words, level.starts, level.lengths,
+                                 level.b_values, level.a_values):
+            lines.append(f"{w},{fmt(s, p)},{fmt(l, p)},{fmt(b, p)},{fmt(a, p)}")
+    profile = convergence_profile(model, opts.profile_m_max, opts.probe_depth)
+    lines.append("")
+    lines.append("m,sup_error")
+    for m, err in profile:
+        lines.append(f"{m},{fmt(err, p)}")
+    _write_out(("\n".join(lines) + "\n",), opts.out)
 
 
 @main.command(name="validate")
-@config_opt
-@out_opt
-@precision_opt
-def validate_cmd(config_ref, out, precision):
+@_command()
+def validate_cmd(config: RunConfig) -> None:
     """Check the configuration's data invariants."""
-    def body():
-        config = _load(config_ref, dict(precision=precision, out=out))
-        result = validate(config.problem)
-        pairs = [("command", "validate"), ("config", config.name), ("ok", result.ok)]
-        for i, violation in enumerate(result.violations):
-            pairs.append((f"violation_{i}", str(violation)))
-        _report(pairs, config.options, None)
-        if not result.ok:
-            sys.exit(EXIT_VALIDATION)
-    _run(body)
+    result = validate(config.problem)
+    pairs = [("command", "validate"), ("config", config.name), ("ok", result.ok)]
+    for i, violation in enumerate(result.violations):
+        pairs.append((f"violation_{i}", str(violation)))
+    _report(pairs, config.options, None)
+    if not result.ok:
+        sys.exit(EXIT_VALIDATION)
 
 
 if __name__ == "__main__":

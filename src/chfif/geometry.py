@@ -103,10 +103,11 @@ def validate(problem: InterpolationProblem) -> ValidationResult:
     is solved, and an interval whose solved model is not finite is a
     violation too, so ``ok`` holds exactly when :func:`solve_model` succeeds.
     """
-    bad = _data_violations(problem)
-    if not bad:
-        bad = _non_finite_violations(_solve(problem))
-    return ValidationResult(ok=not bad, violations=tuple(bad))
+    try:
+        solve_model(problem)
+    except ValidationError as exc:
+        return ValidationResult(ok=False, violations=exc.violations)
+    return ValidationResult(ok=True, violations=())
 
 
 def _data_violations(problem: InterpolationProblem) -> list[Violation]:
@@ -379,17 +380,17 @@ def _solve(problem: InterpolationProblem) -> ChfifModel:
     )
 
 
-def _templates_equal(model: ChfifModel, j: int, atol: float) -> bool:
+def _templates_equal(model: ChfifModel, j: int) -> bool:
     p, q = model.p, model.q
     return (
-        abs(p.lin[j] - q.lin[j]) <= atol
-        and abs(p.const[j] - q.const[j]) <= atol
-        and abs(p.coeff[j] - q.coeff[j]) <= atol
-        and (p.coeff[j] == 0.0 or abs(p.exponent[j] - q.exponent[j]) <= atol)
+        abs(p.lin[j] - q.lin[j]) <= ENDPOINT_ATOL
+        and abs(p.const[j] - q.const[j]) <= ENDPOINT_ATOL
+        and abs(p.coeff[j] - q.coeff[j]) <= ENDPOINT_ATOL
+        and (p.coeff[j] == 0.0 or abs(p.exponent[j] - q.exponent[j]) <= ENDPOINT_ATOL)
     )
 
 
-def self_affine_discrepancies(model: ChfifModel, atol: float = ENDPOINT_ATOL) -> tuple[str, ...]:
+def self_affine_discrepancies(model: ChfifModel) -> tuple[str, ...]:
     """List what prevents the two components from coinciding.
 
     Empty result means z = y, alpha_i + beta_i = gamma_i on every interval
@@ -398,14 +399,14 @@ def self_affine_discrepancies(model: ChfifModel, atol: float = ENDPOINT_ATOL) ->
     """
     issues: list[str] = []
     for i, (yi, zi) in enumerate(zip(model.y, model.z)):
-        if abs(yi - zi) > atol:
+        if abs(yi - zi) > ENDPOINT_ATOL:
             issues.append(f"z_{i} = {zi} != y_{i} = {yi}")
     for j in range(model.n_intervals):
         s = model.alpha[j] + model.beta[j]
-        if abs(s - model.gamma[j]) > atol:
+        if abs(s - model.gamma[j]) > ENDPOINT_ATOL:
             issues.append(
                 f"alpha_{j+1} + beta_{j+1} = {s} != gamma_{j+1} = {model.gamma[j]}")
-        if not _templates_equal(model, j, atol):
+        if not _templates_equal(model, j):
             issues.append(f"p_{j+1} != q_{j+1} (solved coefficients differ)")
     return tuple(issues)
 

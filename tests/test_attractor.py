@@ -122,7 +122,7 @@ class TestSampleExact:
 
     def test_depth_limit(self):
         with pytest.raises(DepthLimitError):
-            sample_exact(model_for("fig4"), 10, max_points=1000)
+            sample_exact(model_for("fig4"), 15)
 
     def test_raw_domain_round_trip(self):
         from helpers import make_problem
@@ -254,7 +254,7 @@ class TestFixedPointIterate:
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
-            fixed_point_iterate(model_for("fig4"), 3)
+            fixed_point_iterate(model_for("fig4"), 3, max_iters=10, tol=1e-10)
 
 
 def _reference_iterate(model, grid_size, sweeps):

@@ -1,11 +1,13 @@
 """Tests for config parsing, serialization and the command surface."""
 
 import os
+import tempfile
 import threading
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -402,6 +404,15 @@ class TestCommands:
         assert "did not reach tol" in result.stderr
         assert "in 5 sweeps" in result.stderr
 
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_empty_sweep_budget_is_validation_error(self, iterations, tmp_path):
+        path = tmp_path / "none.yaml"
+        path.write_text(MINIMAL + f"options:\n  method: iterate\n  grid_size: 257\n  iterations: {iterations}\n")
+        result = self.run("generate", "--config", str(path))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)   # not a traceback
+        assert result.stderr == "error: max_iters must be >= 1\n"
+
     @pytest.mark.parametrize("old, new, where", [
         ("[0.35, 7.0]", "[.nan, 7.0]", "nodes[1]"),
         ("[1.0, 9.0]", "[.inf, 9.0]", "nodes[3]"),
@@ -531,6 +542,81 @@ class TestCommands:
         assert self.run("generate", "--config", name, "--depth", "3",
                         "--out", str(curve)).exit_code == 0
         assert len(curve.read_text().splitlines()) == 3**4 + 2
+
+
+
+class _Stop(Exception):
+    """Ends a command at its first library call."""
+
+
+def _flag_params():
+    for name, command in sorted(main.commands.items()):
+        for param in command.params:
+            if param.name != "config_ref":
+                yield pytest.param(name, param, id=f"{name} {param.opts[0]}")
+
+
+def _flag_value(param):
+    if isinstance(param.type, click.Choice):
+        return param.type.choices[-1]
+    # each differs from its option's default, which fig4 keeps
+    return {"integer": 7, "float": 5e-7, "text": "chosen.txt"}[param.type.name]
+
+
+@pytest.mark.parametrize("command, param", list(_flag_params()))
+def test_every_flag_sets_the_option_of_its_name(command, param, monkeypatch):
+    loaded = []
+    load = cli._load
+    monkeypatch.setattr(cli, "_load", lambda ref, flags: loaded.append(load(ref, flags)) or loaded[-1])
+
+    def stop(problem):
+        raise _Stop
+
+    monkeypatch.setattr(cli, "solve_model", stop)
+    monkeypatch.setattr(cli, "validate", stop)
+    value = _flag_value(param)
+    result = CliRunner().invoke(main, [command, "--config", "fig4", param.opts[0], str(value)])
+    assert isinstance(result.exception, _Stop)
+    (config,) = loaded
+    assert config.options == replace(resolve_config("fig4").options, **{param.name: value})
+
+
+# bounded so that every run is quick; the out-of-range values are the point
+FLAG_VALUES = {
+    "depth": st.integers(-2, 6),
+    "moments_depth": st.integers(-2, 6),
+    "method": st.sampled_from(["exact", "iterate", "chaos"]),
+    "seed": st.integers(-2, 2**64),
+    "points": st.integers(-2, 2000),
+    "grid_size": st.integers(-2, 600),
+    "tol": st.floats() | st.sampled_from([0.0, -1e-10, 1e-300]),
+    "eps_min_exp": st.integers(-3, 14),
+    "eps_max_exp": st.integers(-3, 14),
+    "precision": st.integers(-2, 20),
+}
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data(), iterations=st.integers(-1, 50))
+def test_random_flags_end_in_an_exit_code(command, data, iterations):
+    flags = []
+    for param in main.commands[command].params:
+        if param.name not in ("config_ref", "out"):
+            value = data.draw(st.none() | FLAG_VALUES[param.name], label=param.name)
+            if value is not None:
+                flags += [param.opts[0], str(value)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "config.yaml")
+        # the options no flag sets, and the defaults of unset flags, kept as small
+        path.write_text(MINIMAL + f"options:\n  iterations: {iterations}\n  depth: 4\n"
+                        "  points: 500\n  grid_size: 257\n  profile_m_max: 3\n  probe_depth: 5\n")
+        out = data.draw(st.sampled_from(["-", str(Path(tmp, "out.txt"))]), label="out")
+        result = CliRunner().invoke(main, [command, "--config", str(path), "--out", out, *flags])
+    assert result.exit_code in (0, 1, 2, 3)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    if result.exit_code:
+        assert any(line.startswith(("error:", "warning:")) for line in result.stderr.splitlines())
 
 
 SPECIAL_VALUES = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 0.1, -2.5, 1 / 3, 0.0, 7.0])
