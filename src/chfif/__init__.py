@@ -14,7 +14,6 @@ from .attractor import (
     exact_blocks,
     exact_residuals,
     fixed_point_iterate,
-    functional_residuals,
     sample_exact,
 )
 from .dimension import (
@@ -54,13 +53,11 @@ from .geometry import (
 )
 from .moments import (
     MomentTable,
-    address_of,
     build_moment_table,
     convergence_profile,
     interval_of,
     moment_a,
     moment_b,
-    q_m_operator,
     q_m_values,
     whole_interval_integrals,
 )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -292,39 +292,27 @@ def fixed_point_iterate(model: ChfifModel, grid_size: int, max_iters: int, tol: 
     )
 
 
-def functional_residuals(model: ChfifModel, graph: SampledGraph) -> tuple[float, float]:
-    """Sup-norm residuals of the two functional equations on a grid function.
-
-    Evaluates one operator sweep with linear interpolation, so this is the
-    natural residual for iterates (bounded by a small multiple of the
-    iteration tolerance once converged).  On exact address-grid samples the
-    interpolated preimage lookup can amplify one-ulp abscissa noise by the
-    local oscillation; use :func:`exact_residuals` for those.
-    """
-    xs = (np.asarray(graph.xs, dtype=float) - model.x0) / model.span
-    t1, t2 = apply_operator(model, xs, graph.f1s, graph.f2s)
-    return float(np.max(np.abs(t1 - graph.f1s))), float(np.max(np.abs(t2 - graph.f2s)))
-
-
 def exact_residuals(model: ChfifModel, depth: int) -> tuple[float, float]:
     """Functional-equation residuals of exact samples, by value lookup.
 
     For every level-``depth`` grid point x and every interval i, compares
     the stored value at L_i(x) (a level-``depth + 1`` grid point) against
     alpha_i f1(x) + beta_i f2(x) + p_i(x) and the hidden analogue.  Exact
-    propagation makes these vanish to machine precision.
+    propagation makes these vanish to machine precision.  Both grids are
+    sampled on the unit domain, so no abscissa is rounded on its way to the
+    raw domain and back.
     """
-    coarse = sample_exact(model, depth)
-    fine = sample_exact(model, depth + 1)
-    xs = (np.asarray(coarse.xs, dtype=float) - model.x0) / model.span
+    unit = replace(model, x0=0.0, span=1.0)
+    coarse = sample_exact(unit, depth)
+    fine = sample_exact(unit, depth + 1)
+    xs = coarse.xs
     per_block = len(xs)
     worst1 = worst2 = 0.0
     for j in range(model.n_intervals):
         lo = j * (per_block - 1)
         sl = slice(lo, lo + per_block)
         image_x = model.a[j] * xs + model.b[j]
-        stored_x = (np.asarray(fine.xs[sl], dtype=float) - model.x0) / model.span
-        if not np.allclose(stored_x, image_x, rtol=0, atol=1e-9):
+        if not np.allclose(fine.xs[sl], image_x, rtol=0, atol=1e-9):
             raise AssertionError("refined grid misaligned with interval images")
         rhs1, rhs2 = map_images(model, j, xs, coarse.f1s, coarse.f2s)
         worst1 = max(worst1, float(np.max(np.abs(fine.f1s[sl] - rhs1))))

@@ -22,14 +22,13 @@ import click
 import numpy as np
 
 from .attractor import chaos_game, exact_blocks, fixed_point_iterate, sample_exact
-from .config import RunConfig, resolve_config
+from .config import RunConfig, check_options, resolve_config
 from .dimension import dimension_report
 from .exceptions import (
     EXIT_DEGENERATE,
     EXIT_IO,
     EXIT_VALIDATION,
     ChfifError,
-    ConfigError,
     NotConvergedError,
 )
 from .geometry import (ENDPOINT_ATOL, is_self_affine_config, self_affine_discrepancies,
@@ -184,9 +183,7 @@ def _load(config_ref: str, flags: dict) -> RunConfig:
         config = replace(config, options=replace(config.options, **fields))
     # checked before any output is opened: a chunked writer would already
     # have written the header when the first row failed to format
-    if config.options.precision < 0:
-        raise ConfigError("options.precision",
-                          f"expected a non-negative integer, got {config.options.precision}")
+    check_options(config)
     return config
 
 

@@ -50,6 +50,21 @@ class RunConfig:
     name: str = "config"
 
 
+def check_options(config: RunConfig) -> None:
+    """Raise a :class:`ConfigError` naming the first option below its lowest value.
+
+    ``grid_size`` needs a grid point at every node, so its lowest value is N + 1.
+    """
+    opts = config.options
+    lowest = {"precision": 0, "depth": 0, "moments_depth": 0, "seed": 0, "points": 1,
+              "iterations": 1, "grid_size": len(config.problem.nodes)}
+    for key, low in lowest.items():
+        if getattr(opts, key) < low:
+            raise ConfigError(f"options.{key}", f"expected an integer >= {low}, got {getattr(opts, key)}")
+    if not opts.tol > 0.0:   # NaN too
+        raise ConfigError("options.tol", f"expected a number > 0, got {opts.tol}")
+
+
 class _Loader(yaml.SafeLoader):
     """SafeLoader that also reads YAML 1.2 floats such as 1e-12, 2e5 and 1.0e308.
 

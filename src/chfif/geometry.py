@@ -264,15 +264,6 @@ class ChfifModel:
     def n_intervals(self) -> int:
         return len(self.a)
 
-    # -- map evaluation on the unit domain -------------------------------
-
-    def L(self, j: int, x):
-        """Domain map of the interval with 0-based index j, unit-domain coordinates."""
-        return self.a[j] * x + self.b[j]
-
-    def L_inv(self, j: int, x):
-        return (x - self.b[j]) / self.a[j]
-
     # -- coordinates ------------------------------------------------------
 
     def to_raw(self, x):
@@ -284,8 +275,7 @@ class ChfifModel:
 
         Derived from the contraction structure: the hidden component obeys
         sup|f2| <= max_i sup|q_i| / (1 - max|gamma_i|), and the visible one
-        feels it only through beta.  Loose but guaranteed; used for sanity
-        checks on iterates and chaos-game clouds.
+        feels it only through beta.  Loose but guaranteed.
         """
         q_sup = self.q.sup_bound()
         p_sup = self.p.sup_bound()

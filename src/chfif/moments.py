@@ -182,29 +182,6 @@ def q_m_values(
     return level.b_values[idx] / level.lengths[idx]
 
 
-def q_m_operator(model: ChfifModel, m: int, x: float) -> float:
-    """Mean of f1 over the level-m cell containing ``x``.
-
-    Cells partition [0, 1] half-open with the last cell closed, so shared
-    cell endpoints resolve to the cell they start.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    return float(q_m_values(model, m, np.array([x]))[0])
-
-
-def address_of(model: ChfifModel, x: float, m: int) -> tuple[int, ...]:
-    """Length-m address of the cell containing ``x`` (same tie-breaking)."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    word: list[int] = []
-    for _ in range(m):
-        idx = int(np.clip(np.searchsorted(model.node_x, x, side="right") - 1, 0, model.n_intervals - 1))
-        word.append(idx + 1)
-        x = min(max(model.L_inv(idx, x), 0.0), 1.0)
-    return tuple(reversed(word))
-
-
 def convergence_profile(model: ChfifModel, m_max: int, probe_depth: int) -> tuple[tuple[int, float], ...]:
     """Empirical uniform-convergence certificate for the averaging operator.
 

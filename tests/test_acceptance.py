@@ -16,7 +16,6 @@ from click.testing import CliRunner
 
 from chfif import (
     SampledGraph,
-    box_count,
     classify,
     convergence_profile,
     dimension_one_predicate,
@@ -34,9 +33,9 @@ from chfif import (
     theoretical_bounds,
 )
 from chfif.cli import main as cli_main
-from chfif.presets import EXPECTED_REGIMES, GALLERY_NAMES
+from chfif.config import GALLERY_NAMES
 
-from helpers import equidistant_problem, model_for, zero_param_problem
+from helpers import EXPECTED_REGIMES, equidistant_problem, model_for, zero_param_problem
 
 
 def report(num, name, ok, detail=""):

@@ -12,12 +12,13 @@ from chfif import (
     DepthLimitError,
     apply_operator,
     chaos_game,
+    classify,
     exact_blocks,
     exact_residuals,
     fixed_point_iterate,
-    functional_residuals,
     interval_of,
     max_oscillation,
+    moment_b,
     sample_exact,
     solve_model,
     validate,
@@ -33,6 +34,7 @@ from helpers import (
     bit_identical,
     breadth_first_exact,
     equidistant_problem,
+    functional_residuals,
     interp_sweep,
     make_problem,
     model_for,
@@ -82,7 +84,7 @@ class TestIntervalOf:
         start, length = interval_of(model, word)
         inner_start, inner_length = interval_of(model, word[:-1])
         r = word[-1]
-        assert start == pytest.approx(model.L(r - 1, inner_start), rel=1e-14)
+        assert start == pytest.approx(model.a[r - 1] * inner_start + model.b[r - 1], rel=1e-14)
         assert length == pytest.approx(model.a[r - 1] * inner_length, rel=1e-14)
 
     def test_symbol_out_of_range(self):
@@ -125,7 +127,6 @@ class TestSampleExact:
             sample_exact(model_for("fig4"), 15)
 
     def test_raw_domain_round_trip(self):
-        from helpers import make_problem
         problem = make_problem(nodes=((2.0, 2.0), (3.4, 7.0), (5.0, 4.0), (6.0, 9.0)))
         model = solve_model(problem)
         graph = sample_exact(model, 6)
@@ -341,7 +342,7 @@ class TestSweepMatchesInterp:
         model = solve_model(equidistant_problem((0.3, -0.4), (0.2, 0.1), (0.5, -0.6),
                                                 ys=(1.0, -2.0, 0.5), zs=(0.0, 3.0, -1.0)))
         xs = np.linspace(0.0, 1.0, 5)
-        assert model.L_inv(0, xs[2]) == xs[-1]
+        assert (xs[2] - model.b[0]) / model.a[0] == xs[-1]
         f1 = np.array([0.5, -1.0, 2.0, 0.25, -0.0])
         f2 = np.array([1.5, 0.0, -3.0, 2.5, 4.0])
         t1, t2 = apply_operator(model, xs, f1, f2)
@@ -350,6 +351,35 @@ class TestSweepMatchesInterp:
         want1, want2 = interp_sweep(model, xs, f1, f2)
         assert bit_identical(t1, want1)
         assert bit_identical(t2, want2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sweep_cases(), st.data())
+def test_random_admissible_problem(case, data):
+    """Properties of every admissible problem, each at rounding level for the data's scale."""
+    model = case[0]
+    n = model.n_intervals
+    graph = sample_exact(model, 3)
+    # one rounding unit of the largest value on the grid: over 4,000 random
+    # problems every check below stayed within 2.3 of them
+    unit = np.finfo(float).eps * max(1.0, np.max(np.abs(graph.f1s)), np.max(np.abs(graph.f2s)))
+    # node i is grid point i * N**3, reached through three map applications
+    nodes = np.arange(n + 1) * n**3
+    assert np.array_equal(graph.xs[nodes], model.to_raw(model.node_x))
+    assert np.max(np.abs(graph.f1s[nodes] - model.y)) <= 24 * unit
+    assert np.max(np.abs(graph.f2s[nodes] - model.z)) <= 24 * unit
+    # the depth-4 grid is the maps' image of the depth-3 grid, value for value
+    assert max(exact_residuals(model, 3)) <= 8 * unit
+    # the moment over a word is the sum over its N children (s, *word), each
+    # len(word) + 1 steps of the cell recursion
+    word = tuple(data.draw(st.lists(st.integers(1, n), max_size=3), label="word"))
+    children = sum(moment_b(model, (s, *word)) for s in range(1, n + 1))
+    assert abs(children - moment_b(model, word)) <= 8 * (len(word) + 2) * unit
+    # one branch of the case table fires; delta5..delta8 are the Theta > 1 branches
+    report = classify(model)
+    high = report.theta_regime == "GT1"
+    assert report.delta_tag in [f"delta{k}" for k in ((5, 6, 7, 8) if high else (1, 2, 3, 4))]
+    assert report.modulus_order in ("LIP_DELTA", "DELTA_LOG", "DELTA_LOG2")
 
 
 class TestChaosGame:

@@ -35,7 +35,7 @@ from chfif.config import (
     serialize_config,
 )
 
-from helpers import LATE_OVERFLOW, csv_text
+from helpers import LATE_OVERFLOW, csv_text, zero_param_problem
 
 MINIMAL = """\
 problem:
@@ -280,13 +280,7 @@ class TestCommands:
 
     def test_generate_zero_parameters_match_interpolant(self, tmp_path):
         config = tmp_path / "zero.yaml"
-        config.write_text(MINIMAL.replace("alpha: 0.2", "alpha: 0.0")
-                          .replace("alpha: 0.38", "alpha: 0.0")
-                          .replace("beta: 0.4", "beta: 0.0")
-                          .replace("beta: 0.35", "beta: 0.0")
-                          .replace("beta: 0.5", "beta: 0.0")
-                          .replace("gamma: 0.3", "gamma: 0.0")
-                          .replace("gamma: 0.24", "gamma: 0.0"))
+        config.write_text(serialize_config(RunConfig(zero_param_problem())))
         out = tmp_path / "curve.csv"
         result = self.run("generate", "--config", str(config), "--depth", "4", "--out", str(out))
         assert result.exit_code == 0
@@ -385,15 +379,24 @@ class TestCommands:
         assert received[0].startswith(b"command: classify\n")
 
     @pytest.mark.parametrize("args", [
-        ("--depth", "-1"),
-        ("--method", "chaos", "--points", "0"),
-        ("--method", "iterate", "--grid-size", "2"),
+        # a command line, then the message after "error: options."
+        ("generate", "--depth", "-1", "depth: expected an integer >= 0, got -1"),
+        ("generate", "--method", "chaos", "--points", "0", "points: expected an integer >= 1, got 0"),
+        ("generate", "--method", "iterate", "--grid-size", "2", "grid_size: expected an integer >= 4, got 2"),
+        ("generate", "--method", "chaos", "--seed", "-1", "seed: expected an integer >= 0, got -1"),
+        ("generate", "--method", "iterate", "--tol", "0", "tol: expected a number > 0, got 0.0"),
+        ("generate", "--method", "iterate", "--tol", "nan", "tol: expected a number > 0, got nan"),
+        ("dimension", "--depth", "-1", "depth: expected an integer >= 0, got -1"),
+        ("moments", "--depth", "-1", "moments_depth: expected an integer >= 0, got -1"),
     ])
-    def test_rejected_option_value_is_validation_error(self, args):
-        result = self.run("generate", "--config", "fig4", *args)
+    def test_rejected_option_value_is_validation_error(self, args, tmp_path):
+        *command, message = args
+        out = tmp_path / "out.txt"
+        result = self.run(*command, "--config", "fig4", "--out", str(out))
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)   # not a traceback
-        assert result.stderr.startswith("error: ")
+        assert result.stderr == f"error: options.{message}\n"
+        assert not out.exists()
 
     def test_iterate_non_convergence_exits_degenerate(self, tmp_path):
         path = tmp_path / "slow.yaml"
@@ -411,7 +414,7 @@ class TestCommands:
         result = self.run("generate", "--config", str(path))
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)   # not a traceback
-        assert result.stderr == "error: max_iters must be >= 1\n"
+        assert result.stderr == f"error: options.iterations: expected an integer >= 1, got {iterations}\n"
 
     @pytest.mark.parametrize("old, new, where", [
         ("[0.35, 7.0]", "[.nan, 7.0]", "nodes[1]"),

@@ -130,6 +130,7 @@ CASES = {
     "int-for-out": (options("{out: 5}"), "options.out: expected a string, got 5"),
     "bad-method": (options("{method: fast}"),
                    "options.method: expected exact|iterate|chaos, got 'fast'"),
+    "grid-below-node-count": (options("{grid_size: 3}"), "options.grid_size: expected an integer >= 4, got 3"),
     # two errors: which one is reported
     "interval-fields-in-declaration-order": (
         first_interval("{gamma: '0.3', alpha: '0.2', beta: 0.4}"),

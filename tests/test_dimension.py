@@ -37,6 +37,13 @@ def fake_report(theta, delta, tag):
         tau_bounds=TauBounds(1.0, 1.0, 1.0, 1.0), case_label="a")
 
 
+def column(xs, epsilon):
+    """Column j with j * eps <= x < (j + 1) * eps, against the float products as ``box_count`` bins."""
+    j = np.floor(xs / epsilon)
+    j -= j * epsilon > xs
+    return j + ((j + 1) * epsilon <= xs)
+
+
 def brute_force_count(graph, epsilon, points_per_cell=8, chunk=1 << 15):
     """Distinct half-open cells hit by dense points on each polyline segment.
 
@@ -45,7 +52,7 @@ def brute_force_count(graph, epsilon, points_per_cell=8, chunk=1 << 15):
     never exceeds the exact count and approaches it as the sampling grows.
     """
     xs, ys = graph.xs, graph.f1s
-    cells = [np.floor(xs[-1:] / epsilon) + 1j * np.floor(ys[-1:] / epsilon)]
+    cells = [column(xs[-1:], epsilon) + 1j * np.floor(ys[-1:] / epsilon)]
     for start in range(0, xs.size - 1, chunk):
         x0, y0 = xs[start:start + chunk + 1], ys[start:start + chunk + 1]
         dx, dy = np.diff(x0), np.diff(y0)
@@ -54,7 +61,7 @@ def brute_force_count(graph, epsilon, points_per_cell=8, chunk=1 << 15):
         seg = np.repeat(np.arange(dx.size), n)
         t = (np.arange(seg.size) - np.repeat(np.cumsum(n) - n, n)) / n[seg]
         px, py = x0[seg] + t * dx[seg], y0[seg] + t * dy[seg]
-        cells.append(np.unique(np.floor(px / epsilon) + 1j * np.floor(py / epsilon)))
+        cells.append(np.unique(column(px, epsilon) + 1j * np.floor(py / epsilon)))
     return np.unique(np.concatenate(cells)).size
 
 
@@ -174,9 +181,8 @@ class TestBoxCount:
         xs = np.array([3 * 0.7, 2.5, 2.9, 3.3])
         graph = SampledGraph(xs=xs, f1s=np.array([0.0, 1.0, 2.0, 0.5]), f2s=xs)
         assert box_count(graph, 0.7, density_factor=1.5) == 6
-        # the oracle floors x / eps, so it also charges xs[0] (below 3 * eps in
-        # exact arithmetic) to cell (2, 0); it agrees on every other cell
-        assert brute_force_count(graph, 0.7, points_per_cell=64) == 7
+        # the oracle bins against the same products, so it too puts xs[0] in column 3
+        assert brute_force_count(graph, 0.7, points_per_cell=64) == 6
 
     def test_column_without_samples(self):
         # y = x from 0 to 2.5 with one-cell boxes: column 1 holds only its

@@ -11,7 +11,7 @@ from chfif import (
     solve_model,
     validate,
 )
-from chfif.presets import gallery_problem
+from chfif.config import resolve_config
 
 from helpers import ALL_GALLERY, make_problem, model_for, power, zero_param_problem
 
@@ -19,7 +19,7 @@ from helpers import ALL_GALLERY, make_problem, model_for, power, zero_param_prob
 class TestValidate:
     def test_extreme_but_legal_coupling(self):
         # |beta| + |gamma| = 0.995 stays strictly below 1
-        assert validate(gallery_problem("fig2")).ok
+        assert validate(resolve_config("fig2").problem).ok
 
     def test_zero_parameters_ok(self):
         assert validate(zero_param_problem()).ok
@@ -82,16 +82,16 @@ class TestSolveModel:
     def test_domain_map_endpoint_conditions_exact(self):
         model = model_for("fig8")
         for i in range(1, model.n_intervals + 1):
-            assert model.L(i - 1, 0.0) == model.node_x[i - 1]
-            assert model.L(i - 1, 1.0) == pytest.approx(model.node_x[i], abs=1e-15)
+            assert model.b[i - 1] == model.node_x[i - 1]
+            assert model.a[i - 1] + model.b[i - 1] == pytest.approx(model.node_x[i], abs=1e-15)
 
     def test_contractive_homeomorphism(self):
         model = model_for("fig5")
         for i in range(1, model.n_intervals + 1):
             a = model.a[i - 1]
             assert 0.0 < a < 1.0
-            x, xp = 0.12, 0.87
-            assert abs(model.L(i - 1, x) - model.L(i - 1, xp)) == pytest.approx(a * abs(x - xp))
+            x, xp, b = 0.12, 0.87, model.b[i - 1]
+            assert abs((a * x + b) - (a * xp + b)) == pytest.approx(a * abs(x - xp))
 
     @pytest.mark.parametrize("name", ALL_GALLERY)
     def test_map_endpoint_conditions(self, name):
@@ -171,8 +171,8 @@ class TestClassificationRatios:
         np.testing.assert_array_equal(model.omega_i, model.theta_i)
 
     def test_recomputation_is_bit_identical(self):
-        first = solve_model(gallery_problem("fig7"))
-        second = solve_model(gallery_problem("fig7"))
+        first = solve_model(resolve_config("fig7").problem)
+        second = solve_model(resolve_config("fig7").problem)
         for name in ("omega_i", "gamma_i", "theta_i"):
             assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
         assert (first.omega, first.gamma_ratio, first.theta) == (

@@ -11,14 +11,13 @@ from chfif import (
     interval_of,
     moment_a,
     moment_b,
-    q_m_operator,
     q_m_values,
     sample_exact,
     solve_model,
     whole_interval_integrals,
 )
 
-from helpers import make_problem, model_for, sampled_for, zero_param_problem
+from helpers import address_of, make_problem, model_for, sampled_for, zero_param_problem
 
 
 def trapezoid_over(graph, start, length, component="f1"):
@@ -153,7 +152,7 @@ class TestAveragingOperator:
         for i in range(1, 4):
             mid = model.b[i - 1] + model.a[i - 1] / 2
             expected = model.p.integral(i - 1, 0.0, 1.0)   # mean of f1 over the interval
-            assert q_m_operator(model, 1, float(mid)) == pytest.approx(expected, rel=1e-13)
+            assert q_m_values(model, 1, [mid])[0] == pytest.approx(expected, rel=1e-13)
 
     def test_constant_data_is_reproduced_at_every_level(self):
         problem = make_problem(
@@ -163,19 +162,15 @@ class TestAveragingOperator:
         model = solve_model(problem)
         for m in (1, 3, 5):
             for x in (0.0, 0.2, 0.35, 0.9, 1.0):
-                assert q_m_operator(model, m, x) == pytest.approx(5.0, abs=1e-12)
+                assert q_m_values(model, m, [x])[0] == pytest.approx(5.0, abs=1e-12)
 
     def test_boundary_tie_breaking_is_left_closed(self):
         model = solve_model(zero_param_problem())
         # x on a shared cell edge belongs to the cell that starts there;
         # x = 1 belongs to the final (closed) cell
-        assert q_m_operator(model, 1, 0.35) == pytest.approx(5.5, abs=1e-12)
-        assert q_m_operator(model, 1, 1.0) == pytest.approx(6.5, abs=1e-12)
-        assert q_m_operator(model, 1, 0.35 - 1e-12) == pytest.approx(4.5, abs=1e-9)
-
-    def test_rejects_out_of_domain(self):
-        with pytest.raises(ValueError):
-            q_m_operator(model_for("fig4"), 2, 1.5)
+        assert q_m_values(model, 1, [0.35])[0] == pytest.approx(5.5, abs=1e-12)
+        assert q_m_values(model, 1, [1.0])[0] == pytest.approx(6.5, abs=1e-12)
+        assert q_m_values(model, 1, [0.35 - 1e-12])[0] == pytest.approx(4.5, abs=1e-9)
 
     def test_sup_error_decreases_with_level(self):
         model = model_for("fig4")
@@ -215,7 +210,6 @@ class TestConvergenceProfile:
 
 class TestAddressOf:
     def test_consistent_with_cell_assignment(self):
-        from chfif import address_of
         model = model_for("fig8")
         table = build_moment_table(model, 4)
         rng = np.random.default_rng(2)

@@ -18,11 +18,11 @@ from chfif import (
     validate,
 )
 from chfif.geometry import CRITICAL_RTOL
-from chfif.presets import EXPECTED_REGIMES
 from chfif.smoothness import regime_state
 
 from helpers import (
     ALL_GALLERY,
+    EXPECTED_REGIMES,
     brute_force_oscillation,
     classify_oracle,
     deque_oscillation,
