@@ -85,13 +85,26 @@ class SampledGraph:
         return len(self.xs)
 
 
+def deepest_level(n_intervals: int, max_points: int) -> int:
+    """The deepest level d whose grid, N**(d+1) + 1 points, holds at most ``max_points``.
+
+    Level 0, the nodes, when no level fits.  Below two intervals the grid
+    never grows, so no level is the deepest: that raises ``ValueError``.
+    """
+    if n_intervals < 2:
+        raise ValueError("deepest_level needs at least 2 intervals")
+    level = 0
+    while n_intervals ** (level + 2) + 1 <= max_points:
+        level += 1
+    return level
+
+
 def _check_depth(model: ChfifModel, depth: int) -> None:
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    final = model.n_intervals ** (depth + 1) + 1
-    if final > DEFAULT_MAX_POINTS:
-        raise DepthLimitError(
-            f"depth {depth} needs {final} points, above the limit of {DEFAULT_MAX_POINTS}")
+    if depth > deepest_level(model.n_intervals, DEFAULT_MAX_POINTS):
+        raise DepthLimitError(f"depth {depth} needs {model.n_intervals ** (depth + 1) + 1} points, "
+                              f"above the limit of {DEFAULT_MAX_POINTS}")
 
 
 def _image(model: ChfifModel, j: int, xs, f1, f2, ends_at_one: bool):
@@ -142,10 +155,7 @@ def exact_blocks(model: ChfifModel, depth: int):
     ``DEFAULT_MAX_POINTS`` budget, run at the call, before any block.
     """
     _check_depth(model, depth)
-    held = 0
-    while held < depth and model.n_intervals ** (held + 2) + 1 <= _BLOCK_POINTS:
-        held += 1
-    return _blocks(model, depth, held)
+    return _blocks(model, depth, min(depth, deepest_level(model.n_intervals, _BLOCK_POINTS)))
 
 
 def sample_exact(model: ChfifModel, depth: int) -> SampledGraph:

@@ -50,26 +50,35 @@ def fmt(value, precision: int) -> str:
     return str(value)
 
 
-# Rows per %-format call in `generate`: enough to amortise the call, few
-# enough that one chunk's float list, value tuple and text each stay under
-# glibc's 128 KiB mmap threshold, so the heap reuses them chunk after chunk.
+# Rows per %-format call of `_table_pieces`: enough to amortise the call,
+# few enough that one chunk's float list, value tuple and text each stay
+# under glibc's 128 KiB mmap threshold, so the heap reuses them chunk after
+# chunk.
 _CHUNK_ROWS = 2048
 
 
-def _csv_pieces(blocks, precision: int):
-    """The ``x,f1,f2`` table of consecutive ``(xs, f1, f2)`` blocks as text pieces.
+def _table_pieces(row: str, columns, labels):
+    """The rows of equal-length float ``columns`` as text pieces, printed by ``row``.
 
-    One %-format call per chunk of at most ``_CHUNK_ROWS`` rows of a block.
-    ``"%.{p}g" % v`` and ``format(v, ".{p}g")`` print a float the same way,
-    so the bytes equal those of formatting each value with :func:`fmt`.
+    One %-format call per chunk of at most ``_CHUNK_ROWS`` rows.  ``labels``,
+    unless None, yields each row's leading text cell.  ``"%.{p}g" % v`` and
+    ``format(v, ".{p}g")`` print a float the same way, so the bytes equal
+    those of formatting each value with :func:`fmt`.
     """
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        chunk = np.stack([c[start:start + _CHUNK_ROWS] for c in columns], axis=1)
+        if labels is not None:
+            cells = np.array(list(itertools.islice(labels, len(chunk))), dtype=object)
+            chunk = np.column_stack((cells, chunk))
+        yield row * len(chunk) % tuple(chunk.ravel().tolist())
+
+
+def _csv_pieces(blocks, precision: int):
+    """The ``x,f1,f2`` table of consecutive ``(xs, f1, f2)`` blocks as text pieces."""
     yield "x,f1,f2\n"
     row = f"%.{precision}g,%.{precision}g,%.{precision}g\n"
-    for xs, f1, f2 in blocks:
-        for start in range(0, len(xs), _CHUNK_ROWS):
-            stop = start + _CHUNK_ROWS
-            chunk = np.stack((xs[start:stop], f1[start:stop], f2[start:stop]), axis=1)
-            yield row * len(chunk) % tuple(chunk.ravel().tolist())
+    for block in blocks:
+        yield from _table_pieces(row, block, None)
 
 
 def _write_out(pieces, out: str | None) -> None:
@@ -181,9 +190,6 @@ def _load(config_ref: str, flags: dict) -> RunConfig:
     fields = {k: v for k, v in flags.items() if v is not None}
     if fields:
         config = replace(config, options=replace(config.options, **fields))
-    # checked before any output is opened: a chunked writer would already
-    # have written the header when the first row failed to format
-    check_options(config)
     return config
 
 
@@ -193,18 +199,24 @@ _OUT = click.option("--out", help="Output path (default: config's out, else stdo
 _PRECISION = click.option("--precision", type=int, help="Significant digits in output.")
 
 
-def _command(*options):
+def _command(*options, sizes):
     """Make ``body(config)`` a command with ``--config``, ``--out``, ``options`` and ``--precision``.
 
     Each option's destination is the :class:`RunOptions` field it sets; an
-    option left unset keeps the config's value.  A package, I/O or value
-    error ends the run with an ``error:`` line and its exit code.
+    option left unset keeps the config's value.  ``sizes(opts)`` names the
+    size options the body reads, the only ones held to their highest value.
+    A package, I/O or value error ends the run with an ``error:`` line and
+    its exit code.
     """
     def decorate(body):
         @functools.wraps(body)
         def callback(config_ref: str, **flags) -> None:
             try:
-                body(_load(config_ref, flags))
+                config = _load(config_ref, flags)
+                # checked before any output is opened: a chunked writer would
+                # already have written the header when the first row failed to format
+                check_options(config, sizes(config.options))
+                body(config)
             except (ChfifError, OSError, ValueError) as exc:
                 # a plain ValueError is an option value the library rejects (depth -1)
                 code = EXIT_IO if isinstance(exc, OSError) else getattr(exc, "exit_code", EXIT_VALIDATION)
@@ -216,6 +228,10 @@ def _command(*options):
     return decorate
 
 
+# the size option each `generate` route reads
+_ROUTE_SIZE = {"exact": "depth", "iterate": "grid_size", "chaos": "points"}
+
+
 @main.command()
 @_command(
     click.option("--depth", type=int, help="Refinement depth of the output grid."),
@@ -225,6 +241,7 @@ def _command(*options):
     click.option("--points", type=int, help="Chaos-game point count."),
     click.option("--grid-size", type=int, help="Iteration grid size."),
     click.option("--tol", type=float, help="Iteration tolerance."),
+    sizes=lambda opts: (_ROUTE_SIZE[opts.method],),
 )
 def generate(config: RunConfig) -> None:
     """Write the curve as delimiter-separated x,f1,f2 rows."""
@@ -246,7 +263,7 @@ def generate(config: RunConfig) -> None:
 
 
 @main.command(name="classify")
-@_command()
+@_command(sizes=lambda opts: ())
 def classify_cmd(config: RunConfig) -> None:
     """Write the smoothness classification report."""
     model = solve_model(config.problem)
@@ -259,6 +276,7 @@ def classify_cmd(config: RunConfig) -> None:
     click.option("--depth", type=int, help="Sampling depth for box counting."),
     click.option("--eps-min-exp", type=int, help="Smallest dyadic exponent."),
     click.option("--eps-max-exp", type=int, help="Largest dyadic exponent."),
+    sizes=lambda opts: ("depth",),
 )
 def dimension(config: RunConfig) -> None:
     """Write dimension bounds and the box-counting estimate."""
@@ -302,34 +320,41 @@ def dimension(config: RunConfig) -> None:
 
 
 @main.command()
-@_command(click.option("--depth", "moments_depth", type=int, help="Maximum address length tabulated."))
+@_command(click.option("--depth", "moments_depth", type=int, help="Maximum address length tabulated."),
+          sizes=lambda opts: ("moments_depth", "probe_depth"))
 def moments(config: RunConfig) -> None:
     """Write per-address moment values and the averaging-operator profile."""
     opts = config.options
     model = solve_model(config.problem)
     table = build_moment_table(model, opts.moments_depth)
-    p = opts.precision
-    lines = [f"# config: {config.name}",
-             f"# whole-interval integrals: B={fmt(table.whole_b, p)} A={fmt(table.whole_a, p)}",
-             "word,start,length,b,a"]
-    symbols = range(1, model.n_intervals + 1)
-    for length, level in enumerate(table.levels, start=1):
-        # spatial order: word r_1..r_m has index digits (r_m ... r_1) base N
-        words = ("".join(map(str, reversed(w)))
-                 for w in itertools.product(symbols, repeat=length))
-        for w, s, l, b, a in zip(words, level.starts, level.lengths,
-                                 level.b_values, level.a_values):
-            lines.append(f"{w},{fmt(s, p)},{fmt(l, p)},{fmt(b, p)},{fmt(a, p)}")
     profile = convergence_profile(model, opts.profile_m_max, opts.probe_depth)
-    lines.append("")
-    lines.append("m,sup_error")
-    for m, err in profile:
-        lines.append(f"{m},{fmt(err, p)}")
-    _write_out(("\n".join(lines) + "\n",), opts.out)
+    _write_out(_moment_pieces(config.name, table, profile, opts.precision), opts.out)
+
+
+def _moment_pieces(name: str, table, profile, p: int):
+    # the report's text, a chunk of cells at a time: held whole, the text of
+    # the deepest table the options allow (14.3M cells for N = 3) takes GBs
+    yield (f"# config: {name}\n"
+           f"# whole-interval integrals: B={fmt(table.whole_b, p)} A={fmt(table.whole_a, p)}\n"
+           "word,start,length,b,a\n")
+    row = "%s" + f",%.{p}g" * 4 + "\n"
+    symbols = [str(r) for r in range(1, table.n_intervals + 1)]
+    for length, level in enumerate(table.levels, start=1):
+        columns = (level.starts, level.lengths, level.b_values, level.a_values)
+        yield from _table_pieces(row, columns, _words(symbols, length))
+    yield "\nm,sup_error\n" + "".join(f"{m},{fmt(err, p)}\n" for m, err in profile)
+
+
+def _words(symbols, length: int):
+    # spatial order: word r_1..r_m has index digits (r_m ... r_1) base N, so
+    # r_1 varies fastest in front of the words of r_2..r_m
+    if not length:
+        return iter(("",))
+    return (r + tail for tail in _words(symbols, length - 1) for r in symbols)
 
 
 @main.command(name="validate")
-@_command()
+@_command(sizes=lambda opts: ())
 def validate_cmd(config: RunConfig) -> None:
     """Check the configuration's data invariants."""
     result = validate(config.problem)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import yaml
 
+from . import attractor
 from .exceptions import ConfigError
 from .geometry import InterpolationProblem, IntervalParams, PowerTerm
 
@@ -50,19 +51,34 @@ class RunConfig:
     name: str = "config"
 
 
-def check_options(config: RunConfig) -> None:
-    """Raise a :class:`ConfigError` naming the first option below its lowest value.
+def check_options(config: RunConfig, sizes) -> None:
+    """Raise a :class:`ConfigError` naming the first option outside its range.
 
-    ``grid_size`` needs a grid point at every node, so its lowest value is N + 1.
+    Every option is held to its lowest value: ``grid_size`` needs a grid
+    point at every node, so N + 1; ``dimension`` fits at least four scales.
+    Only the size options named in ``sizes``, those the command reads, are
+    held to their highest value, which keeps each array within
+    ``attractor.DEFAULT_MAX_POINTS``: a level-d grid has N**(d+1) + 1
+    points, and the N**d cells of a level-d moment table have the level-(d-1)
+    grid for edges.
     """
     opts = config.options
     lowest = {"precision": 0, "depth": 0, "moments_depth": 0, "seed": 0, "points": 1,
-              "iterations": 1, "grid_size": len(config.problem.nodes)}
+              "iterations": 1, "grid_size": len(config.problem.nodes), "profile_m_max": 1,
+              "probe_depth": opts.profile_m_max, "eps_max_exp": opts.eps_min_exp + 3}
     for key, low in lowest.items():
         if getattr(opts, key) < low:
             raise ConfigError(f"options.{key}", f"expected an integer >= {low}, got {getattr(opts, key)}")
     if not opts.tol > 0.0:   # NaN too
         raise ConfigError("options.tol", f"expected a number > 0, got {opts.tol}")
+    budget = attractor.DEFAULT_MAX_POINTS
+    # fewer than two intervals fail validation; bound their options as for two
+    deepest = attractor.deepest_level(max(len(config.problem.nodes) - 1, 2), budget)
+    highest = {"depth": deepest, "probe_depth": deepest, "moments_depth": deepest + 1,
+               "points": budget, "grid_size": budget}
+    for key in sizes:
+        if getattr(opts, key) > highest[key]:
+            raise ConfigError(f"options.{key}", f"expected an integer <= {highest[key]}, got {getattr(opts, key)}")
 
 
 class _Loader(yaml.SafeLoader):

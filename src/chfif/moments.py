@@ -166,18 +166,11 @@ def _cell_indices(level: LevelMoments, xs: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, len(level.starts) - 1)
 
 
-def q_m_values(
-    model: ChfifModel,
-    m: int,
-    xs: np.ndarray,
-    table: MomentTable | None = None,
-) -> np.ndarray:
+def q_m_values(model: ChfifModel, m: int, xs: np.ndarray) -> np.ndarray:
     """Level-m averaging operator evaluated at unit-domain points."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if table is None or table.depth < m:
-        table = build_moment_table(model, m)
-    level = table.levels[m - 1]
+    level = build_moment_table(model, m).levels[m - 1]
     idx = _cell_indices(level, np.asarray(xs, dtype=float))
     return level.b_values[idx] / level.lengths[idx]
 
@@ -186,15 +179,18 @@ def convergence_profile(model: ChfifModel, m_max: int, probe_depth: int) -> tupl
     """Empirical uniform-convergence certificate for the averaging operator.
 
     For each level m <= m_max, the sup over a level-``probe_depth`` exact
-    sample grid of |Q_m - f1|.
+    sample grid of |Q_m - f1|.  The probe has N**(probe_depth+1) + 1 points
+    and holds every coarser grid at stride s = N**(probe_depth+1-m), so
+    point i lies in level-m cell min(i // s, N**m - 1): Q_m on the probe is
+    each cell's mean repeated s times, then the last mean once more.
     """
     if probe_depth < m_max:
         raise ValueError("probe_depth must be >= m_max")
     probe = sample_exact(model, probe_depth)
-    xs = (np.asarray(probe.xs, dtype=float) - model.x0) / model.span
     table = build_moment_table(model, m_max)
     out = []
-    for m in range(1, m_max + 1):
-        qm = q_m_values(model, m, xs, table)
+    for m, level in enumerate(table.levels, start=1):
+        means = level.b_values / level.lengths
+        qm = np.append(np.repeat(means, model.n_intervals ** (probe_depth + 1 - m)), means[-1])
         out.append((m, float(np.max(np.abs(qm - probe.f1s)))))
     return tuple(out)

@@ -1,5 +1,6 @@
 """Tests for the three evaluation routes and their cross-checks."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +14,14 @@ from chfif import (
     apply_operator,
     chaos_game,
     classify,
+    convergence_profile,
     exact_blocks,
     exact_residuals,
     fixed_point_iterate,
     interval_of,
     max_oscillation,
     moment_b,
+    q_m_values,
     sample_exact,
     solve_model,
     validate,
@@ -375,6 +378,11 @@ def test_random_admissible_problem(case, data):
     word = tuple(data.draw(st.lists(st.integers(1, n), max_size=3), label="word"))
     children = sum(moment_b(model, (s, *word)) for s in range(1, n + 1))
     assert abs(children - moment_b(model, word)) <= 8 * (len(word) + 2) * unit
+    # the profile reads each probe point's cell from its index; the oracle
+    # searches for it among the cells of a probe sampled on the unit domain
+    probe = sample_exact(replace(model, x0=0.0, span=1.0), 4)
+    searched = [(m, float(np.max(np.abs(q_m_values(model, m, probe.xs) - probe.f1s)))) for m in (1, 2, 3)]
+    assert convergence_profile(model, 3, 4) == tuple(searched)
     # one branch of the case table fires; delta5..delta8 are the Theta > 1 branches
     report = classify(model)
     high = report.theta_regime == "GT1"

@@ -61,6 +61,16 @@ problem:
     - {alpha: 0.9, beta: 0.05, gamma: 0.9}
 """
 
+# five equal intervals: 5**11 + 1 points at the default depth 10, above the budget
+FIVE_INTERVALS = """\
+problem:
+  nodes: [[0.0, 2.0], [0.2, 7.0], [0.4, 4.0], [0.6, 9.0], [0.8, 1.0], [1.0, 3.0]]
+  hidden: [3.0, 1.0, 8.0, 5.0, 2.0, 4.0]
+  intervals: [{alpha: 0.2, beta: 0.4, gamma: 0.3}, {alpha: 0.2, beta: 0.4, gamma: 0.3},
+              {alpha: 0.2, beta: 0.4, gamma: 0.3}, {alpha: 0.2, beta: 0.4, gamma: 0.3},
+              {alpha: 0.2, beta: 0.4, gamma: 0.3}]
+"""
+
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # one value strategy per RunOptions annotation
@@ -388,11 +398,39 @@ class TestCommands:
         ("generate", "--method", "iterate", "--tol", "nan", "tol: expected a number > 0, got nan"),
         ("dimension", "--depth", "-1", "depth: expected an integer >= 0, got -1"),
         ("moments", "--depth", "-1", "moments_depth: expected an integer >= 0, got -1"),
+        ("dimension", "--eps-min-exp", "5", "--eps-max-exp", "4",
+         "eps_max_exp: expected an integer >= 8, got 4"),
     ])
     def test_rejected_option_value_is_validation_error(self, args, tmp_path):
         *command, message = args
         out = tmp_path / "out.txt"
         result = self.run(*command, "--config", "fig4", "--out", str(out))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)   # not a traceback
+        assert result.stderr == f"error: options.{message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        # with a 5,000-point budget, level 6 (2,188 points) is the deepest
+        # grid of fig4's three intervals and level 7 the deepest moment table
+        ("generate", "--depth", "7", "depth: expected an integer <= 6, got 7"),
+        ("dimension", "--depth", "7", "depth: expected an integer <= 6, got 7"),
+        ("moments", "--depth", "8", "moments_depth: expected an integer <= 7, got 8"),
+        ("generate", "--method", "chaos", "--points", "5001", "points: expected an integer <= 5000, got 5001"),
+        ("generate", "--method", "iterate", "--grid-size", "5001",
+         "grid_size: expected an integer <= 5000, got 5001"),
+        ("moments", "probe_depth: expected an integer <= 6, got 7"),
+    ])
+    def test_option_above_the_point_budget_is_validation_error(self, args, tmp_path, monkeypatch):
+        monkeypatch.setattr(attractor, "DEFAULT_MAX_POINTS", 5000)
+        *command, message = args
+        # the config keeps the other options within the budget, but for
+        # probe_depth, which no flag sets and which is checked after them
+        config = tmp_path / "fig4.yaml"
+        config.write_text(load_bundled_config("fig4") + "options: {depth: 4, points: 500, grid_size: 257, "
+                          "profile_m_max: 3, probe_depth: 7}\n")
+        out = tmp_path / "out.txt"
+        result = self.run(*command, "--config", str(config), "--out", str(out))
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)   # not a traceback
         assert result.stderr == f"error: options.{message}\n"
@@ -441,7 +479,7 @@ class TestCommands:
 
         sweeps = []
         monkeypatch.setattr(cli, "fixed_point_iterate", lambda *args: sweeps.append(args))
-        for command in (("classify",), ("dimension", "--depth", "4", "--eps-max-exp", "5"),
+        for command in (("classify",), ("dimension", "--depth", "4", "--eps-max-exp", "7"),
                         ("moments", "--depth", "1"), ("generate", "--depth", "2"),
                         ("generate", "--method", "iterate", "--grid-size", "257")):
             result = self.run(*command, "--config", str(path), "--out", str(tmp_path / "out.txt"))
@@ -453,7 +491,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", [
         ("generate", "--depth", "2"), ("generate", "--method", "chaos", "--points", "10"),
-        ("classify",), ("dimension", "--depth", "4", "--eps-max-exp", "5"),
+        ("classify",), ("dimension", "--depth", "4", "--eps-max-exp", "7"),
         ("moments", "--depth", "1"), ("validate",),
     ])
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -477,7 +515,7 @@ class TestCommands:
         assert result.exit_code == 1
         assert "ok: false" in result.output
         assert "params[1]: solved model is not finite: c = " in result.output
-        for command in (("classify",), ("dimension", "--depth", "4", "--eps-max-exp", "5"),
+        for command in (("classify",), ("dimension", "--depth", "4", "--eps-max-exp", "7"),
                         ("moments", "--depth", "1"), ("generate", "--depth", "2"),
                         ("generate", "--method", "iterate", "--grid-size", "257"),
                         ("generate", "--method", "chaos", "--points", "10")):
@@ -529,11 +567,45 @@ class TestCommands:
         assert result.stdout == csv_text(*first, 12)
         assert result.stderr == error
 
+    @pytest.mark.parametrize("nodes, hidden, intervals", [
+        ("[]", "[]", "[]"),
+        ("[[0.0, 2.0]]", "[3.0]", "[]"),
+        ("[[0.0, 2.0], [1.0, 9.0]]", "[3.0, 5.0]", "[{alpha: 0.2, beta: 0.4, gamma: 0.3}]"),
+    ])
+    def test_fewer_than_two_intervals_reach_validation(self, nodes, hidden, intervals, tmp_path):
+        # their grids never outgrow the point budget, so `dimension`, which
+        # reads `depth`, bounds it as for two intervals and then validates
+        path = tmp_path / "few.yaml"
+        path.write_text(f"problem:\n  nodes: {nodes}\n  hidden: {hidden}\n  intervals: {intervals}\n")
+        result = self.run("validate", "--config", str(path))
+        assert result.exit_code == 1
+        assert "need at least 3 nodes (2 intervals)" in result.stdout
+        result = self.run("dimension", "--config", str(path))
+        assert result.exit_code == 1
+        assert "need at least 3 nodes (2 intervals)" in result.stderr
+
+    @pytest.mark.parametrize("command, error", [
+        (("classify",), ""), (("validate",), ""),
+        (("generate", "--method", "chaos"), ""), (("generate", "--method", "iterate"), ""),
+        # level 9 (5**10 + 1 points) is the deepest grid within the budget
+        (("generate",), "error: options.depth: expected an integer <= 9, got 10\n"),
+        (("dimension",), "error: options.depth: expected an integer <= 9, got 10\n"),
+        (("moments",), "error: options.probe_depth: expected an integer <= 9, got 10\n"),
+    ])
+    def test_size_bounds_apply_to_the_commands_that_read_them(self, command, error, tmp_path):
+        # five intervals with default options: `depth` and `probe_depth` are
+        # above their highest value, which only bounds the commands reading them
+        path = tmp_path / "five.yaml"
+        path.write_text(FIVE_INTERVALS)
+        result = self.run(*command, "--config", str(path), "--out", str(tmp_path / "out.txt"))
+        assert result.exit_code == (1 if error else 0)
+        assert result.stderr == error
+
     def test_refused_depth_writes_nothing(self):
         result = self.run("generate", "--config", "fig4", "--depth", "15")
         assert result.exit_code == 1
         assert result.stdout == ""
-        assert result.stderr.startswith("error: depth 15 needs ")
+        assert result.stderr == "error: options.depth: expected an integer <= 14, got 15\n"
 
     @pytest.mark.parametrize("name", bundled_config_names())
     def test_every_bundled_config_runs_end_to_end(self, name, tmp_path):
@@ -626,7 +698,7 @@ SPECIAL_VALUES = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 0.1, -2.
 
 
 class TestGenerateWriter:
-    """The chunked ``generate`` writer against a per-value formatting oracle."""
+    """The chunked ``generate`` and ``moments`` writers against per-value formatting oracles."""
 
     CHUNK = 7   # odd and small: rows cross chunk boundaries, the last chunk is partial
 
@@ -675,3 +747,10 @@ class TestGenerateWriter:
         assert result.exit_code == 0
         assert out.read_text().count("\n") == 3 ** 11 + 2
         assert peak < grid_bytes
+
+    def test_moments_report_in_chunks_equals_golden(self, tmp_path, monkeypatch):
+        # 3, 9 and 27 cells in chunks of 7: chunks end inside and at the ends of levels
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", self.CHUNK)
+        out = tmp_path / "fig4.moments.txt"
+        assert self.run("moments", "--config", "fig4", "--out", str(out)).exit_code == 0
+        assert out.read_bytes() == (Path(__file__).parent / "golden" / "fig4.moments.txt").read_bytes()

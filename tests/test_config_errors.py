@@ -131,6 +131,12 @@ CASES = {
     "bad-method": (options("{method: fast}"),
                    "options.method: expected exact|iterate|chaos, got 'fast'"),
     "grid-below-node-count": (options("{grid_size: 3}"), "options.grid_size: expected an integer >= 4, got 3"),
+    "profile-without-levels": (options("{profile_m_max: 0}"),
+                               "options.profile_m_max: expected an integer >= 1, got 0"),
+    "probe-above-levels": (options("{profile_m_max: 6, probe_depth: 4}"),
+                           "options.probe_depth: expected an integer >= 6, got 4"),
+    "fewer-than-four-scales": (options("{eps_min_exp: 5, eps_max_exp: 4}"),
+                               "options.eps_max_exp: expected an integer >= 8, got 4"),
     # two errors: which one is reported
     "interval-fields-in-declaration-order": (
         first_interval("{gamma: '0.3', alpha: '0.2', beta: 0.4}"),

@@ -177,9 +177,8 @@ class TestAveragingOperator:
         graph = sampled_for("fig4", 10)
         xs = graph.xs
         sups = []
-        table = build_moment_table(model, 8)
         for m in range(2, 9):
-            qm = q_m_values(model, m, xs, table)
+            qm = q_m_values(model, m, xs)
             sups.append(np.max(np.abs(qm - graph.f1s)))
         assert all(b < a for a, b in zip(sups, sups[1:]))
 
@@ -218,5 +217,5 @@ class TestAddressOf:
             start, length = interval_of(model, word)
             assert start <= x <= start + length + 1e-15
             b_val, _ = table.lookup(word)
-            assert q_m_values(model, 4, np.array([x]), table)[0] == pytest.approx(
+            assert q_m_values(model, 4, np.array([x]))[0] == pytest.approx(
                 b_val / length, rel=1e-12)
