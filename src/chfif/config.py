@@ -55,9 +55,11 @@ def check_options(config: RunConfig, sizes) -> None:
     """Raise a :class:`ConfigError` naming the first option outside its range.
 
     Every option is held to its lowest value: ``grid_size`` needs a grid
-    point at every node, so N + 1; ``dimension`` fits at least four scales.
-    Only the size options named in ``sizes``, those the command reads, are
-    held to their highest value, which keeps each array within
+    point at every node, so N + 1; ``dimension`` fits at least four scales,
+    each 2**-j a finite, positive double: -1023 <= ``eps_min_exp`` and
+    ``eps_max_exp`` <= 1074.  Of the other options, only the size options
+    named in ``sizes``, those the command reads, are held to their highest
+    value, which keeps each array within
     ``attractor.DEFAULT_MAX_POINTS``: a level-d grid has N**(d+1) + 1
     points, and the N**d cells of a level-d moment table have the level-(d-1)
     grid for edges.
@@ -65,7 +67,8 @@ def check_options(config: RunConfig, sizes) -> None:
     opts = config.options
     lowest = {"precision": 0, "depth": 0, "moments_depth": 0, "seed": 0, "points": 1,
               "iterations": 1, "grid_size": len(config.problem.nodes), "profile_m_max": 1,
-              "probe_depth": opts.profile_m_max, "eps_max_exp": opts.eps_min_exp + 3}
+              "probe_depth": opts.profile_m_max, "eps_min_exp": -1023,
+              "eps_max_exp": opts.eps_min_exp + 3}
     for key, low in lowest.items():
         if getattr(opts, key) < low:
             raise ConfigError(f"options.{key}", f"expected an integer >= {low}, got {getattr(opts, key)}")
@@ -74,9 +77,9 @@ def check_options(config: RunConfig, sizes) -> None:
     budget = attractor.DEFAULT_MAX_POINTS
     # fewer than two intervals fail validation; bound their options as for two
     deepest = attractor.deepest_level(max(len(config.problem.nodes) - 1, 2), budget)
-    highest = {"depth": deepest, "probe_depth": deepest, "moments_depth": deepest + 1,
-               "points": budget, "grid_size": budget}
-    for key in sizes:
+    highest = {"eps_max_exp": 1074, "depth": deepest, "probe_depth": deepest,
+               "moments_depth": deepest + 1, "points": budget, "grid_size": budget}
+    for key in ("eps_max_exp", *sizes):
         if getattr(opts, key) > highest[key]:
             raise ConfigError(f"options.{key}", f"expected an integer <= {highest[key]}, got {getattr(opts, key)}")
 

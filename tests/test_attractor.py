@@ -260,9 +260,31 @@ class TestFixedPointIterate:
         with pytest.raises(ValueError):
             fixed_point_iterate(model_for("fig4"), 3, max_iters=10, tol=1e-10)
 
+    def test_settled_hidden_component_is_not_swept(self, monkeypatch):
+        # fig3's f2 is a bitwise fixed point from sweep 9: from then on a
+        # sweep gathers f1 only, where sweeping both would gather 600 times
+        gathers = []
+        gather = _SweepPlan._gather
+        monkeypatch.setattr(_SweepPlan, "_gather", lambda plan, f: gathers.append(1) or gather(plan, f))
+        result = fixed_point_iterate(model_for("fig3"), 513, max_iters=300, tol=1e-10)
+        assert result.iterations == 300
+        assert result.iterations < len(gathers) <= result.iterations + 12
+        assert set(result.f2_distances[9:]) == {0.0}
+
+    def test_signed_zeros_do_not_settle(self):
+        # x = 0 is its own preimage, and gamma_0 < 0 with q_0(0) = -0.0 flips
+        # the sign of f2(0) = 0 every sweep: f2 is 0.0 away from the sweep
+        # before from sweep 3 on, yet never has the same bits
+        model = solve_model(equidistant_problem((0.9, 0.8), (0.1, 0.1), (-0.4, 0.3),
+                                                ys=(1.0, 2.0, 0.5), zs=(-0.0, -1.0, 0.5)))
+        result = fixed_point_iterate(model, 9, max_iters=10, tol=1e-300)
+        assert result.iterations == 4 and result.f2_distances[2:] == (0.0, 0.0)
+        assert np.signbit(result.graph.f2s[0])
+        assert_matches_reference(model, result)
+
 
 def _reference_iterate(model, grid_size, sweeps):
-    """Run ``sweeps`` oracle sweeps from the nodes' piecewise-linear interpolant."""
+    """Run ``sweeps`` oracle sweeps of both components from the nodes' piecewise-linear interpolant."""
     xs = np.linspace(0.0, 1.0, grid_size)
     f1 = np.interp(xs, model.node_x, model.y)
     f2 = np.interp(xs, model.node_x, model.z)
@@ -273,6 +295,15 @@ def _reference_iterate(model, grid_size, sweeps):
         d2s.append(float(np.max(np.abs(new_f2 - f2))))
         f1, f2 = new_f1, new_f2
     return f1, f2, tuple(d1s), tuple(d2s)
+
+
+def assert_matches_reference(model, result):
+    """``result``'s curve and distances equal the oracle's after as many sweeps, bit for bit."""
+    f1, f2, d1s, d2s = _reference_iterate(model, len(result.graph.xs), result.iterations)
+    assert bit_identical(result.graph.f1s, f1)
+    assert bit_identical(result.graph.f2s, f2)
+    assert bit_identical(result.f1_distances, d1s)
+    assert bit_identical(result.f2_distances, d2s)
 
 
 @st.composite
@@ -315,17 +346,23 @@ class TestSweepMatchesInterp:
     """The precomputed sweep against the np.interp oracle, bit for bit."""
 
     @pytest.mark.parametrize("config, grid_size, max_iters", [
+        # f2 is a bitwise fixed point from sweep 9 on fig2 and fig3, so
+        # these run the f1-only sweeps
         ("fig2", 6561, 300),
+        ("fig3", 513, 300),
         (str(POWER_CONFIG), 1000, 10_000),
     ])
     def test_fixed_point_iterate(self, config, grid_size, max_iters):
         model = solve_model(resolve_config(config).problem)
-        result = fixed_point_iterate(model, grid_size, max_iters=max_iters, tol=1e-10)
-        f1, f2, d1s, d2s = _reference_iterate(model, grid_size, result.iterations)
-        assert bit_identical(result.graph.f1s, f1)
-        assert bit_identical(result.graph.f2s, f2)
-        assert result.f1_distances == d1s
-        assert result.f2_distances == d2s
+        assert_matches_reference(model, fixed_point_iterate(model, grid_size, max_iters=max_iters, tol=1e-10))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(sweep_cases())
+    def test_fixed_point_iterate_on_random_problems(self, case):
+        # most of these problems settle f2 within 40 sweeps; tol 1e-300
+        # stops a run only once both components are bitwise fixed
+        model, xs, _, _ = case
+        assert_matches_reference(model, fixed_point_iterate(model, len(xs), max_iters=200, tol=1e-300))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(sweep_cases())

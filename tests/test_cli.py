@@ -656,6 +656,9 @@ def test_every_flag_sets_the_option_of_its_name(command, param, monkeypatch):
     assert config.options == replace(resolve_config("fig4").options, **{param.name: value})
 
 
+# the exponents of the usual scales, and both ends of the range whose 2**-j
+# is a finite, positive double (-1023..1074), crossed
+EPS_EXPONENTS = st.integers(-3, 14) | st.integers(-1100, -1020) | st.integers(1070, 1100)
 # bounded so that every run is quick; the out-of-range values are the point
 FLAG_VALUES = {
     "depth": st.integers(-2, 6),
@@ -665,8 +668,8 @@ FLAG_VALUES = {
     "points": st.integers(-2, 2000),
     "grid_size": st.integers(-2, 600),
     "tol": st.floats() | st.sampled_from([0.0, -1e-10, 1e-300]),
-    "eps_min_exp": st.integers(-3, 14),
-    "eps_max_exp": st.integers(-3, 14),
+    "eps_min_exp": EPS_EXPONENTS,
+    "eps_max_exp": EPS_EXPONENTS,
     "precision": st.integers(-2, 20),
 }
 

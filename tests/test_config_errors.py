@@ -137,6 +137,13 @@ CASES = {
                            "options.probe_depth: expected an integer >= 6, got 4"),
     "fewer-than-four-scales": (options("{eps_min_exp: 5, eps_max_exp: 4}"),
                                "options.eps_max_exp: expected an integer >= 8, got 4"),
+    # 2**1024 overflows and 2**-1075 rounds to 0.0
+    "scale-above-float-range": (options("{eps_min_exp: -1030, eps_max_exp: -1020}"),
+                                "options.eps_min_exp: expected an integer >= -1023, got -1030"),
+    "scale-below-float-range": (options("{eps_min_exp: 2000, eps_max_exp: 2010}"),
+                                "options.eps_max_exp: expected an integer <= 1074, got 2010"),
+    "scale-just-below-float-range": (options("{eps_max_exp: 1075}"),
+                                     "options.eps_max_exp: expected an integer <= 1074, got 1075"),
     # two errors: which one is reported
     "interval-fields-in-declaration-order": (
         first_interval("{gamma: '0.3', alpha: '0.2', beta: 0.4}"),
