@@ -192,13 +192,20 @@ def estimate_dimension(
     """Least-squares slope of log(count) against log(1/eps).
 
     ``eps_exponents`` are the dyadic exponents j, eps = 2**-j; at least
-    four are required.  The density precondition of :func:`box_count`
+    four are required, each narrower than the graph's x-extent (a wider
+    cell covers a whole column of the graph, so its count says nothing of
+    the dimension).  The density precondition of :func:`box_count`
     applies to the smallest epsilon.
     """
     exponents = sorted(set(int(j) for j in eps_exponents))
     if len(exponents) < 4:
         raise InsufficientScalesError(
             f"need at least 4 epsilon values, got {len(exponents)}")
+    width = float(sampled.xs[-1] - sampled.xs[0])
+    if 2.0 ** (-exponents[0]) >= width:
+        raise InsufficientScalesError(
+            f"box scale 2^{-exponents[0]} = {2.0 ** (-exponents[0]):.6g} is not narrower than "
+            f"the graph's width {width:.6g}")
     counts = []
     for j in exponents:
         counts.append(box_count(sampled, 2.0 ** (-j), density_factor, component))

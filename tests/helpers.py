@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from chfif import InterpolationProblem, IntervalParams, PowerTerm, apply_operator, sample_exact, solve_model
-from chfif.attractor import map_images
+from chfif.attractor import CHAOS_BURN_IN, map_images
 from chfif.config import GALLERY_NAMES, resolve_config
 from chfif.geometry import CRITICAL_RTOL
 from chfif.smoothness import _delta_for_states, _delta_for_states_high, compute_tau_bounds
@@ -173,6 +173,68 @@ def breadth_first_exact(model, depth):
         f1 = np.concatenate(b1)
         f2 = np.concatenate(b2)
     return model.to_raw(xs), f1, f2
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def chaos_reference(model, n_points: int, seed: int) -> np.ndarray:
+    """Oracle for ``chaos_game``: the step-by-step recurrence it replaced.
+
+    The same picks, start point and burn-in; x, then (f1, f2), advanced one
+    step at a time on Python floats, so every value is the sequential
+    recurrence's rounding.  No finiteness check.
+    """
+    picks = np.random.default_rng(seed).integers(0, model.n_intervals, size=CHAOS_BURN_IN + n_points)
+    xs = [0.0]
+    for a, b in zip(model.a[picks].tolist(), model.b[picks].tolist()):
+        xs.append(a * xs[-1] + b)
+    xs = np.array(xs)
+    ps = model.p(picks, xs[:-1]).tolist()
+    qs = model.q(picks, xs[:-1]).tolist()
+    fy, fz = float(model.y[0]), float(model.z[0])
+    f1, f2 = [], []
+    for alpha, beta, gamma, p, q in zip(model.alpha[picks].tolist(), model.beta[picks].tolist(),
+                                        model.gamma[picks].tolist(), ps, qs):
+        fy, fz = alpha * fy + beta * fz + p, gamma * fz + q
+        f1.append(fy)
+        f2.append(fz)
+    return np.column_stack((model.to_raw(xs[CHAOS_BURN_IN + 1:]), f1[CHAOS_BURN_IN:], f2[CHAOS_BURN_IN:]))
+
+
+def orbit_defect(problem, cloud) -> float:
+    """Oracle for a chaos cloud: how far each row is from the image W_j of the row before.
+
+    The maps are solved here from the problem, not taken from
+    ``chfif.geometry``: W_j sends (0, y_0, z_0) to (u_{j-1}, y_{j-1}, z_{j-1})
+    and (1, y_N, z_N) to (u_j, y_j, z_j), with p_j(u) = c u + d + h u**lam
+    and q_j(u) = e u + f + k u**mu.  Each row's j is the map whose abscissa
+    image lies nearest.  Returns the worst defect, of u absolute and of
+    (f1, f2) relative to 1 + max|f|.
+    """
+    xs = np.array([x for x, _ in problem.nodes])
+    ys = np.array([y for _, y in problem.nodes])
+    zs = np.array(problem.hidden)
+    nodes_u = (xs - xs[0]) / (xs[-1] - xs[0])
+    par = problem.params
+    alpha, beta, gamma = (np.array([getattr(q, key) for q in par]) for key in ("alpha", "beta", "gamma"))
+    h = np.array([q.p_power.coeff if q.p_power else 0.0 for q in par])
+    lam = np.array([q.p_power.exponent if q.p_power else 1.0 for q in par])
+    k = np.array([q.q_power.coeff if q.q_power else 0.0 for q in par])
+    mu = np.array([q.q_power.exponent if q.q_power else 1.0 for q in par])
+    d = ys[:-1] - alpha * ys[0] - beta * zs[0]
+    c = ys[1:] - alpha * ys[-1] - beta * zs[-1] - d - h
+    f = zs[:-1] - gamma * zs[0]
+    e = zs[1:] - gamma * zs[-1] - f - k
+
+    u = (cloud[:, 0] - xs[0]) / (xs[-1] - xs[0])
+    pu, p1, p2 = u[:-1], cloud[:-1, 1], cloud[:-1, 2]
+    image_u = np.diff(nodes_u)[:, None] * pu + nodes_u[:-1, None]
+    j = np.argmin(np.abs(image_u - u[1:]), axis=0)
+    image_1 = alpha[j] * p1 + beta[j] * p2 + c[j] * pu + d[j] + h[j] * pu ** lam[j]
+    image_2 = gamma[j] * p2 + e[j] * pu + f[j] + k[j] * pu ** mu[j]
+    scale = 1.0 + float(np.max(np.abs(cloud[:, 1:])))
+    return max(float(np.max(np.abs(image_u[j, np.arange(len(j))] - u[1:]))),
+               float(np.max(np.abs(image_1 - cloud[1:, 1]))) / scale,
+               float(np.max(np.abs(image_2 - cloud[1:, 2]))) / scale)
 
 
 def csv_text(xs, f1, f2, precision: int) -> str:

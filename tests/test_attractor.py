@@ -36,11 +36,13 @@ from helpers import (
     NODES_Y,
     bit_identical,
     breadth_first_exact,
+    chaos_reference,
     equidistant_problem,
     functional_residuals,
     interp_sweep,
     make_problem,
     model_for,
+    orbit_defect,
     power,
     preimages,
     sampled_for,
@@ -458,3 +460,44 @@ class TestChaosGame:
     def test_requires_points(self):
         with pytest.raises(ValueError):
             chaos_game(model_for("fig4"), 0, seed=1)
+
+    # point counts whose step counts, burn-in included, end on both sides of
+    # the second block boundary and of the first chunk boundary
+    BLOCK_EDGE = tuple(2 * attractor._SCAN_BLOCK - attractor.CHAOS_BURN_IN + d for d in (-1, 0, 1))
+    CHUNK_EDGE = tuple(attractor._SCAN_CHUNK - attractor.CHAOS_BURN_IN + d for d in (-1, 0, 1))
+
+    @pytest.mark.parametrize("n", (1, 63, 64, 65, 65_535, 65_536, 65_537))
+    def test_scan_matches_step_by_step_recurrence(self, n):
+        rng = np.random.default_rng(n)
+        a, c = rng.uniform(-0.99, 0.99, n), rng.normal(size=n)
+        y, want = 0.5, []
+        for slope, offset in zip(a.tolist(), c.tolist()):
+            y = slope * y + offset
+            want.append(y)
+        got = attractor._affine_scan(a, c, 0.5)
+        assert got.shape == (n,)
+        # the worst chaos-game gap below is 3.7e-13; 1e-11 leaves a margin of about 30
+        assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-11
+
+    @pytest.mark.parametrize("ref", ALL_CONFIGS, ids=lambda ref: Path(ref).stem)
+    def test_cloud_matches_sequential_oracle(self, ref):
+        # the scan rounds differently from the step-by-step loop: 3.7e-13
+        # relative to 1 + |v| at worst over these configs, seeds and lengths
+        problem = resolve_config(ref).problem
+        model = solve_model(problem)
+        short = (1, 63, 64, 65, *self.BLOCK_EDGE)
+        for seed, lengths in ((0, short), (1, short), (7, (*short, 70_000))):
+            for n in lengths:
+                cloud = chaos_game(model, n, seed)
+                want = chaos_reference(model, n, seed)
+                assert cloud.shape == want.shape == (n, 3)
+                assert np.max(np.abs(cloud - want) / (1.0 + np.abs(want))) <= 1e-11, (seed, n)
+                if n > 1:
+                    assert orbit_defect(problem, cloud) <= 1e-12, (seed, n)
+
+    @pytest.mark.parametrize("ref", ("fig2", "fig14", str(POWER_CONFIG)), ids=lambda ref: Path(ref).stem)
+    def test_prefix_stable(self, ref):
+        model = model_for(ref)
+        whole = chaos_game(model, 70_000, seed=3)
+        for k in (1, *self.BLOCK_EDGE, *self.CHUNK_EDGE):
+            assert bit_identical(chaos_game(model, k, seed=3), whole[:k]), k

@@ -361,6 +361,15 @@ class TestCommands:
         assert ("lower_bound: " in result.stdout) == critical
         assert ("upper_bound: " in result.stdout) == critical
 
+    @pytest.mark.parametrize("low, high", [("-6", "-3"), ("-1023", "-1020")])
+    def test_dimension_refuses_scales_wider_than_the_graph(self, low, high):
+        result = self.run("dimension", "--config", "fig4", "--depth", "6",
+                          "--eps-min-exp", low, "--eps-max-exp", high)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == f"error: box scale 2^{-int(low)} = {2.0 ** -int(low):.6g} " \
+                                "is not narrower than the graph's width 1\n"
+
     def test_unwritable_output_is_io_error(self, tmp_path):
         result = self.run("classify", "--config", "fig4", "--out", str(tmp_path))
         assert result.exit_code == 2

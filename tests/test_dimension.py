@@ -1,5 +1,7 @@
 """Tests for dimension bounds, box counting and the regression estimate."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,26 @@ class TestEstimateDimension:
         graph = sample_exact(model_for("fig4"), 8)
         with pytest.raises(InsufficientScalesError):
             estimate_dimension(graph, [4, 5, 6])
+
+    @pytest.mark.parametrize("exponents, coarsest", [
+        (range(-6, -2), "2^6 = 64"), (range(-1023, -1019), "2^1023 = 8.98847e+307"), (range(0, 4), "2^0 = 1"),
+    ])
+    def test_refuses_scales_not_narrower_than_the_graph(self, exponents, coarsest):
+        # a cell as wide as the graph holds whole columns of it: counts 1,1,1,2
+        # gave an estimate of 0.3, and constant counts an estimate of 0 with r^2 = 1
+        graph = sample_exact(model_for("fig4"), 6)
+        message = f"box scale {coarsest} is not narrower than the graph's width 1"
+        with pytest.raises(InsufficientScalesError, match=re.escape(message)):
+            estimate_dimension(graph, exponents)
+
+    def test_scale_bound_is_the_raw_width(self):
+        graph = sample_exact(model_for("fig4"), 6)
+        wide = SampledGraph(xs=10.0 * graph.xs, f1s=graph.f1s, f2s=graph.f2s)
+        assert estimate_dimension(wide, range(-3, 1)).exponents == (-3, -2, -1, 0)   # 2^3 = 8 < 10
+        message = "box scale 2^4 = 16 is not narrower than the graph's width 10"
+        with pytest.raises(InsufficientScalesError, match=re.escape(message)):
+            estimate_dimension(wide, range(-4, 0))
+        assert estimate_dimension(graph, range(1, 5)).exponents == (1, 2, 3, 4)
 
     def test_polyline_is_one_dimensional(self):
         model = solve_model(zero_param_problem())

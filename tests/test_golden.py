@@ -3,10 +3,15 @@
 Every bundled config, plus ``data/power.yaml`` (power terms in p and q),
 runs through ``classify``, ``dimension``, ``moments`` and ``validate``,
 whose full text is stored, and through the three ``generate`` routes,
-whose SHA-256 is stored.  Exit codes are stored for every case.  After an
-intended output change, re-record from the repository root with
+whose SHA-256 is stored.  Exit codes are stored for every case.  From the
+repository root,
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py --check
+
+runs every case and prints each one whose exit code, text or digest
+differs from the stored manifest, or that none does; after an intended
+output change, the same command without ``--check`` prints them and
+re-records every case.
 """
 
 import hashlib
@@ -63,19 +68,34 @@ def test_output_unchanged(case, tmp_path):
         assert hashlib.sha256(data).hexdigest() == want["sha256"]
 
 
-def record() -> None:
-    manifest = {}
+def record(write: bool) -> None:
+    stored = json.loads(MANIFEST.read_text())
+    manifest, changed = {}, []
     with tempfile.TemporaryDirectory() as tmp:
         for case, (_, keep_text) in sorted(CASES.items()):
             code, data = run_case(case, Path(tmp) / "out")
             manifest[case] = {"exit_code": code}
+            want = stored.get(case, {})
+            changes = [f"exit code {want.get('exit_code')} -> {code}"] if want.get("exit_code") != code else []
             if keep_text:
-                (GOLDEN / f"{case}.txt").write_bytes(data)
+                text = GOLDEN / f"{case}.txt"
+                if not text.exists() or text.read_bytes() != data:
+                    changes.append("text")
+                if write:
+                    text.write_bytes(data)
             else:
                 manifest[case]["sha256"] = hashlib.sha256(data).hexdigest()
-    MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(manifest)} cases in {GOLDEN}", file=sys.stderr)
+                if manifest[case]["sha256"] != want.get("sha256"):
+                    changes.append("digest")
+            if changes:
+                changed.append(case)
+                print(f"{case}: {', '.join(changes)}")
+    if not changed:
+        print("no case changed")
+    if write:
+        MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+        print(f"recorded {len(manifest)} cases in {GOLDEN}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    record()
+    record(write="--check" not in sys.argv[1:])
