@@ -33,9 +33,10 @@ DEFAULT_MAX_POINTS = 20_000_000
 # alike on a depth-12 export, the per-block overhead being amortised by then
 _BLOCK_POINTS = 8192
 
-# _affine_scan's block and chunk lengths, the chunk a multiple of the block:
-# 32- to 128-step blocks timed alike on 17 x 50k chaos points, 256 and 512
-# slower; each of a chunk's (block, blocks) arrays takes 0.5 MB
+# _affine_scan's block length and chaos_game's chunk length, the chunk a
+# multiple of the block: 32- to 128-step blocks timed alike on 17 x 50k
+# chaos points, 256 and 512 slower; each of a chunk's (block, blocks)
+# arrays takes 0.5 MB
 _SCAN_BLOCK = 64
 _SCAN_CHUNK = 65_536
 
@@ -358,39 +359,33 @@ def _affine_scan(a: np.ndarray, c: np.ndarray, y0: float) -> np.ndarray:
     """y_k = a_k y_{k-1} + c_k for k = 1..n, from y_0 = ``y0``.
 
     Affine maps compose associatively, so the recurrence is a prefix scan.
-    A chunk of ``_SCAN_CHUNK`` steps is laid out as ``_SCAN_BLOCK``-step
-    blocks, one block per column of a (``_SCAN_BLOCK``, blocks) array.  Each
-    row operation advances every block one step from a zero start
-    (``offsets``), and the products of the slopes build up alongside
-    (``slopes``).  One scalar pass over the block ends gives each block its
-    true start value, and then
-    y = slopes * start + offsets.  The chunk's last value starts the next
-    chunk.  Chunks and blocks sit at fixed step positions, and a short last
-    chunk is padded with identity steps after its end, so y_k is computed
-    from steps 1..k alone, the same way for every n.
+    The steps are laid out as ``_SCAN_BLOCK``-step blocks, one block per
+    column of a (``_SCAN_BLOCK``, blocks) array.  Each row operation
+    advances every block one step from a zero start (``offsets``), and the
+    products of the slopes build up alongside (``slopes``).  One scalar
+    pass over the block ends gives each block its true start value, and
+    then y = slopes * start + offsets.  A short last block is padded with
+    identity steps after its end, so y_k is computed from steps 1..k alone,
+    the same way for every n.
     """
-    out = np.empty(len(a))
-    y = float(y0)
-    for start in range(0, len(a), _SCAN_CHUNK):
-        m = min(_SCAN_CHUNK, len(a) - start)
-        blocks = -(-m // _SCAN_BLOCK)
-        steps = np.ones(blocks * _SCAN_BLOCK)
-        offsets = np.zeros(blocks * _SCAN_BLOCK)
-        steps[:m] = a[start:start + m]
-        offsets[:m] = c[start:start + m]
-        steps = np.ascontiguousarray(steps.reshape(blocks, _SCAN_BLOCK).T)
-        offsets = np.ascontiguousarray(offsets.reshape(blocks, _SCAN_BLOCK).T)
-        for i in range(1, _SCAN_BLOCK):
-            offsets[i] += steps[i] * offsets[i - 1]
-        slopes = np.cumprod(steps, axis=0)
-        starts = []
-        for slope, offset in zip(slopes[-1].tolist(), offsets[-1].tolist()):
-            starts.append(y)
-            y = slope * y + offset
-        slopes *= starts
-        slopes += offsets
-        out[start:start + m] = slopes.T.ravel()[:m]
-    return out
+    n = len(a)
+    blocks = -(-n // _SCAN_BLOCK)
+    steps = np.ones(blocks * _SCAN_BLOCK)
+    offsets = np.zeros(blocks * _SCAN_BLOCK)
+    steps[:n] = a
+    offsets[:n] = c
+    steps = np.ascontiguousarray(steps.reshape(blocks, _SCAN_BLOCK).T)
+    offsets = np.ascontiguousarray(offsets.reshape(blocks, _SCAN_BLOCK).T)
+    for i in range(1, _SCAN_BLOCK):
+        offsets[i] += steps[i] * offsets[i - 1]
+    slopes = np.cumprod(steps, axis=0)
+    y, starts = float(y0), []
+    for slope, offset in zip(slopes[-1].tolist(), offsets[-1].tolist()):
+        starts.append(y)
+        y = slope * y + offset
+    slopes *= starts
+    slopes += offsets
+    return slopes.T.ravel()[:n]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -407,19 +402,27 @@ def chaos_game(model: ChfifModel, n_points: int, seed: int) -> np.ndarray:
     scan of :func:`_affine_scan`, whose rounding differs from the
     step-by-step recurrence: over the bundled configs, seeds 0-3 and up to
     70,000 points, the worst gap was 3.7e-13 (1 + |v|), and the tests hold
-    it to 1e-11 (1 + |v|).  Output is fixed by (seed, n_points), and the
-    first k rows are the same bits for every n_points >= k.
+    it to 1e-11 (1 + |v|).  The steps run ``_SCAN_CHUNK`` at a time, the
+    chunks at fixed step positions and carrying (x, f1, f2) across, so
+    beside the picks and the rows only one chunk's orbits are held.
+    Output is fixed by (seed, n_points), and the first k rows are the same
+    bits for every n_points >= k.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, model.n_intervals, size=CHAOS_BURN_IN + n_points)
-    # each step's p and q read the abscissa before the step
-    xs = np.concatenate(([0.0], _affine_scan(model.a[picks], model.b[picks], 0.0)))
-    ps = model.p(picks, xs[:-1])
-    qs = model.q(picks, xs[:-1])
-    f2 = _affine_scan(model.gamma[picks], qs, model.z[0])
-    f2_prev = np.concatenate(([model.z[0]], f2[:-1]))
-    f1 = _affine_scan(model.alpha[picks], model.beta[picks] * f2_prev + ps, model.y[0])
-    check_finite("chaos_game", f1, f2)
-    return np.column_stack((model.to_raw(xs[CHAOS_BURN_IN + 1:]), f1[CHAOS_BURN_IN:], f2[CHAOS_BURN_IN:]))
+    rows = np.empty((len(picks), 3))
+    x, f1, f2 = 0.0, model.y[0], model.z[0]
+    for start in range(0, len(picks), _SCAN_CHUNK):
+        j = picks[start:start + _SCAN_CHUNK]
+        chunk = rows[start:start + len(j)]
+        # each step's p, q and beta * f2 read the x and f2 before the step
+        xs = np.concatenate(([x], _affine_scan(model.a[j], model.b[j], x)))
+        f2s = np.concatenate(([f2], _affine_scan(model.gamma[j], model.q(j, xs[:-1]), f2)))
+        chunk[:, 1] = _affine_scan(model.alpha[j], model.beta[j] * f2s[:-1] + model.p(j, xs[:-1]), f1)
+        chunk[:, 2] = f2s[1:]
+        chunk[:, 0] = model.to_raw(xs[1:])
+        x, f1, f2 = xs[-1], chunk[-1, 1], f2s[-1]
+        check_finite("chaos_game", chunk[:, 1:])
+    return rows[CHAOS_BURN_IN:]

@@ -3,15 +3,13 @@
 Every bundled config, plus ``data/power.yaml`` (power terms in p and q),
 runs through ``classify``, ``dimension``, ``moments`` and ``validate``,
 whose full text is stored, and through the three ``generate`` routes,
-whose SHA-256 is stored.  Exit codes are stored for every case.  From the
-repository root,
+whose SHA-256 is stored.  Exit codes are stored for every case.  After an
+intended output change, re-record from the repository root with
 
-    PYTHONPATH=src python tests/test_golden.py --check
+    PYTHONPATH=src python tests/test_golden.py
 
-runs every case and prints each one whose exit code, text or digest
-differs from the stored manifest, or that none does; after an intended
-output change, the same command without ``--check`` prints them and
-re-records every case.
+which prints each case whose exit code, text or digest differs from the
+stored manifest, or that none does, and re-records every case.
 """
 
 import hashlib
@@ -68,7 +66,7 @@ def test_output_unchanged(case, tmp_path):
         assert hashlib.sha256(data).hexdigest() == want["sha256"]
 
 
-def record(write: bool) -> None:
+def record() -> None:
     stored = json.loads(MANIFEST.read_text())
     manifest, changed = {}, []
     with tempfile.TemporaryDirectory() as tmp:
@@ -81,8 +79,7 @@ def record(write: bool) -> None:
                 text = GOLDEN / f"{case}.txt"
                 if not text.exists() or text.read_bytes() != data:
                     changes.append("text")
-                if write:
-                    text.write_bytes(data)
+                text.write_bytes(data)
             else:
                 manifest[case]["sha256"] = hashlib.sha256(data).hexdigest()
                 if manifest[case]["sha256"] != want.get("sha256"):
@@ -92,10 +89,9 @@ def record(write: bool) -> None:
                 print(f"{case}: {', '.join(changes)}")
     if not changed:
         print("no case changed")
-    if write:
-        MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-        print(f"recorded {len(manifest)} cases in {GOLDEN}", file=sys.stderr)
+    MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(manifest)} cases in {GOLDEN}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    record(write="--check" not in sys.argv[1:])
+    record()
