@@ -18,7 +18,6 @@ from .attractor import (
 )
 from .dimension import (
     DimensionOneResult,
-    DimensionReport,
     EmpiricalDimension,
     TheoreticalBounds,
     box_count,

@@ -284,36 +284,11 @@ def dimension(config: RunConfig) -> None:
     model = solve_model(config.problem)
     smooth = classify(model)
     sampled = sample_exact(model, opts.depth)
-    rep = dimension_report(model, smooth, sampled, range(opts.eps_min_exp, opts.eps_max_exp + 1))
     pairs = [
         ("command", "dimension"),
         ("config", config.name),
-        ("critical_condition", rep.critical_condition),
-        ("omega_critical", rep.omega_critical),
-        ("gamma_critical", rep.gamma_critical),
-        ("theta_critical", rep.theta_critical),
+        *dimension_report(model, smooth, sampled, range(opts.eps_min_exp, opts.eps_max_exp + 1)),
     ]
-    if rep.bounds is not None:
-        pairs += [
-            ("lower_bound", rep.bounds.lower),
-            ("upper_bound", rep.bounds.upper),
-            ("lower_bound_unclamped", rep.bounds.lower_unclamped),
-            ("upper_bound_unclamped", rep.bounds.upper_unclamped),
-            ("bounds_delta", rep.bounds.delta),
-            ("bounds_delta_tag", rep.bounds.delta_tag),
-            ("bounds_equidistant", rep.bounds.equidistant),
-        ]
-    pairs += [
-        ("empirical_estimate", rep.empirical.estimate),
-        ("eps_min", rep.empirical.eps_min),
-        ("eps_max", rep.empirical.eps_max),
-        ("eps_exponents", rep.empirical.exponents),
-        ("box_counts", rep.empirical.counts),
-        ("r_squared", rep.empirical.r_squared),
-        ("dimension_one_flag", rep.dimension_one_flag),
-    ]
-    if rep.dimension_one_note:
-        pairs.append(("dimension_one_note", rep.dimension_one_note))
     if smooth.degenerate:
         pairs.append(("warning", smooth.degeneracy))
     _report(pairs, opts, smooth.degeneracy)

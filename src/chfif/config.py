@@ -57,7 +57,8 @@ def check_options(config: RunConfig, sizes) -> None:
     Every option is held to its lowest value: ``grid_size`` needs a grid
     point at every node, so N + 1; ``dimension`` fits at least four scales,
     each 2**-j a finite, positive double: -1023 <= ``eps_min_exp`` and
-    ``eps_max_exp`` <= 1074.  Of the other options, only the size options
+    ``eps_max_exp`` <= 1074; ``precision`` <= 2**31 - 1, the most Python's
+    float formatting takes.  Of the other options, only the size options
     named in ``sizes``, those the command reads, are held to their highest
     value, which keeps each array within
     ``attractor.DEFAULT_MAX_POINTS``: a level-d grid has N**(d+1) + 1
@@ -77,9 +78,10 @@ def check_options(config: RunConfig, sizes) -> None:
     budget = attractor.DEFAULT_MAX_POINTS
     # fewer than two intervals fail validation; bound their options as for two
     deepest = attractor.deepest_level(max(len(config.problem.nodes) - 1, 2), budget)
-    highest = {"eps_max_exp": 1074, "depth": deepest, "probe_depth": deepest,
-               "moments_depth": deepest + 1, "points": budget, "grid_size": budget}
-    for key in ("eps_max_exp", *sizes):
+    highest = {"eps_max_exp": 1074, "precision": 2**31 - 1, "depth": deepest,
+               "probe_depth": deepest, "moments_depth": deepest + 1, "points": budget,
+               "grid_size": budget}
+    for key in ("eps_max_exp", "precision", *sizes):
         if getattr(opts, key) > highest[key]:
             raise ConfigError(f"options.{key}", f"expected an integer <= {highest[key]}, got {getattr(opts, key)}")
 

@@ -41,8 +41,6 @@ class TheoreticalBounds:
     upper_unclamped: float
     critical_condition: CriticalCondition
     sum_channel: Literal["alpha", "gamma"]
-    delta: float
-    delta_tag: str
     equidistant: bool
 
 
@@ -93,27 +91,16 @@ def theoretical_bounds(model: ChfifModel, report: SmoothnessReport) -> Theoretic
         upper_unclamped=upper_raw,
         critical_condition=condition,
         sum_channel=channel,
-        delta=report.delta,
-        delta_tag=report.delta_tag,
         equidistant=is_equidistant(model),
     )
-
-
-def _component(sampled: SampledGraph, component: str) -> np.ndarray:
-    if component == "f1":
-        return np.asarray(sampled.f1s, dtype=float)
-    if component == "f2":
-        return np.asarray(sampled.f2s, dtype=float)
-    raise ValueError(f"unknown component {component!r}")
 
 
 def box_count(
     sampled: SampledGraph,
     epsilon: float,
     density_factor: float = DEFAULT_DENSITY_FACTOR,
-    component: str = "f1",
 ) -> int:
-    """Number of epsilon-cells touched by the polyline through the samples.
+    """Number of epsilon-cells touched by the polyline through the ``(xs, f1s)`` samples.
 
     Cells are half-open squares [j*eps, (j+1)*eps) x [i*eps, (i+1)*eps), so
     every curve point lands in exactly one cell and the count is
@@ -136,7 +123,7 @@ def box_count(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     xs = np.asarray(sampled.xs, dtype=float)
-    ys = _component(sampled, component)
+    ys = np.asarray(sampled.f1s, dtype=float)
     max_gap = float(np.max(np.diff(xs)))
     if max_gap > epsilon / density_factor * (1.0 + 1e-12):
         raise SamplingTooCoarseError(
@@ -187,7 +174,6 @@ def estimate_dimension(
     sampled: SampledGraph,
     eps_exponents: Iterable[int],
     density_factor: float = DEFAULT_DENSITY_FACTOR,
-    component: str = "f1",
 ) -> EmpiricalDimension:
     """Least-squares slope of log(count) against log(1/eps).
 
@@ -208,7 +194,7 @@ def estimate_dimension(
             f"the graph's width {width:.6g}")
     counts = []
     for j in exponents:
-        counts.append(box_count(sampled, 2.0 ** (-j), density_factor, component))
+        counts.append(box_count(sampled, 2.0 ** (-j), density_factor))
     log_inv_eps = np.array(exponents, dtype=float) * math.log(2.0)
     slope, r2, _ = loglog_fit(log_inv_eps, np.log(np.array(counts, dtype=float)))
     return EmpiricalDimension(
@@ -261,37 +247,41 @@ def dimension_one_predicate(model: ChfifModel, report: SmoothnessReport) -> Dime
     return DimensionOneResult(False)
 
 
-@dataclass(frozen=True)
-class DimensionReport:
-    """Theoretical bounds (when critical) plus the empirical estimate."""
-
-    critical_condition: CriticalCondition
-    omega_critical: bool
-    gamma_critical: bool
-    theta_critical: bool
-    bounds: TheoreticalBounds | None
-    empirical: EmpiricalDimension
-    dimension_one_flag: bool
-    dimension_one_note: str | None
-
-
 def dimension_report(
     model: ChfifModel,
     report: SmoothnessReport,
     sampled: SampledGraph,
     eps_exponents: Iterable[int],
-) -> DimensionReport:
-    """Assemble the dimension report; which ratios are critical is read from ``report``."""
+) -> list[tuple[str, object]]:
+    """The report's ``(key, value)`` lines; which ratios are critical is read from ``report``."""
     bounds = theoretical_bounds(model, report)
     empirical = estimate_dimension(sampled, eps_exponents)
     one = dimension_one_predicate(model, report)
-    return DimensionReport(
-        critical_condition=bounds.critical_condition if bounds else "none",
-        omega_critical=report.omega_state == "EQ1",
-        gamma_critical=report.gamma_state == "EQ1",
-        theta_critical=report.theta_regime == "EQ1",
-        bounds=bounds,
-        empirical=empirical,
-        dimension_one_flag=one.holds,
-        dimension_one_note=one.note,
-    )
+    pairs = [
+        ("critical_condition", bounds.critical_condition if bounds else "none"),
+        ("omega_critical", report.omega_state == "EQ1"),
+        ("gamma_critical", report.gamma_state == "EQ1"),
+        ("theta_critical", report.theta_regime == "EQ1"),
+    ]
+    if bounds is not None:
+        pairs += [
+            ("lower_bound", bounds.lower),
+            ("upper_bound", bounds.upper),
+            ("lower_bound_unclamped", bounds.lower_unclamped),
+            ("upper_bound_unclamped", bounds.upper_unclamped),
+            ("bounds_delta", report.delta),
+            ("bounds_delta_tag", report.delta_tag),
+            ("bounds_equidistant", bounds.equidistant),
+        ]
+    pairs += [
+        ("empirical_estimate", empirical.estimate),
+        ("eps_min", empirical.eps_min),
+        ("eps_max", empirical.eps_max),
+        ("eps_exponents", empirical.exponents),
+        ("box_counts", empirical.counts),
+        ("r_squared", empirical.r_squared),
+        ("dimension_one_flag", one.holds),
+    ]
+    if one.note:
+        pairs.append(("dimension_one_note", one.note))
+    return pairs

@@ -409,14 +409,18 @@ class TestCommands:
         ("moments", "--depth", "-1", "moments_depth: expected an integer >= 0, got -1"),
         ("dimension", "--eps-min-exp", "5", "--eps-max-exp", "4",
          "eps_max_exp: expected an integer >= 8, got 4"),
+        ("generate", "--depth", "1", "--precision", "2147483648",
+         "precision: expected an integer <= 2147483647, got 2147483648"),
     ])
     def test_rejected_option_value_is_validation_error(self, args, tmp_path):
         *command, message = args
         out = tmp_path / "out.txt"
-        result = self.run(*command, "--config", "fig4", "--out", str(out))
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)   # not a traceback
-        assert result.stderr == f"error: options.{message}\n"
+        for target in (("--out", str(out)), ()):   # refused before a file or stdout is written
+            result = self.run(*command, "--config", "fig4", *target)
+            assert result.exit_code == 1
+            assert isinstance(result.exception, SystemExit)   # not a traceback
+            assert result.stdout == ""
+            assert result.stderr == f"error: options.{message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [

@@ -144,6 +144,9 @@ CASES = {
                                 "options.eps_max_exp: expected an integer <= 1074, got 2010"),
     "scale-just-below-float-range": (options("{eps_max_exp: 1075}"),
                                      "options.eps_max_exp: expected an integer <= 1074, got 1075"),
+    # Python's float formatting refuses a precision above 2**31 - 1
+    "precision-above-format-limit": (options("{precision: 2147483648}"),
+                                     "options.precision: expected an integer <= 2147483647, got 2147483648"),
     # two errors: which one is reported
     "interval-fields-in-declaration-order": (
         first_interval("{gamma: '0.3', alpha: '0.2', beta: 0.4}"),

@@ -1,5 +1,6 @@
 """Tests for dimension bounds, box counting and the regression estimate."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -149,8 +150,8 @@ class TestBoxCount:
     def test_component_selection(self):
         model = synthetic_self_affine()
         graph = sample_exact(model, 10)
-        c1 = box_count(graph, 2.0 ** (-6), component="f1")
-        c2 = box_count(graph, 2.0 ** (-6), component="f2")
+        c1 = box_count(graph, 2.0 ** (-6))
+        c2 = box_count(dataclasses.replace(graph, f1s=graph.f2s), 2.0 ** (-6))
         assert c1 == c2   # the two components coincide for this model
 
     @pytest.mark.parametrize("ys, expected", [
@@ -261,7 +262,7 @@ class TestEstimateDimension:
         problem = equidistant_problem(
             alphas=(0.2, 0.2), betas=(0.0, 0.0), gammas=(0.7, 0.7))
         graph = sample_exact(solve_model(problem), 14)
-        result = estimate_dimension(graph, range(4, 13), component="f2")
+        result = estimate_dimension(dataclasses.replace(graph, f1s=graph.f2s), range(4, 13))
         assert abs(result.estimate - SYNTHETIC_DIMENSION) <= 0.1
 
     def test_diagnostics(self):
@@ -305,18 +306,19 @@ class TestDimensionOnePredicate:
 class TestDimensionReport:
     def test_full_assembly(self):
         model = model_for("fig9")
-        report = dimension_report(
-            model, classify(model), sample_exact(model, 10), range(4, 11))
-        assert report.critical_condition == "omega"
-        assert report.omega_critical and report.theta_critical
-        assert not report.gamma_critical
-        assert report.bounds is not None
-        assert not report.dimension_one_flag
-        assert 1.0 <= report.empirical.estimate <= 1.4
+        smooth = classify(model)
+        report = dict(dimension_report(model, smooth, sample_exact(model, 10), range(4, 11)))
+        assert report["critical_condition"] == "omega"
+        assert report["omega_critical"] and report["theta_critical"]
+        assert not report["gamma_critical"]
+        assert "lower_bound" in report and "upper_bound" in report
+        assert (report["bounds_delta"], report["bounds_delta_tag"]) == (smooth.delta, smooth.delta_tag)
+        assert not report["dimension_one_flag"]
+        assert 1.0 <= report["empirical_estimate"] <= 1.4
 
     def test_non_critical_report(self):
         model = model_for("fig4")
-        report = dimension_report(
-            model, classify(model), sample_exact(model, 10), range(4, 11))
-        assert report.critical_condition == "none"
-        assert report.bounds is None
+        report = dict(dimension_report(
+            model, classify(model), sample_exact(model, 10), range(4, 11)))
+        assert report["critical_condition"] == "none"
+        assert "lower_bound" not in report and "upper_bound" not in report

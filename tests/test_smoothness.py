@@ -411,9 +411,10 @@ class TestClassifyMatchesOracle:
         assert (report.modulus_order, report.delta, report.delta_tag, report.degenerate) == (
             want.order, want.delta, want.tag, want.degenerate)
 
-        rep = dimension_report(model, report, LINE, range(1, 5))
+        rep = dict(dimension_report(model, report, LINE, range(1, 5)))
         critical = {"omega": want.omega == "EQ1", "gamma": want.gamma == "EQ1",
                     "theta": want.theta == "EQ1"}
-        assert (rep.omega_critical, rep.gamma_critical, rep.theta_critical) == tuple(critical.values())
+        assert (rep["omega_critical"], rep["gamma_critical"], rep["theta_critical"]) == tuple(
+            critical.values())
         first = next((name for name, crit in critical.items() if crit), "none")
-        assert rep.critical_condition == ("none" if want.degenerate else first)
+        assert rep["critical_condition"] == ("none" if want.degenerate else first)
