@@ -54,10 +54,6 @@ from .moments import (
     MomentTable,
     build_moment_table,
     convergence_profile,
-    interval_of,
-    moment_a,
-    moment_b,
-    q_m_values,
     whole_interval_integrals,
 )
 from .smoothness import (

@@ -14,6 +14,7 @@ Three routes are provided on purpose, because each one checks the others:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -57,14 +58,14 @@ def _map_coefficients(model: ChfifModel, j, x):
     return model.alpha[j], model.beta[j], model.gamma[j], model.p(j, x), model.q(j, x)
 
 
-def _apply_maps(coefficients, f1, f2):
+def _apply_maps(coefficients, f1, f2, out=(None, None)):
     # alpha*f1 + beta*f2 + p and gamma*f2 + q, in that order, summed in
-    # place into the fresh products
+    # place into the products, which are fresh or written into ``out``
     alpha, beta, gamma, p, q = coefficients
-    out1 = alpha * f1
+    out1 = np.multiply(alpha, f1, out=out[0])
     out1 += beta * f2
     out1 += p
-    out2 = gamma * f2
+    out2 = np.multiply(gamma, f2, out=out[1])
     out2 += q
     return out1, out2
 
@@ -89,6 +90,11 @@ class SampledGraph:
     def __len__(self) -> int:
         return len(self.xs)
 
+    @functools.cached_property
+    def max_gap(self) -> float:
+        """The widest spacing of ``xs``, computed on first use and then held."""
+        return float(np.max(np.diff(np.asarray(self.xs, dtype=float))))
+
 
 def deepest_level(n_intervals: int, max_points: int) -> int:
     """The deepest level d whose grid, N**(d+1) + 1 points, holds at most ``max_points``.
@@ -112,27 +118,35 @@ def _check_depth(model: ChfifModel, depth: int) -> None:
                               f"above the limit of {DEFAULT_MAX_POINTS}")
 
 
-def _image(model: ChfifModel, j: int, xs, f1, f2, ends_at_one: bool):
-    # W_j on a block; while the block still ends at x = 1 its image ends on
-    # the node x_{j+1}, set exactly so shared boundaries stay canonical
-    img_x = model.a[j] * xs + model.b[j]
+def _image(model: ChfifModel, j: int, xs, f1, f2, ends_at_one: bool, out=(None, None, None)):
+    # W_j on a block, into fresh arrays or ``out``; while the block still ends
+    # at x = 1 its image ends on the node x_{j+1}, set exactly so shared
+    # boundaries stay canonical
+    img_x = np.multiply(model.a[j], xs, out=out[0])
+    img_x += model.b[j]
     if ends_at_one:
         img_x[-1] = model.node_x[j + 1]
-    return (img_x, *map_images(model, j, xs, f1, f2))
+    return (img_x, *_apply_maps(_map_coefficients(model, j, xs), f1, f2, out=out[1:]))
 
 
 def _blocks(model: ChfifModel, depth: int, held: int):
-    # the level-``held`` grid, built level by level, then each word's image of it
+    """The level-``depth`` grid as ``(xs, f1, f2)`` blocks: each word's image of the level-``held`` grid.
+
+    The held grid is built level by level: map j's image of a level of m
+    points is written straight into points j*(m-1) .. j*(m-1)+m-1 of the
+    next level.  The maps run last first, so the point two neighbouring
+    images share ends up with the left image's value, the endpoint that
+    sets it to the node exactly.
+    """
     n = model.n_intervals
+    xs, f1, f2 = model.node_x.copy(), model.y.copy(), model.z.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        xs, f1, f2 = model.node_x.copy(), model.y.copy(), model.z.copy()
         for _ in range(held):
-            bx, b1, b2 = zip(*(_image(model, j, xs, f1, f2, True) for j in range(n)))
-            # every block but the first drops its first point, the previous block's endpoint
-            xs = np.concatenate((bx[0], *(v[1:] for v in bx[1:])))
-            f1 = np.concatenate((b1[0], *(v[1:] for v in b1[1:])))
-            f2 = np.concatenate((b2[0], *(v[1:] for v in b2[1:])))
-            del bx, b1, b2   # else they stay alive next to the next level's images
+            m = len(xs)
+            level = [np.empty(n * (m - 1) + 1) for _ in range(3)]
+            for j in reversed(range(n)):
+                _image(model, j, xs, f1, f2, True, out=[v[j * (m - 1):j * (m - 1) + m] for v in level])
+            xs, f1, f2 = level
     grid = xs, f1, f2
     for index, word in enumerate(itertools.product(range(n), repeat=depth - held)):
         with np.errstate(over="ignore", invalid="ignore"):

@@ -39,6 +39,11 @@ from .smoothness import classify
 
 # -- output formatting ----------------------------------------------------
 
+# The most significant digits a double has (5e-324 written out exactly).  A
+# larger precision prints the same bytes, yet Python reserves a buffer of
+# that many digits per value: 2 GiB at the 2**31 - 1 that `check_options` allows.
+_MAX_DIGITS = 767
+
 
 def fmt(value, precision: int) -> str:
     if isinstance(value, bool):
@@ -46,7 +51,7 @@ def fmt(value, precision: int) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return f"{float(value):.{precision}g}"
+        return f"{float(value):.{min(precision, _MAX_DIGITS)}g}"
     return str(value)
 
 
@@ -76,7 +81,7 @@ def _table_pieces(row: str, columns, labels):
 def _csv_pieces(blocks, precision: int):
     """The ``x,f1,f2`` table of consecutive ``(xs, f1, f2)`` blocks as text pieces."""
     yield "x,f1,f2\n"
-    row = f"%.{precision}g,%.{precision}g,%.{precision}g\n"
+    row = ",".join([f"%.{min(precision, _MAX_DIGITS)}g"] * 3) + "\n"
     for block in blocks:
         yield from _table_pieces(row, block, None)
 
@@ -312,7 +317,7 @@ def _moment_pieces(name: str, table, profile, p: int):
     yield (f"# config: {name}\n"
            f"# whole-interval integrals: B={fmt(table.whole_b, p)} A={fmt(table.whole_a, p)}\n"
            "word,start,length,b,a\n")
-    row = "%s" + f",%.{p}g" * 4 + "\n"
+    row = "%s" + f",%.{min(p, _MAX_DIGITS)}g" * 4 + "\n"
     symbols = [str(r) for r in range(1, table.n_intervals + 1)]
     for length, level in enumerate(table.levels, start=1):
         columns = (level.starts, level.lengths, level.b_values, level.a_values)

@@ -118,17 +118,17 @@ def box_count(
     columns by one ``searchsorted`` of the boundaries, and each column's
     extent is the min and max of its run of samples, folded with its
     boundary values.  Refuses (rather than undercounts) when the sample
-    spacing exceeds epsilon / density_factor.
+    spacing exceeds epsilon / density_factor; the spacing is the graph's
+    :attr:`~SampledGraph.max_gap`, found once per graph, not once per scale.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if sampled.max_gap > epsilon / density_factor * (1.0 + 1e-12):
+        raise SamplingTooCoarseError(
+            f"sample spacing {sampled.max_gap:.3g} exceeds epsilon/{density_factor:g} = "
+            f"{epsilon / density_factor:.3g}; refine the sampling")
     xs = np.asarray(sampled.xs, dtype=float)
     ys = np.asarray(sampled.f1s, dtype=float)
-    max_gap = float(np.max(np.diff(xs)))
-    if max_gap > epsilon / density_factor * (1.0 + 1e-12):
-        raise SamplingTooCoarseError(
-            f"sample spacing {max_gap:.3g} exceeds epsilon/{density_factor:g} = "
-            f"{epsilon / density_factor:.3g}; refine the sampling")
 
     j_lo = math.floor(xs[0] / epsilon)
     j_hi = math.floor(xs[-1] / epsilon)

@@ -43,14 +43,6 @@ def whole_interval_integrals(model: ChfifModel) -> tuple[float, float]:
     return a_val, b_val
 
 
-def _checked_word(word, n: int) -> tuple[int, ...]:
-    word = tuple(word)
-    for r in word:
-        if not 1 <= r <= n:
-            raise ValueError(f"address symbol {r} outside 1..{n}")
-    return word
-
-
 def _child(model: ChfifModel, j, start, length, a_val, b_val):
     """One step of the cell recursion: the image of a cell under map ``j``.
 
@@ -69,36 +61,6 @@ def _child(model: ChfifModel, j, start, length, a_val, b_val):
     )
 
 
-def _walk(model: ChfifModel, word) -> tuple[float, float, float, float]:
-    # (start, length, a_w, b_w) after absorbing the word left to right
-    cell = (0.0, 1.0, *whole_interval_integrals(model))
-    for r in _checked_word(word, model.n_intervals):
-        cell = _child(model, r - 1, *cell)
-    return cell
-
-
-def interval_of(model: ChfifModel, word: tuple[int, ...]) -> tuple[float, float]:
-    """Unit-domain (start, length) of the subinterval named by ``word``.
-
-    A word (r_1, ..., r_m) over {1..N} names a subinterval; the empty word
-    names the whole domain.  Symbol r_k acts as the k-th applied map, so
-    the last symbol selects the top-level interval the subinterval sits in
-    and the length is the product of the interval lengths selected.
-    """
-    start, length, _, _ = _walk(model, word)
-    return start, length
-
-
-def moment_a(model: ChfifModel, word: tuple[int, ...]) -> float:
-    """Integral of the hidden component over the address interval."""
-    return _walk(model, word)[2]
-
-
-def moment_b(model: ChfifModel, word: tuple[int, ...]) -> float:
-    """Integral of the visible component over the address interval."""
-    return _walk(model, word)[3]
-
-
 @dataclass(frozen=True)
 class LevelMoments:
     """Moment data for every word of one length, in spatial order."""
@@ -111,7 +73,7 @@ class LevelMoments:
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Moments for all words up to a depth, with O(1) lookup by word.
+    """Moments for all words up to a depth.
 
     Built level by level, so shared prefixes are computed once.  Words of
     length k are stored at index sum (r_j - 1) * N**(j-1), which coincides
@@ -123,21 +85,6 @@ class MomentTable:
     whole_a: float
     whole_b: float
     levels: tuple[LevelMoments, ...]
-
-    def word_index(self, word: tuple[int, ...]) -> int:
-        n = self.n_intervals
-        return sum((r - 1) * n ** pos for pos, r in enumerate(_checked_word(word, n)))
-
-    def lookup(self, word: tuple[int, ...]) -> tuple[float, float]:
-        """(b, a) moment pair for a stored word."""
-        word = tuple(word)
-        i = self.word_index(word)
-        if not word:
-            return self.whole_b, self.whole_a
-        if len(word) > self.depth:
-            raise KeyError(f"word of length {len(word)} beyond table depth {self.depth}")
-        lvl = self.levels[len(word) - 1]
-        return float(lvl.b_values[i]), float(lvl.a_values[i])
 
 
 def build_moment_table(model: ChfifModel, depth: int) -> MomentTable:
@@ -160,37 +107,33 @@ def build_moment_table(model: ChfifModel, depth: int) -> MomentTable:
     )
 
 
-def _cell_indices(level: LevelMoments, xs: np.ndarray) -> np.ndarray:
-    # cells are [start, start + length) except the last, which is closed
-    idx = np.searchsorted(level.starts, xs, side="right") - 1
-    return np.clip(idx, 0, len(level.starts) - 1)
-
-
-def q_m_values(model: ChfifModel, m: int, xs: np.ndarray) -> np.ndarray:
-    """Level-m averaging operator evaluated at unit-domain points."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    level = build_moment_table(model, m).levels[m - 1]
-    idx = _cell_indices(level, np.asarray(xs, dtype=float))
-    return level.b_values[idx] / level.lengths[idx]
-
-
 def convergence_profile(model: ChfifModel, m_max: int, probe_depth: int) -> tuple[tuple[int, float], ...]:
     """Empirical uniform-convergence certificate for the averaging operator.
 
     For each level m <= m_max, the sup over a level-``probe_depth`` exact
     sample grid of |Q_m - f1|.  The probe has N**(probe_depth+1) + 1 points
     and holds every coarser grid at stride s = N**(probe_depth+1-m), so
-    point i lies in level-m cell min(i // s, N**m - 1): Q_m on the probe is
-    each cell's mean repeated s times, then the last mean once more.
+    point i lies in level-m cell min(i // s, N**m - 1), whose Q_m is the
+    cell's mean.  One reshape gives each level-``m_max`` cell's largest and
+    smallest f1 (the last cell also takes the last point), and a level-m
+    cell's extremes fold those of its N consecutive level-(m+1) cells.
+    Rounded, mean - f falls as f rises, so the sup over a cell is
+    max(top - mean, mean - bot): the same bits as the largest
+    |mean - f| over its points.
     """
     if probe_depth < m_max:
         raise ValueError("probe_depth must be >= m_max")
-    probe = sample_exact(model, probe_depth)
+    n = model.n_intervals
+    f1 = sample_exact(model, probe_depth).f1s
     table = build_moment_table(model, m_max)
+    cells = f1[:-1].reshape(n ** m_max, -1)
+    top, bot = cells.max(axis=1), cells.min(axis=1)
+    top[-1], bot[-1] = max(top[-1], f1[-1]), min(bot[-1], f1[-1])
     out = []
-    for m, level in enumerate(table.levels, start=1):
+    for m in range(m_max, 0, -1):
+        level = table.levels[m - 1]
         means = level.b_values / level.lengths
-        qm = np.append(np.repeat(means, model.n_intervals ** (probe_depth + 1 - m)), means[-1])
-        out.append((m, float(np.max(np.abs(qm - probe.f1s)))))
-    return tuple(out)
+        # abs: a cell whose points all equal its mean gives 0.0 or -0.0, and |mean - f| is 0.0
+        out.append((m, float(np.max(np.abs(np.maximum(top - means, means - bot))))))
+        top, bot = top.reshape(-1, n).max(axis=1), bot.reshape(-1, n).min(axis=1)
+    return tuple(reversed(out))

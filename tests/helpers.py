@@ -8,10 +8,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from chfif import InterpolationProblem, IntervalParams, PowerTerm, apply_operator, sample_exact, solve_model
+from chfif import (InterpolationProblem, IntervalParams, PowerTerm, apply_operator, build_moment_table,
+                   sample_exact, solve_model, whole_interval_integrals)
 from chfif.attractor import CHAOS_BURN_IN, map_images
 from chfif.config import GALLERY_NAMES, resolve_config
 from chfif.geometry import CRITICAL_RTOL
+from chfif.moments import _child
 from chfif.smoothness import _delta_for_states, _delta_for_states_high, compute_tau_bounds
 
 ALL_GALLERY = GALLERY_NAMES
@@ -139,6 +141,92 @@ def address_of(model, x: float, m: int) -> tuple[int, ...]:
         word.append(idx + 1)
         x = min(max((x - model.b[idx]) / model.a[idx], 0.0), 1.0)
     return tuple(reversed(word))
+
+
+def _checked_word(word, n: int) -> tuple[int, ...]:
+    word = tuple(word)
+    for r in word:
+        if not 1 <= r <= n:
+            raise ValueError(f"address symbol {r} outside 1..{n}")
+    return word
+
+
+def _walk(model, word) -> tuple[float, float, float, float]:
+    # (start, length, a_w, b_w) after absorbing the word left to right, one
+    # step of the moment table's own cell recursion per symbol
+    cell = (0.0, 1.0, *whole_interval_integrals(model))
+    for r in _checked_word(word, model.n_intervals):
+        cell = _child(model, r - 1, *cell)
+    return cell
+
+
+def interval_of(model, word) -> tuple[float, float]:
+    """Oracle for the table's cells: unit-domain (start, length) of the subinterval named by ``word``.
+
+    A word (r_1, ..., r_m) over {1..N} names a subinterval; the empty word
+    names the whole domain.  Symbol r_k acts as the k-th applied map, so
+    the last symbol selects the top-level interval the subinterval sits in
+    and the length is the product of the interval lengths selected.
+    """
+    start, length, _, _ = _walk(model, word)
+    return start, length
+
+
+def moment_a(model, word) -> float:
+    """Oracle for the table: the integral of the hidden component over the address interval."""
+    return _walk(model, word)[2]
+
+
+def moment_b(model, word) -> float:
+    """Oracle for the table: the integral of the visible component over the address interval."""
+    return _walk(model, word)[3]
+
+
+def word_index(table, word) -> int:
+    """Position of ``word`` among the table's words of its length: sum (r_j - 1) * N**(j-1)."""
+    n = table.n_intervals
+    return sum((r - 1) * n ** pos for pos, r in enumerate(_checked_word(word, n)))
+
+
+def lookup(table, word) -> tuple[float, float]:
+    """The table's (b, a) moment pair for a stored word."""
+    word = tuple(word)
+    i = word_index(table, word)
+    if not word:
+        return table.whole_b, table.whole_a
+    if len(word) > table.depth:
+        raise KeyError(f"word of length {len(word)} beyond table depth {table.depth}")
+    lvl = table.levels[len(word) - 1]
+    return float(lvl.b_values[i]), float(lvl.a_values[i])
+
+
+def q_m_values(model, m: int, xs) -> np.ndarray:
+    """Oracle for the averaging operator: the level-m cell mean at unit-domain points, found by search.
+
+    Cells are [start, start + length) except the last, which is closed.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    level = build_moment_table(model, m).levels[m - 1]
+    idx = np.searchsorted(level.starts, np.asarray(xs, dtype=float), side="right") - 1
+    idx = np.clip(idx, 0, len(level.starts) - 1)
+    return level.b_values[idx] / level.lengths[idx]
+
+
+def repeated_profile(model, m_max: int, probe_depth: int):
+    """Oracle for ``convergence_profile``: each level's means repeated over the probe, then |Q_m - f1|.
+
+    The level-m mean is repeated N**(probe_depth+1-m) times, once per probe
+    point of its cell, and the last mean once more for the last point.
+    """
+    probe = sample_exact(model, probe_depth)
+    table = build_moment_table(model, m_max)
+    out = []
+    for m, level in enumerate(table.levels, start=1):
+        means = level.b_values / level.lengths
+        qm = np.append(np.repeat(means, model.n_intervals ** (probe_depth + 1 - m)), means[-1])
+        out.append((m, float(np.max(np.abs(qm - probe.f1s)))))
+    return tuple(out)
 
 
 def bit_identical(a, b) -> bool:

@@ -23,10 +23,7 @@ from chfif import (
     estimate_dimension,
     exact_residuals,
     fixed_point_iterate,
-    interval_of,
     is_self_affine_config,
-    moment_a,
-    moment_b,
     sample_exact,
     self_affine_discrepancies,
     solve_model,
@@ -35,7 +32,8 @@ from chfif import (
 from chfif.cli import main as cli_main
 from chfif.config import GALLERY_NAMES
 
-from helpers import EXPECTED_REGIMES, equidistant_problem, model_for, zero_param_problem
+from helpers import (EXPECTED_REGIMES, equidistant_problem, interval_of, moment_a, moment_b, model_for,
+                     zero_param_problem)
 
 
 def report(num, name, ok, detail=""):

@@ -18,16 +18,13 @@ from chfif import (
     exact_blocks,
     exact_residuals,
     fixed_point_iterate,
-    interval_of,
     max_oscillation,
-    moment_b,
-    q_m_values,
     sample_exact,
     solve_model,
     validate,
 )
 from chfif import attractor
-from chfif.attractor import _SweepPlan
+from chfif.attractor import _SweepPlan, deepest_level
 from chfif.config import bundled_config_names, parse_config, resolve_config
 
 from helpers import (
@@ -40,11 +37,14 @@ from helpers import (
     equidistant_problem,
     functional_residuals,
     interp_sweep,
+    interval_of,
     make_problem,
     model_for,
+    moment_b,
     orbit_defect,
     power,
     preimages,
+    q_m_values,
     sampled_for,
     zero_param_problem,
 )
@@ -57,6 +57,42 @@ def node_indices(model, xs):
     idx = np.searchsorted(xs, model.node_x)
     assert np.allclose(xs[idx], model.node_x, atol=1e-12)
     return idx
+
+
+@st.composite
+def sweep_cases(draw):
+    """A random admissible problem, a uniform grid and two grid functions."""
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        # equidistant nodes on a grid with a multiple of n steps: many
+        # preimages land exactly on grid points
+        grid_size = n * draw(st.integers(1, 300)) + 1
+        xs = np.linspace(0.0, 1.0, n + 1)
+    else:
+        grid_size = draw(st.integers(n + 1, 3000))
+        gaps = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        x0 = draw(st.floats(-5.0, 5.0))
+        xs = x0 + np.concatenate(([0.0], np.cumsum(gaps)))
+    values = st.floats(-10.0, 10.0)
+    ys = draw(st.lists(values, min_size=n + 1, max_size=n + 1))
+    zs = draw(st.lists(values, min_size=n + 1, max_size=n + 1))
+    alphas = draw(st.lists(st.floats(-0.99, 0.99), min_size=n, max_size=n))
+    betas = draw(st.lists(st.floats(-0.49, 0.49), min_size=n, max_size=n))
+    gammas = draw(st.lists(st.floats(-0.49, 0.49), min_size=n, max_size=n))
+    term = st.none() | st.builds(power, st.floats(-3.0, 3.0), st.floats(0.05, 1.0))
+    p_powers = draw(st.lists(term, min_size=n, max_size=n))
+    q_powers = draw(st.lists(term, min_size=n, max_size=n))
+    problem = make_problem(
+        nodes=tuple(zip(xs.tolist(), ys)), hidden=tuple(zs), alphas=tuple(alphas),
+        betas=tuple(betas), gammas=tuple(gammas), p_powers=tuple(p_powers),
+        q_powers=tuple(q_powers))
+    assume(validate(problem).ok)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f1, f2 = rng.normal(scale=5.0, size=(2, grid_size))
+    # signed zeros must survive the sweep's copies of stored samples
+    f1[rng.random(grid_size) < 0.1] = -0.0
+    f2[rng.random(grid_size) < 0.1] = 0.0
+    return solve_model(problem), np.linspace(0.0, 1.0, grid_size), f1, f2
 
 
 class TestIntervalOf:
@@ -176,6 +212,26 @@ class TestExactBlocks:
                 for have, oracle in zip(got, want):
                     assert bit_identical(have, oracle), (depth, size)
                 assert np.all(np.diff(got[0]) > 0), (depth, size)   # across block joins too
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(sweep_cases())
+    def test_blocks_equal_breadth_first_oracle_on_random_problems(self, case):
+        # the bundled configs all have N = 3; these have 2 to 5 intervals, so
+        # the level loop writes map j's image at offsets j * (m - 1) for other N
+        model = case[0]
+        n = model.n_intervals
+        for depth in range(deepest_level(n, 3000) + 2):   # through the first level above 3,000 points
+            want = breadth_first_exact(model, depth)
+            graph = sample_exact(model, depth)
+            for have, oracle in zip((graph.xs, graph.f1s, graph.f2s), want):
+                assert bit_identical(have, oracle), depth
+            # N + 1 points hold only level 0, so each block is a whole word's chain of maps
+            for size in (n + 1, 100) if depth <= 4 else (100,):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(attractor, "_BLOCK_POINTS", size)
+                    blocks = list(exact_blocks(model, depth))
+                for k, oracle in enumerate(want):
+                    assert bit_identical(np.concatenate([block[k] for block in blocks]), oracle), (depth, size)
 
     @pytest.mark.parametrize("block_points, depth, held", [
         (1, 3, 0), (4, 3, 0), (9, 3, 0), (10, 3, 1), (100, 4, 3), (6562, 9, 7),
@@ -306,42 +362,6 @@ def assert_matches_reference(model, result):
     assert bit_identical(result.graph.f2s, f2)
     assert bit_identical(result.f1_distances, d1s)
     assert bit_identical(result.f2_distances, d2s)
-
-
-@st.composite
-def sweep_cases(draw):
-    """A random admissible problem, a uniform grid and two grid functions."""
-    n = draw(st.integers(2, 5))
-    if draw(st.booleans()):
-        # equidistant nodes on a grid with a multiple of n steps: many
-        # preimages land exactly on grid points
-        grid_size = n * draw(st.integers(1, 300)) + 1
-        xs = np.linspace(0.0, 1.0, n + 1)
-    else:
-        grid_size = draw(st.integers(n + 1, 3000))
-        gaps = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
-        x0 = draw(st.floats(-5.0, 5.0))
-        xs = x0 + np.concatenate(([0.0], np.cumsum(gaps)))
-    values = st.floats(-10.0, 10.0)
-    ys = draw(st.lists(values, min_size=n + 1, max_size=n + 1))
-    zs = draw(st.lists(values, min_size=n + 1, max_size=n + 1))
-    alphas = draw(st.lists(st.floats(-0.99, 0.99), min_size=n, max_size=n))
-    betas = draw(st.lists(st.floats(-0.49, 0.49), min_size=n, max_size=n))
-    gammas = draw(st.lists(st.floats(-0.49, 0.49), min_size=n, max_size=n))
-    term = st.none() | st.builds(power, st.floats(-3.0, 3.0), st.floats(0.05, 1.0))
-    p_powers = draw(st.lists(term, min_size=n, max_size=n))
-    q_powers = draw(st.lists(term, min_size=n, max_size=n))
-    problem = make_problem(
-        nodes=tuple(zip(xs.tolist(), ys)), hidden=tuple(zs), alphas=tuple(alphas),
-        betas=tuple(betas), gammas=tuple(gammas), p_powers=tuple(p_powers),
-        q_powers=tuple(q_powers))
-    assume(validate(problem).ok)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    f1, f2 = rng.normal(scale=5.0, size=(2, grid_size))
-    # signed zeros must survive the sweep's copies of stored samples
-    f1[rng.random(grid_size) < 0.1] = -0.0
-    f2[rng.random(grid_size) < 0.1] = 0.0
-    return solve_model(problem), np.linspace(0.0, 1.0, grid_size), f1, f2
 
 
 class TestSweepMatchesInterp:

@@ -1,6 +1,8 @@
 """Tests for config parsing, serialization and the command surface."""
 
 import os
+import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -518,6 +520,29 @@ class TestCommands:
         assert isinstance(result.exception, SystemExit)   # not a traceback
         assert result.stderr.startswith("error: options.precision: ")
         assert not out.exists()
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux's RLIMIT_AS")
+    @pytest.mark.parametrize("command", [
+        ("classify",), ("generate", "--depth", "1"), ("moments", "--depth", "1"),
+    ])
+    def test_highest_precision_formats_in_bounded_memory(self, command):
+        # Python reserves a digit buffer of the requested precision per value,
+        # 2 GiB here; the child allows itself half a GiB above its own size
+        script = "\n".join((
+            "import resource, sys",
+            "from chfif.cli import main",
+            "size = next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmSize:'))",
+            "limit = 1024 * size + 2**29",
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))",
+            "main(sys.argv[1:])",
+        ))
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        args = (*command, "--config", "fig4", "--precision")
+        child = subprocess.run([sys.executable, "-c", script, *args, "2147483647"],
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert (child.returncode, child.stderr) == (0, "")
+        # 767 digits spell out any double exactly, so no higher precision prints more
+        assert child.stdout == self.run(*args, "767").stdout
 
     def test_overflowing_solved_model_is_rejected_with_its_path(self, tmp_path):
         path = tmp_path / "huge.yaml"

@@ -5,19 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
-from chfif import (
-    build_moment_table,
-    convergence_profile,
-    interval_of,
-    moment_a,
-    moment_b,
-    q_m_values,
-    sample_exact,
-    solve_model,
-    whole_interval_integrals,
-)
+from chfif import build_moment_table, convergence_profile, sample_exact, solve_model, whole_interval_integrals
+from chfif.config import bundled_config_names
 
-from helpers import address_of, make_problem, model_for, sampled_for, zero_param_problem
+from helpers import (address_of, bit_identical, interval_of, lookup, make_problem, moment_a, moment_b, model_for,
+                     q_m_values, repeated_profile, sampled_for, word_index, zero_param_problem)
 
 
 def trapezoid_over(graph, start, length, component="f1"):
@@ -113,7 +105,7 @@ class TestMomentTable:
         rng = np.random.default_rng(0)
         for _ in range(25):
             word = tuple(rng.integers(1, 4, size=rng.integers(0, 5)))
-            b_val, a_val = table.lookup(word)
+            b_val, a_val = lookup(table, word)
             assert b_val == pytest.approx(moment_b(model, word), rel=1e-13, abs=1e-15)
             assert a_val == pytest.approx(moment_a(model, word), rel=1e-13, abs=1e-15)
 
@@ -123,7 +115,7 @@ class TestMomentTable:
         level = table.levels[2]
         for word in itertools.product((1, 2, 3), repeat=3):
             start, length = interval_of(model, word)
-            i = table.word_index(word)
+            i = word_index(table, word)
             assert level.starts[i] == pytest.approx(start, abs=1e-15)
             assert level.lengths[i] == pytest.approx(length, abs=1e-15)
 
@@ -135,13 +127,13 @@ class TestMomentTable:
     def test_depth_guard(self):
         table = build_moment_table(model_for("fig4"), 2)
         with pytest.raises(KeyError):
-            table.lookup((1, 2, 3))
+            lookup(table, (1, 2, 3))
 
     @pytest.mark.parametrize("word", [(0,), (-1,), (4,), (0, 2), (2, 4)])
     def test_out_of_range_symbols_rejected(self, word):
         model = model_for("fig4")
         table = build_moment_table(model, 2)
-        for query in (moment_a, moment_b, lambda _, w: table.lookup(w)):
+        for query in (moment_a, moment_b, lambda _, w: lookup(table, w)):
             with pytest.raises(ValueError):
                 query(model, word)
 
@@ -202,6 +194,20 @@ class TestConvergenceProfile:
         profile = dict(convergence_profile(model_for("fig6"), 8, 8))
         assert profile[8] < 0.15 * profile[2]
 
+    @pytest.mark.parametrize("name", [*bundled_config_names(), "zero-data"])
+    def test_bits_equal_repeated_means(self, name):
+        # zero data makes every sup zero, where the sign of a zero would show:
+        # |mean - f| is 0, never -0
+        if name == "zero-data":
+            model = solve_model(make_problem(nodes=((0.0, 0.0), (0.35, 0.0), (0.75, 0.0), (1.0, 0.0)),
+                                             hidden=(0.0, 0.0, 0.0, 0.0), alphas=(-0.2, 0.38, -0.2)))
+        else:
+            model = model_for(name)
+        got = convergence_profile(model, 8, 10)
+        want = repeated_profile(model, 8, 10)
+        assert [m for m, _ in got] == [m for m, _ in want] == list(range(1, 9))
+        assert bit_identical([err for _, err in got], [err for _, err in want])
+
     def test_probe_depth_must_cover_levels(self):
         with pytest.raises(ValueError):
             convergence_profile(model_for("fig4"), 6, 4)
@@ -216,6 +222,6 @@ class TestAddressOf:
             word = address_of(model, float(x), 4)
             start, length = interval_of(model, word)
             assert start <= x <= start + length + 1e-15
-            b_val, _ = table.lookup(word)
+            b_val, _ = lookup(table, word)
             assert q_m_values(model, 4, np.array([x]))[0] == pytest.approx(
                 b_val / length, rel=1e-12)
