@@ -31,7 +31,8 @@ DEFAULT_MAX_POINTS = 20_000_000
 
 # exact_blocks holds the deepest level with at most this many points, so a
 # block costs a few hundred KB; held grids of 730 to 59,050 points timed
-# alike on a depth-12 export, the per-block overhead being amortised by then
+# alike on a depth-12 export, the per-block overhead being amortised by then;
+# the held-level loop maps a level in chunks this long (8,192 and 32,768 alike)
 _BLOCK_POINTS = 8192
 
 # _affine_scan's block length and chaos_game's chunk length, the chunk a
@@ -92,8 +93,13 @@ class SampledGraph:
 
     @functools.cached_property
     def max_gap(self) -> float:
-        """The widest spacing of ``xs``, computed on first use and then held."""
+        """The widest spacing of ``xs``, computed on first use and then held (stale if ``xs`` is mutated)."""
         return float(np.max(np.diff(np.asarray(self.xs, dtype=float))))
+
+    @functools.cached_property
+    def box_columns(self) -> dict:
+        """:func:`~chfif.dimension.box_count`'s column tables, keyed by epsilon, held like :attr:`max_gap`."""
+        return {}
 
 
 def deepest_level(n_intervals: int, max_points: int) -> int:
@@ -132,11 +138,13 @@ def _image(model: ChfifModel, j: int, xs, f1, f2, ends_at_one: bool, out=(None, 
 def _blocks(model: ChfifModel, depth: int, held: int):
     """The level-``depth`` grid as ``(xs, f1, f2)`` blocks: each word's image of the level-``held`` grid.
 
-    The held grid is built level by level: map j's image of a level of m
-    points is written straight into points j*(m-1) .. j*(m-1)+m-1 of the
-    next level.  The maps run last first, so the point two neighbouring
-    images share ends up with the left image's value, the endpoint that
-    sets it to the node exactly.
+    The held grid is built level by level, ``_BLOCK_POINTS`` points of a
+    level of m at a time: map j's image of points lo .. hi-1 is written
+    straight into points j*(m-1)+lo .. j*(m-1)+hi-1 of the next level.
+    Chunks run in order, maps last first within each, so the point two
+    neighbouring images share (the right one's point 0, in the first chunk)
+    ends up with the left image's value, the endpoint that sets it to the
+    node exactly.
     """
     n = model.n_intervals
     xs, f1, f2 = model.node_x.copy(), model.y.copy(), model.z.copy()
@@ -144,8 +152,11 @@ def _blocks(model: ChfifModel, depth: int, held: int):
         for _ in range(held):
             m = len(xs)
             level = [np.empty(n * (m - 1) + 1) for _ in range(3)]
-            for j in reversed(range(n)):
-                _image(model, j, xs, f1, f2, True, out=[v[j * (m - 1):j * (m - 1) + m] for v in level])
+            for lo in range(0, m, _BLOCK_POINTS):
+                hi = min(lo + _BLOCK_POINTS, m)
+                for j in reversed(range(n)):
+                    _image(model, j, xs[lo:hi], f1[lo:hi], f2[lo:hi], hi == m,
+                           out=[v[j * (m - 1) + lo:j * (m - 1) + hi] for v in level])
             xs, f1, f2 = level
     grid = xs, f1, f2
     for index, word in enumerate(itertools.product(range(n), repeat=depth - held)):

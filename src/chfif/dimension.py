@@ -95,6 +95,45 @@ def theoretical_bounds(model: ChfifModel, report: SmoothnessReport) -> Theoretic
     )
 
 
+def _too_coarse(sampled: SampledGraph, epsilon: float, density_factor: float) -> bool:
+    return sampled.max_gap > epsilon / density_factor * (1.0 + 1e-12)
+
+
+def _column_table(sampled: SampledGraph, epsilon: float):
+    # (first column, filled flags, sample-only column max and min, crossing
+    # values, rising flags), folded when the end columns halve to these
+    tables = sampled.box_columns
+    if epsilon in tables:
+        return tables[epsilon]
+    xs = np.asarray(sampled.xs, dtype=float)
+    j_lo, j_hi = math.floor(xs[0] / epsilon), math.floor(xs[-1] / epsilon)
+    fine = tables.get(epsilon / 2) if epsilon / 2 * 2 == epsilon else None
+    if fine is not None and (fine[0] // 2, (fine[0] + fine[1].size - 1) // 2) == (j_lo, j_hi):
+        # pad to even absolute columns; crossing i lies on boundary j + 1 + i
+        j, filled, top, bot, cross_y, rising = fine
+        pad = (j % 2, (j % 2 + filled.size) % 2)
+        filled, top, bot = (np.pad(v, pad, constant_values=fill)
+                            for v, fill in ((filled, False), (top, -np.inf), (bot, np.inf)))
+        keep = slice((j + 1) % 2, None, 2)
+        table = (j_lo, filled[0::2] | filled[1::2], np.maximum(top[0::2], top[1::2]),
+                 np.minimum(bot[0::2], bot[1::2]), cross_y[keep], rising[keep])
+    else:
+        # column c holds xs[s[c-1]:s[c]] (s[-1] = 0, s[C] = n), the first one
+        # possibly none; crossing c is reached along [xs[k-1], xs[k]]
+        ys = np.asarray(sampled.f1s, dtype=float)
+        crossings = epsilon * np.arange(j_lo + 1, j_hi + 1, dtype=float)
+        s = np.searchsorted(xs, crossings, side="left")
+        starts = np.concatenate(([0], s))
+        filled = starts < np.append(s, xs.size)
+        top, bot = np.full(filled.size, -np.inf), np.full(filled.size, np.inf)
+        top[filled] = np.maximum.reduceat(ys, starts[filled])
+        bot[filled] = np.minimum.reduceat(ys, starts[filled])
+        k = np.clip(s, 1, xs.size - 1)
+        table = (j_lo, filled, top, bot, np.interp(crossings, xs, ys), ys[k] > ys[k - 1])
+    tables[epsilon] = table
+    return table
+
+
 def box_count(
     sampled: SampledGraph,
     epsilon: float,
@@ -114,42 +153,26 @@ def box_count(
     from below, so a ``v`` on a row boundary is not charged to a row the
     left column never enters.  Column boundaries are the floating-point
     products ``j*eps`` themselves, so rounding in ``x/eps`` cannot move a
-    boundary value out of its column.  The sorted samples are split into
-    columns by one ``searchsorted`` of the boundaries, and each column's
-    extent is the min and max of its run of samples, folded with its
-    boundary values.  Refuses (rather than undercounts) when the sample
-    spacing exceeds epsilon / density_factor; the spacing is the graph's
-    :attr:`~SampledGraph.max_gap`, found once per graph, not once per scale.
+    boundary value out of its column.  Each column's extent is the min and
+    max of its run of samples, folded with its boundary values.  The runs
+    come from the graph's table at ``eps`` (:attr:`~SampledGraph.box_columns`,
+    stale once the graph's arrays are mutated): one ``searchsorted`` split
+    of the samples, or the held table at an exact ``eps/2`` with columns 2c
+    and 2c+1 merged, the same bits since ``(2j)*(eps/2)`` is the float
+    ``j*eps``.  Refuses (rather than undercounts) when the sample spacing,
+    the graph's :attr:`~SampledGraph.max_gap`, exceeds eps / density_factor.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if sampled.max_gap > epsilon / density_factor * (1.0 + 1e-12):
+    if _too_coarse(sampled, epsilon, density_factor):
         raise SamplingTooCoarseError(
             f"sample spacing {sampled.max_gap:.3g} exceeds epsilon/{density_factor:g} = "
             f"{epsilon / density_factor:.3g}; refine the sampling")
-    xs = np.asarray(sampled.xs, dtype=float)
-    ys = np.asarray(sampled.f1s, dtype=float)
-
-    j_lo = math.floor(xs[0] / epsilon)
-    j_hi = math.floor(xs[-1] / epsilon)
-    crossings = epsilon * np.arange(j_lo + 1, j_hi + 1, dtype=float)
-    cross_y = np.interp(crossings, xs, ys)
-    # column c holds the samples xs[s[c-1]:s[c]] (s[-1] = 0, s[C] = n) and,
-    # for c > 0, crossing c - 1; the first column's run can be empty
-    s = np.searchsorted(xs, crossings, side="left")
-    starts = np.concatenate(([0], s))
-    filled = starts < np.append(s, xs.size)
-    top = np.concatenate(([-np.inf], cross_y))
-    bot = np.concatenate(([np.inf], cross_y))
-    top[filled] = np.maximum(top[filled], np.maximum.reduceat(ys, starts[filled]))
-    bot[filled] = np.minimum(bot[filled], np.minimum.reduceat(ys, starts[filled]))
-    row_lo = np.floor(bot / epsilon)
-    row_hi = np.floor(top / epsilon)
-
-    # crossing c closes column c, reached from the left along [xs[k-1], xs[k]]
-    k = np.clip(s, 1, xs.size - 1)
-    limit_row = np.where(ys[k] > ys[k - 1], np.ceil(cross_y / epsilon) - 1.0,
-                         np.floor(cross_y / epsilon))
+    _, filled, top, bot, cross_y, rising = _column_table(sampled, epsilon)
+    row_lo = np.floor(np.minimum(np.concatenate(([np.inf], cross_y)), bot) / epsilon)
+    row_hi = np.floor(np.maximum(np.concatenate(([-np.inf], cross_y)), top) / epsilon)
+    # crossing c closes column c
+    limit_row = np.where(rising, np.ceil(cross_y / epsilon) - 1.0, np.floor(cross_y / epsilon))
     row_lo[:-1] = np.minimum(row_lo[:-1], limit_row)
     row_hi[:-1] = np.maximum(row_hi[:-1], limit_row)
     # the first column is empty only when rounding puts xs[0] at or past the
@@ -192,9 +215,10 @@ def estimate_dimension(
         raise InsufficientScalesError(
             f"box scale 2^{-exponents[0]} = {2.0 ** (-exponents[0]):.6g} is not narrower than "
             f"the graph's width {width:.6g}")
-    counts = []
-    for j in exponents:
-        counts.append(box_count(sampled, 2.0 ** (-j), density_factor))
+    # the coarsest scale the sampling does not resolve goes first, for box_count
+    # to refuse; then the finest, so each scale folds the table of the one below
+    order = [j for j in exponents if _too_coarse(sampled, 2.0 ** (-j), density_factor)][:1] + exponents[::-1]
+    counts = [box_count(sampled, 2.0 ** (-j), density_factor) for j in order][::-1]
     log_inv_eps = np.array(exponents, dtype=float) * math.log(2.0)
     slope, r2, _ = loglog_fit(log_inv_eps, np.log(np.array(counts, dtype=float)))
     return EmpiricalDimension(

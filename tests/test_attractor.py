@@ -225,13 +225,17 @@ class TestExactBlocks:
             graph = sample_exact(model, depth)
             for have, oracle in zip((graph.xs, graph.f1s, graph.f2s), want):
                 assert bit_identical(have, oracle), depth
-            # N + 1 points hold only level 0, so each block is a whole word's chain of maps
+            # N + 1 points hold only level 0, so each block is a whole word's chain
+            # of maps; sample_exact then builds every level above N + 1 (or 100)
+            # points in several chunks, each map's at offsets j * (m - 1) + lo
             for size in (n + 1, 100) if depth <= 4 else (100,):
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(attractor, "_BLOCK_POINTS", size)
                     blocks = list(exact_blocks(model, depth))
+                    chunked = sample_exact(model, depth)
                 for k, oracle in enumerate(want):
                     assert bit_identical(np.concatenate([block[k] for block in blocks]), oracle), (depth, size)
+                    assert bit_identical((chunked.xs, chunked.f1s, chunked.f2s)[k], oracle), (depth, size)
 
     @pytest.mark.parametrize("block_points, depth, held", [
         (1, 3, 0), (4, 3, 0), (9, 3, 0), (10, 3, 1), (100, 4, 3), (6562, 9, 7),

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chfif import (
     InsufficientScalesError,
@@ -19,6 +21,8 @@ from chfif import (
     solve_model,
     theoretical_bounds,
 )
+from chfif import dimension
+from chfif.config import bundled_config_names
 from chfif.smoothness import SmoothnessReport, TauBounds
 
 from helpers import equidistant_problem, model_for, zero_param_problem
@@ -45,6 +49,43 @@ def column(xs, epsilon):
     j = np.floor(xs / epsilon)
     j -= j * epsilon > xs
     return j + ((j + 1) * epsilon <= xs)
+
+
+def folded_and_direct(graph, epsilons, density_factor=dimension.DEFAULT_DENSITY_FACTOR):
+    """Counts through ``graph`` in the order given, and on a fresh copy of it per scale.
+
+    Each fresh copy holds no column table, so it splits its samples; the
+    shared graph folds a scale's table from the one at half of it, when
+    that scale was counted before.
+    """
+    folded = [box_count(graph, eps, density_factor) for eps in epsilons]
+    direct = [box_count(dataclasses.replace(graph), eps, density_factor) for eps in epsilons]
+    return folded, direct
+
+
+@st.composite
+def sparse_graphs(draw):
+    """A sorted graph on 2**-e columns, its first column index in -9..9, gaps up to 4 columns."""
+    e = draw(st.integers(-2, 6))
+    eps = 2.0 ** -e
+    x0 = (draw(st.integers(-9, 9)) + draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.99))) * eps
+    gaps = draw(st.lists(st.sampled_from([0.5, 1.0, 4.0]) | st.floats(0.01, 4.0), min_size=1, max_size=60))
+    xs = x0 + eps * np.cumsum([0.0, *gaps])
+    ys = np.array(draw(st.lists(st.integers(-12, 12), min_size=xs.size, max_size=xs.size))) * eps / 4
+    return SampledGraph(xs=xs, f1s=ys, f2s=xs), eps
+
+
+@pytest.fixture
+def box_count_calls(monkeypatch):
+    """The epsilons ``estimate_dimension`` passes to ``box_count``, which it looks up on its module."""
+    calls = []
+
+    def spy(sampled, epsilon, density_factor):
+        calls.append(epsilon)
+        return box_count(sampled, epsilon, density_factor)
+
+    monkeypatch.setattr(dimension, "box_count", spy)
+    return calls
 
 
 def brute_force_count(graph, epsilon, points_per_cell=8, chunk=1 << 15):
@@ -195,6 +236,52 @@ class TestBoxCount:
         assert box_count(graph, 1.0, density_factor=0.25) == 3
         assert brute_force_count(graph, 1.0, points_per_cell=64) == 3
 
+    @pytest.mark.parametrize("name", bundled_config_names())
+    def test_folded_counts_equal_direct_counts(self, name, box_count_calls):
+        # estimate_dimension counts finest first, each scale folding the one below
+        graph = sample_exact(model_for(name), 10)
+        counts = estimate_dimension(graph, range(4, 13)).counts
+        assert box_count_calls == [2.0 ** -j for j in range(12, 3, -1)]
+        assert counts == tuple(box_count(dataclasses.replace(graph), 2.0 ** -j) for j in range(4, 13))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(sparse_graphs())
+    def test_folded_counts_equal_direct_counts_on_sparse_graphs(self, case):
+        # negative and odd first columns, and columns holding no sample
+        graph, eps = case
+        folded, direct = folded_and_direct(graph, [eps * 2.0 ** k for k in range(4)], 0.25)
+        assert folded == direct
+
+    @pytest.mark.parametrize("xs, ys, coarse_count", [
+        ((1.5, 1.9, 2.3, 2.7), (0.0, 0.0, 2.0, 2.0), 4),
+        ((3 * 0.7, 2.5, 2.9, 3.3), (0.0, 1.0, 2.0, 0.5), 6),
+    ])
+    def test_fold_of_a_non_dyadic_scale(self, xs, ys, coarse_count):
+        # 0.35 is exactly 0.7 / 2, so 0.7 folds the table at 0.35, across the
+        # rounded crossings of the two tests above
+        xs = np.array(xs)
+        graph = SampledGraph(xs=xs, f1s=np.array(ys), f2s=xs)
+        folded, direct = folded_and_direct(graph, [0.35, 0.7], density_factor=0.5)
+        assert folded == direct
+        assert folded[1] == coarse_count
+
+    def test_no_fold_when_halving_is_inexact(self):
+        # 3 * 2**-1074 / 2 rounds to 2**-1073, whose table is held and whose end
+        # columns halve to the same ones, but whose boundaries are not these
+        tiny = 2.0 ** -1074
+        xs = np.arange(9) * tiny
+        graph = SampledGraph(xs=xs, f1s=np.array([0, 3, 1, 4, 1, 5, 9, 2, 6]) * tiny, f2s=xs)
+        folded, direct = folded_and_direct(graph, [2 * tiny, 3 * tiny], density_factor=0.25)
+        assert folded == direct
+
+    def test_no_fold_when_the_end_columns_differ(self):
+        # -2**-1074 / 3 rounds to -0.0, in column 0 at eps = 3, but -2**-1074 / 1.5
+        # to -2**-1074, in column -1 at eps = 1.5: the fold would count 5
+        xs = np.concatenate(([-2.0 ** -1074], np.linspace(0.1, 3.5, 35)))
+        graph = SampledGraph(xs=xs, f1s=2.0 * np.sin(3.0 * xs), f2s=xs)
+        folded, direct = folded_and_direct(graph, [1.5, 3.0])
+        assert folded == direct == [12, 4]
+
     @pytest.mark.parametrize("model, depth, exponents, density_factor", [
         (synthetic_self_affine(), 12, range(4, 13), 2.0),
         (model_for("fig4"), 10, range(4, 11), 4.0),
@@ -225,6 +312,14 @@ class TestEstimateDimension:
         message = f"box scale {coarsest} is not narrower than the graph's width 1"
         with pytest.raises(InsufficientScalesError, match=re.escape(message)):
             estimate_dimension(graph, exponents)
+
+    def test_coarsest_failing_scale_is_reported(self, box_count_calls):
+        # spacing 0.4**7 fails the gate from 2**-8 down; counting runs finest
+        # first, but box_count refuses the coarsest failing scale before any
+        message = "sample spacing 0.00164 exceeds epsilon/4 = 0.000977; refine the sampling"
+        with pytest.raises(SamplingTooCoarseError, match=re.escape(message)):
+            estimate_dimension(sample_exact(model_for("fig5"), 6), range(4, 13))
+        assert box_count_calls == [2.0 ** -8]
 
     def test_scale_bound_is_the_raw_width(self):
         graph = sample_exact(model_for("fig4"), 6)
