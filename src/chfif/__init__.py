@@ -42,7 +42,6 @@ from .geometry import (
     IntervalParams,
     MapFunction,
     PowerTerm,
-    ValidationResult,
     Violation,
     is_equidistant,
     is_self_affine_config,
@@ -59,7 +58,6 @@ from .moments import (
 from .smoothness import (
     HolderEstimate,
     SmoothnessReport,
-    TauBounds,
     classify,
     empirical_holder,
     max_oscillation,

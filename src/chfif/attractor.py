@@ -273,8 +273,11 @@ class IterationResult:
     graph: SampledGraph
     f1_distances: tuple[float, ...]
     f2_distances: tuple[float, ...]
-    iterations: int
     converged: bool
+
+    @property
+    def iterations(self) -> int:
+        return len(self.f1_distances)
 
     @property
     def distances(self) -> tuple[float, ...]:
@@ -316,7 +319,6 @@ def fixed_point_iterate(model: ChfifModel, grid_size: int, max_iters: int, tol: 
     d1s: list[float] = []
     d2s: list[float] = []
     converged = f2_settled = False
-    iterations = 0
     for iterations in range(1, max_iters + 1):
         if not f2_settled:
             g2 = sweep._gather(f2)
@@ -347,7 +349,6 @@ def fixed_point_iterate(model: ChfifModel, grid_size: int, max_iters: int, tol: 
         graph=graph,
         f1_distances=tuple(d1s),
         f2_distances=tuple(d2s),
-        iterations=iterations,
         converged=converged,
     )
 

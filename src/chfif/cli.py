@@ -45,13 +45,22 @@ from .smoothness import classify
 _MAX_DIGITS = 767
 
 
+def _spec(precision: int) -> str:
+    """The %-format spec of a float at ``precision`` significant digits.
+
+    ``"%.{p}g" % v`` and ``format(v, ".{p}g")`` print every double the same,
+    inf, nan and -0.0 included.
+    """
+    return f"%.{min(precision, _MAX_DIGITS)}g"
+
+
 def fmt(value, precision: int) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return f"{float(value):.{min(precision, _MAX_DIGITS)}g}"
+        return _spec(precision) % float(value)
     return str(value)
 
 
@@ -66,9 +75,9 @@ def _table_pieces(row: str, columns, labels):
     """The rows of equal-length float ``columns`` as text pieces, printed by ``row``.
 
     One %-format call per chunk of at most ``_CHUNK_ROWS`` rows.  ``labels``,
-    unless None, yields each row's leading text cell.  ``"%.{p}g" % v`` and
-    ``format(v, ".{p}g")`` print a float the same way, so the bytes equal
-    those of formatting each value with :func:`fmt`.
+    unless None, yields each row's leading text cell.  Printed with
+    :func:`_spec`'s spec, the bytes equal those of formatting each value
+    with :func:`fmt`.
     """
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
         chunk = np.stack([c[start:start + _CHUNK_ROWS] for c in columns], axis=1)
@@ -81,7 +90,7 @@ def _table_pieces(row: str, columns, labels):
 def _csv_pieces(blocks, precision: int):
     """The ``x,f1,f2`` table of consecutive ``(xs, f1, f2)`` blocks as text pieces."""
     yield "x,f1,f2\n"
-    row = ",".join([f"%.{min(precision, _MAX_DIGITS)}g"] * 3) + "\n"
+    row = ",".join([_spec(precision)] * 3) + "\n"
     for block in blocks:
         yield from _table_pieces(row, block, None)
 
@@ -170,14 +179,14 @@ def _classification_pairs(config: RunConfig, model, report):
         ("modulus_order", report.modulus_order),
         ("delta", report.delta),
         ("delta_tag", report.delta_tag),
-        ("tau1", report.tau_bounds.tau1),
-        ("tau2", report.tau_bounds.tau2),
-        ("tau3", report.tau_bounds.tau3),
-        ("tau4", report.tau_bounds.tau4),
+        ("tau1", report.tau1),
+        ("tau2", report.tau2),
+        ("tau3", report.tau3),
+        ("tau4", report.tau4),
         ("self_affine", is_self_affine_config(model)),
-        ("degenerate", report.degenerate),
+        ("degenerate", report.degeneracy is not None),
     ]
-    if report.degenerate:
+    if report.degeneracy is not None:
         pairs.append(("warning", report.degeneracy))
     near_miss = _near_self_affine_warning(model)
     if near_miss:
@@ -294,7 +303,7 @@ def dimension(config: RunConfig) -> None:
         ("config", config.name),
         *dimension_report(model, smooth, sampled, range(opts.eps_min_exp, opts.eps_max_exp + 1)),
     ]
-    if smooth.degenerate:
+    if smooth.degeneracy is not None:
         pairs.append(("warning", smooth.degeneracy))
     _report(pairs, opts, smooth.degeneracy)
 
@@ -308,17 +317,17 @@ def moments(config: RunConfig) -> None:
     model = solve_model(config.problem)
     table = build_moment_table(model, opts.moments_depth)
     profile = convergence_profile(model, opts.profile_m_max, opts.probe_depth)
-    _write_out(_moment_pieces(config.name, table, profile, opts.precision), opts.out)
+    _write_out(_moment_pieces(config.name, model.n_intervals, table, profile, opts.precision), opts.out)
 
 
-def _moment_pieces(name: str, table, profile, p: int):
+def _moment_pieces(name: str, n_intervals: int, table, profile, p: int):
     # the report's text, a chunk of cells at a time: held whole, the text of
     # the deepest table the options allow (14.3M cells for N = 3) takes GBs
     yield (f"# config: {name}\n"
            f"# whole-interval integrals: B={fmt(table.whole_b, p)} A={fmt(table.whole_a, p)}\n"
            "word,start,length,b,a\n")
-    row = "%s" + f",%.{min(p, _MAX_DIGITS)}g" * 4 + "\n"
-    symbols = [str(r) for r in range(1, table.n_intervals + 1)]
+    row = "%s" + f",{_spec(p)}" * 4 + "\n"
+    symbols = [str(r) for r in range(1, n_intervals + 1)]
     for length, level in enumerate(table.levels, start=1):
         columns = (level.starts, level.lengths, level.b_values, level.a_values)
         yield from _table_pieces(row, columns, _words(symbols, length))
@@ -337,12 +346,12 @@ def _words(symbols, length: int):
 @_command(sizes=lambda opts: ())
 def validate_cmd(config: RunConfig) -> None:
     """Check the configuration's data invariants."""
-    result = validate(config.problem)
-    pairs = [("command", "validate"), ("config", config.name), ("ok", result.ok)]
-    for i, violation in enumerate(result.violations):
+    violations = validate(config.problem)
+    pairs = [("command", "validate"), ("config", config.name), ("ok", not violations)]
+    for i, violation in enumerate(violations):
         pairs.append((f"violation_{i}", str(violation)))
     _report(pairs, config.options, None)
-    if not result.ok:
+    if violations:
         sys.exit(EXIT_VALIDATION)
 
 

@@ -40,8 +40,6 @@ class TheoreticalBounds:
     lower_unclamped: float
     upper_unclamped: float
     critical_condition: CriticalCondition
-    sum_channel: Literal["alpha", "gamma"]
-    equidistant: bool
 
 
 def _abs_sum(model: ChfifModel, channel: Literal["alpha", "gamma"]) -> float:
@@ -63,7 +61,7 @@ def theoretical_bounds(model: ChfifModel, report: SmoothnessReport) -> Theoretic
     Returns None when the classifier found no critical ratio, or when its
     exponent is degenerate.
     """
-    if report.degenerate:
+    if report.degeneracy is not None:
         return None
     if report.omega_state == "EQ1":
         condition: CriticalCondition = "omega"
@@ -90,8 +88,6 @@ def theoretical_bounds(model: ChfifModel, report: SmoothnessReport) -> Theoretic
         lower_unclamped=lower_raw,
         upper_unclamped=upper_raw,
         critical_condition=condition,
-        sum_channel=channel,
-        equidistant=is_equidistant(model),
     )
 
 
@@ -183,12 +179,10 @@ def box_count(
 
 @dataclass(frozen=True)
 class EmpiricalDimension:
-    """Box-count regression outcome over a dyadic scale range."""
+    """Box-count regression outcome over ascending dyadic exponents j (eps = 2**-j)."""
 
     estimate: float
     r_squared: float
-    eps_min: float
-    eps_max: float
     exponents: tuple[int, ...]
     counts: tuple[int, ...]
 
@@ -220,15 +214,8 @@ def estimate_dimension(
     order = [j for j in exponents if _too_coarse(sampled, 2.0 ** (-j), density_factor)][:1] + exponents[::-1]
     counts = [box_count(sampled, 2.0 ** (-j), density_factor) for j in order][::-1]
     log_inv_eps = np.array(exponents, dtype=float) * math.log(2.0)
-    slope, r2, _ = loglog_fit(log_inv_eps, np.log(np.array(counts, dtype=float)))
-    return EmpiricalDimension(
-        estimate=slope,
-        r_squared=r2,
-        eps_min=2.0 ** (-exponents[-1]),
-        eps_max=2.0 ** (-exponents[0]),
-        exponents=tuple(exponents),
-        counts=tuple(counts),
-    )
+    slope, r2 = loglog_fit(log_inv_eps, np.log(np.array(counts, dtype=float)))
+    return EmpiricalDimension(estimate=slope, r_squared=r2, exponents=tuple(exponents), counts=tuple(counts))
 
 
 @dataclass(frozen=True)
@@ -258,7 +245,7 @@ def dimension_one_predicate(model: ChfifModel, report: SmoothnessReport) -> Dime
     """
     if not is_equidistant(model):
         return DimensionOneResult(False, "equidistant hypothesis fails")
-    if report.degenerate:
+    if report.degeneracy is not None:
         return DimensionOneResult(False, "classification exponent is degenerate")
     delta_is_one = abs(report.delta - 1.0) <= CRITICAL_RTOL
     for regimes, tags, channels in _DIMENSION_ONE_CASES:
@@ -295,12 +282,12 @@ def dimension_report(
             ("upper_bound_unclamped", bounds.upper_unclamped),
             ("bounds_delta", report.delta),
             ("bounds_delta_tag", report.delta_tag),
-            ("bounds_equidistant", bounds.equidistant),
+            ("bounds_equidistant", is_equidistant(model)),
         ]
     pairs += [
         ("empirical_estimate", empirical.estimate),
-        ("eps_min", empirical.eps_min),
-        ("eps_max", empirical.eps_max),
+        ("eps_min", 2.0 ** (-empirical.exponents[-1])),
+        ("eps_max", 2.0 ** (-empirical.exponents[0])),
         ("eps_exponents", empirical.exponents),
         ("box_counts", empirical.counts),
         ("r_squared", empirical.r_squared),

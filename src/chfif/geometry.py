@@ -89,25 +89,20 @@ class Violation:
         return f"{self.where}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    violations: tuple[Violation, ...]
-
-
-def validate(problem: InterpolationProblem) -> ValidationResult:
+def validate(problem: InterpolationProblem) -> tuple[Violation, ...]:
     """Check every invariant of the interpolation data.
 
     Violations are returned as data, not raised; each one names the index
     and the inequality it breaks.  Data that passes the checks on its own
     is solved, and an interval whose solved model is not finite is a
-    violation too, so ``ok`` holds exactly when :func:`solve_model` succeeds.
+    violation too, so none are returned exactly when :func:`solve_model`
+    succeeds.
     """
     try:
         solve_model(problem)
     except ValidationError as exc:
-        return ValidationResult(ok=False, violations=exc.violations)
-    return ValidationResult(ok=True, violations=())
+        return exc.violations
+    return ()
 
 
 def _data_violations(problem: InterpolationProblem) -> list[Violation]:
@@ -288,7 +283,7 @@ class ChfifModel:
 def solve_model(problem: InterpolationProblem) -> ChfifModel:
     """Solve all map coefficients from the endpoint conditions.
 
-    Requires ``validate(problem).ok``; raises :class:`ValidationError`
+    Requires ``validate(problem)`` to be empty; raises :class:`ValidationError`
     otherwise.  The endpoint conditions pin L_i(0) = x_{i-1}, L_i(1) = x_i
     and force the two-component map to carry (0, y_0, z_0) and (1, y_N, z_N)
     onto the interval's end nodes, which determines (c_i, d_i) and

@@ -73,15 +73,13 @@ class LevelMoments:
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Moments for all words up to a depth.
+    """Moments for all words up to a depth, ``len(levels)``.
 
     Built level by level, so shared prefixes are computed once.  Words of
     length k are stored at index sum (r_j - 1) * N**(j-1), which coincides
     with left-to-right spatial order of the intervals.
     """
 
-    n_intervals: int
-    depth: int
     whole_a: float
     whole_b: float
     levels: tuple[LevelMoments, ...]
@@ -98,13 +96,7 @@ def build_moment_table(model: ChfifModel, depth: int) -> MomentTable:
         children = [_child(model, j, *cells) for j in range(model.n_intervals)]
         cells = tuple(np.concatenate(parts) for parts in zip(*children))
         levels.append(LevelMoments(*cells))
-    return MomentTable(
-        n_intervals=model.n_intervals,
-        depth=depth,
-        whole_a=whole_a,
-        whole_b=whole_b,
-        levels=tuple(levels),
-    )
+    return MomentTable(whole_a=whole_a, whole_b=whole_b, levels=tuple(levels))
 
 
 def convergence_profile(model: ChfifModel, m_max: int, probe_depth: int) -> tuple[tuple[int, float], ...]:

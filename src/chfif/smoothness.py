@@ -33,33 +33,35 @@ def regime_state(value: float) -> Regime:
 
 
 @dataclass(frozen=True)
-class TauBounds:
-    """Largest admissible values of the log-ratio exponent bounds.
+class SmoothnessReport:
+    """The classifier's branch, exponent and the tau bounds it drew on.
 
-    tau1 = log(max|alpha_i|) / log(I_min), tau2 the gamma analogue,
-    tau3 = min(tau1, tau2) and tau4 = tau1.  Infinite when the relevant
-    parameter maximum is zero (the bound is then never used).
+    tau1 = log(max|alpha_i|) / log(I_min) and tau2 its gamma analogue are
+    the largest admissible values of the log-ratio exponent bounds, infinite
+    when the parameter maximum is zero (the bound is then never used);
+    tau3 = min(tau1, tau2) and tau4 = tau1 follow from them.
+    ``degeneracy`` names the formula when the exponent is not positive and
+    is None exactly when delta > 0.
     """
 
-    tau1: float
-    tau2: float
-    tau3: float
-    tau4: float
-
-
-@dataclass(frozen=True)
-class SmoothnessReport:
     theta_regime: Regime
     omega_state: Regime
     gamma_state: Regime
     modulus_order: ModulusOrder
     delta: float
     delta_tag: str
-    tau_bounds: TauBounds
+    tau1: float
+    tau2: float
     case_label: Literal["a", "b"]
-    degenerate: bool = False
-    degeneracy: str | None = None
-    special_case: str | None = None   # set by the equal-exponent refinement
+    degeneracy: str | None
+
+    @property
+    def tau3(self) -> float:
+        return min(self.tau1, self.tau2)
+
+    @property
+    def tau4(self) -> float:
+        return self.tau1
 
 
 def _log_ratio(numer_max: float, i_min: float) -> float:
@@ -68,33 +70,27 @@ def _log_ratio(numer_max: float, i_min: float) -> float:
     return math.log(numer_max) / math.log(i_min)
 
 
-def compute_tau_bounds(model: ChfifModel) -> TauBounds:
-    tau1 = _log_ratio(model.alpha_max, model.length_min)
-    tau2 = _log_ratio(model.gamma_max, model.length_min)
-    return TauBounds(tau1=tau1, tau2=tau2, tau3=min(tau1, tau2), tau4=tau1)
-
-
-def _delta_for_states(model: ChfifModel, omega: Regime, gamma: Regime, taus: TauBounds) -> tuple[float, str]:
+def _delta_for_states(model: ChfifModel, omega: Regime, gamma: Regime, tau1: float, tau2: float) -> tuple[float, str]:
     # shared by the Theta < 1 and Theta = 1 regimes
     if omega == "GT1" and gamma == "GT1":
-        return taus.tau3, "delta2"
+        return min(tau1, tau2), "delta2"
     if omega == "GT1":                      # gamma LT1 or EQ1
-        return min(taus.tau1, model.mu), "delta3"
+        return min(tau1, model.mu), "delta3"
     if gamma == "GT1":                      # omega LT1 or EQ1
-        return min(model.lam, taus.tau2), "delta4"
+        return min(model.lam, tau2), "delta4"
     return min(model.lam, model.mu), "delta1"
 
 
-def _delta_for_states_high(model: ChfifModel, omega: Regime, gamma: Regime, taus: TauBounds) -> tuple[float, str]:
+def _delta_for_states_high(model: ChfifModel, omega: Regime, gamma: Regime, tau1: float, tau2: float) -> tuple[float, str]:
     # Theta > 1 regime; delta6 can degenerate to <= 0 for admissible data
     delta6 = _log_ratio(model.alpha_max * model.gamma_max, model.length_min) - model.mu
     if omega == "GT1" and gamma == "GT1":
         return delta6, "delta6"
     if omega == "GT1":
-        return taus.tau1, "delta7"
+        return tau1, "delta7"
     if gamma == "GT1":
         return min(model.lam, delta6), "delta8"
-    return min(model.lam, taus.tau1), "delta5"
+    return min(model.lam, tau1), "delta5"
 
 
 def classify(model: ChfifModel) -> SmoothnessReport:
@@ -102,23 +98,23 @@ def classify(model: ChfifModel) -> SmoothnessReport:
 
     Exactly one branch of the case table fires.  A nonpositive exponent is
     possible for some admissible parameter sets (the delta6 formula); the
-    report then carries ``degenerate=True`` and names the formula instead
-    of silently clamping.  The modulus carries one log factor for each
-    critical ratio among Theta and (Omega or Gamma).
+    report's ``degeneracy`` then names the formula instead of silently
+    clamping.  The modulus carries one log factor for each critical ratio
+    among Theta and (Omega or Gamma).
     """
     theta = regime_state(model.theta)
     omega = regime_state(model.omega)
     gamma = regime_state(model.gamma_ratio)
-    taus = compute_tau_bounds(model)
+    tau1 = _log_ratio(model.alpha_max, model.length_min)
+    tau2 = _log_ratio(model.gamma_max, model.length_min)
 
     critical_subcase = omega == "EQ1" or gamma == "EQ1"
     delta_for = _delta_for_states_high if theta == "GT1" else _delta_for_states
-    delta, tag = delta_for(model, omega, gamma, taus)
+    delta, tag = delta_for(model, omega, gamma, tau1, tau2)
     order: ModulusOrder = ("LIP_DELTA", "DELTA_LOG", "DELTA_LOG2")[(theta == "EQ1") + critical_subcase]
 
-    degenerate = not delta > 0.0
     degeneracy = None
-    if degenerate:
+    if not delta > 0.0:
         degeneracy = f"{tag} = {delta} is not in (0, 1]; classification exponent is degenerate"
     elif delta > 1.0:
         # tau-style bounds stay below their Lipschitz caps whenever the
@@ -132,9 +128,9 @@ def classify(model: ChfifModel) -> SmoothnessReport:
         modulus_order=order,
         delta=delta,
         delta_tag=tag,
-        tau_bounds=taus,
+        tau1=tau1,
+        tau2=tau2,
         case_label="b" if critical_subcase else "a",
-        degenerate=degenerate,
         degeneracy=degeneracy,
     )
 
@@ -164,12 +160,7 @@ def remark_special_case(model: ChfifModel) -> SmoothnessReport:
     if model.lam != model.mu:
         raise ValueError(f"requires lam == mu, got lam={model.lam}, mu={model.mu}")
     base = classify(model)
-    tag = _SPECIAL_CASE_TAGS[(base.theta_regime, base.gamma_state)]
-    return replace(
-        base,
-        delta_tag=tag,
-        special_case=f"theta_{base.theta_regime}/gamma_{base.gamma_state}",
-    )
+    return replace(base, delta_tag=_SPECIAL_CASE_TAGS[(base.theta_regime, base.gamma_state)])
 
 
 def max_oscillation(xs: np.ndarray, ys: np.ndarray, window: float) -> float:
@@ -218,13 +209,13 @@ def max_oscillation(xs: np.ndarray, ys: np.ndarray, window: float) -> float:
     return best if best > 0.0 else 0.0
 
 
-def loglog_fit(log_x: np.ndarray, log_y: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """Least-squares line through (log_x, log_y): its slope, r squared and residuals."""
+def loglog_fit(log_x: np.ndarray, log_y: np.ndarray) -> tuple[float, float]:
+    """Least-squares line through (log_x, log_y): its slope and r squared."""
     slope, intercept = np.polyfit(log_x, log_y, 1)
     res = log_y - (slope * log_x + intercept)
     ss_tot = float(np.sum((log_y - np.mean(log_y)) ** 2))
     r2 = 1.0 - float(np.sum(res**2)) / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), r2, res
+    return float(slope), r2
 
 
 @dataclass(frozen=True)
@@ -235,7 +226,6 @@ class HolderEstimate:
     r_squared: float
     scales: tuple[float, ...]
     oscillations: tuple[float, ...]
-    residuals: tuple[float, ...]
 
 
 def empirical_holder(sampled: SampledGraph, scale_min_exp: int, scale_max_exp: int) -> HolderEstimate:
@@ -263,11 +253,5 @@ def empirical_holder(sampled: SampledGraph, scale_min_exp: int, scale_max_exp: i
         raise InsufficientScalesError(
             f"only {len(ts)} scales with measurable oscillation, need at least 3")
 
-    slope, r2, res = loglog_fit(np.log(ts), np.log(oscs))
-    return HolderEstimate(
-        estimate=slope,
-        r_squared=r2,
-        scales=tuple(ts),
-        oscillations=tuple(oscs),
-        residuals=tuple(float(r) for r in res),
-    )
+    slope, r2 = loglog_fit(np.log(ts), np.log(oscs))
+    return HolderEstimate(estimate=slope, r_squared=r2, scales=tuple(ts), oscillations=tuple(oscs))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 from collections import deque
 from types import SimpleNamespace
 
@@ -14,7 +15,6 @@ from chfif.attractor import CHAOS_BURN_IN, map_images
 from chfif.config import GALLERY_NAMES, resolve_config
 from chfif.geometry import CRITICAL_RTOL
 from chfif.moments import _child
-from chfif.smoothness import _delta_for_states, _delta_for_states_high, compute_tau_bounds
 
 ALL_GALLERY = GALLERY_NAMES
 NODES_X = np.array([0.0, 0.35, 0.75, 1.0])
@@ -183,8 +183,11 @@ def moment_b(model, word) -> float:
 
 
 def word_index(table, word) -> int:
-    """Position of ``word`` among the table's words of its length: sum (r_j - 1) * N**(j-1)."""
-    n = table.n_intervals
+    """Position of ``word`` among the table's words of its length: sum (r_j - 1) * N**(j-1).
+
+    N is the count of words of length 1, so the table holds at least that level.
+    """
+    n = len(table.levels[0].starts)
     return sum((r - 1) * n ** pos for pos, r in enumerate(_checked_word(word, n)))
 
 
@@ -194,8 +197,8 @@ def lookup(table, word) -> tuple[float, float]:
     i = word_index(table, word)
     if not word:
         return table.whole_b, table.whole_a
-    if len(word) > table.depth:
-        raise KeyError(f"word of length {len(word)} beyond table depth {table.depth}")
+    if len(word) > len(table.levels):
+        raise KeyError(f"word of length {len(word)} beyond table depth {len(table.levels)}")
     lvl = table.levels[len(word) - 1]
     return float(lvl.b_values[i]), float(lvl.a_values[i])
 
@@ -370,37 +373,61 @@ def deque_oscillation(xs, ys, window) -> float:
     return float(best)
 
 
-def classify_oracle(model):
-    """Oracle for ``classify``: the three-way branch block that spelt out the modulus order per regime.
+# (theta > 1, omega > 1, gamma > 1) -> the case table's exponent tag
+_ORACLE_TAGS = {
+    (False, False, False): "delta1", (False, True, True): "delta2",
+    (False, True, False): "delta3", (False, False, True): "delta4",
+    (True, False, False): "delta5", (True, True, True): "delta6",
+    (True, True, False): "delta7", (True, False, True): "delta8",
+}
 
-    Decides each ratio's regime with its own copy of the critical window.
-    Returns the regimes ``theta``, ``omega``, ``gamma`` and the report's
-    ``order``, ``delta``, ``tag`` and ``degenerate``.
+
+def classify_oracle(model):
+    """Oracle for ``classify``: the case table with its own regimes and exponent formulas.
+
+    Decides each ratio's regime with its own copy of the critical window and
+    evaluates tau1, tau2 and delta1..delta8 from the model's parameter
+    arrays; a log ratio over a zero parameter maximum is infinite.  Returns
+    the regimes ``theta``, ``omega``, ``gamma`` and the report's ``order``,
+    ``delta``, ``tag``, ``tau1``, ``tau2`` and ``degenerate``.
     """
     def regime_state(value, rtol):
         if abs(value - 1.0) <= rtol:
             return "EQ1"
         return "LT1" if value < 1.0 else "GT1"
 
+    def log_ratio(top):
+        return math.log(top) / math.log(i_min) if top > 0.0 else math.inf
+
     rtol = CRITICAL_RTOL
     theta = regime_state(model.theta, rtol)
     omega = regime_state(model.omega, rtol)
     gamma = regime_state(model.gamma_ratio, rtol)
-    taus = compute_tau_bounds(model)
+
+    i_min = float(np.min(model.a))
+    alpha_max = float(np.max(np.abs(model.alpha)))
+    gamma_max = float(np.max(np.abs(model.gamma)))
+    lam, mu = model.lam, model.mu
+    tau1, tau2 = log_ratio(alpha_max), log_ratio(gamma_max)
+    delta6 = log_ratio(alpha_max * gamma_max) - mu
+    deltas = {
+        "delta1": min(lam, mu), "delta2": min(tau1, tau2), "delta3": min(tau1, mu),
+        "delta4": min(lam, tau2), "delta5": min(lam, tau1), "delta6": delta6,
+        "delta7": tau1, "delta8": min(lam, delta6),
+    }
+    tag = _ORACLE_TAGS[(theta == "GT1", omega == "GT1", gamma == "GT1")]
+    delta = deltas[tag]
 
     critical_subcase = omega == "EQ1" or gamma == "EQ1"
     if theta == "GT1":
-        delta, tag = _delta_for_states_high(model, omega, gamma, taus)
         order = "DELTA_LOG" if critical_subcase else "LIP_DELTA"
     elif theta == "EQ1":
-        delta, tag = _delta_for_states(model, omega, gamma, taus)
         order = "DELTA_LOG2" if critical_subcase else "DELTA_LOG"
     else:
-        delta, tag = _delta_for_states(model, omega, gamma, taus)
         order = "DELTA_LOG" if critical_subcase else "LIP_DELTA"
 
     degenerate = not delta > 0.0
     if not degenerate and delta > 1.0:
         delta = 1.0
     return SimpleNamespace(theta=theta, omega=omega, gamma=gamma, order=order, delta=delta,
-                           tag=tag, degenerate=degenerate)
+                           tag=tag, tau1=tau1, tau2=tau2, degenerate=degenerate)

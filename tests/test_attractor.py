@@ -86,7 +86,7 @@ def sweep_cases(draw):
         nodes=tuple(zip(xs.tolist(), ys)), hidden=tuple(zs), alphas=tuple(alphas),
         betas=tuple(betas), gammas=tuple(gammas), p_powers=tuple(p_powers),
         q_powers=tuple(q_powers))
-    assume(validate(problem).ok)
+    assume(not validate(problem))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     f1, f2 = rng.normal(scale=5.0, size=(2, grid_size))
     # signed zeros must survive the sweep's copies of stored samples

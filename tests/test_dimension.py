@@ -17,13 +17,14 @@ from chfif import (
     dimension_one_predicate,
     dimension_report,
     estimate_dimension,
+    is_equidistant,
     sample_exact,
     solve_model,
     theoretical_bounds,
 )
 from chfif import dimension
 from chfif.config import bundled_config_names
-from chfif.smoothness import SmoothnessReport, TauBounds
+from chfif.smoothness import SmoothnessReport
 
 from helpers import equidistant_problem, model_for, zero_param_problem
 
@@ -41,7 +42,7 @@ def fake_report(theta, delta, tag):
     return SmoothnessReport(
         theta_regime=theta, omega_state="LT1", gamma_state="LT1",
         modulus_order="LIP_DELTA", delta=delta, delta_tag=tag,
-        tau_bounds=TauBounds(1.0, 1.0, 1.0, 1.0), case_label="a")
+        tau1=1.0, tau2=1.0, case_label="a", degeneracy=None)
 
 
 def column(xs, epsilon):
@@ -120,7 +121,7 @@ class TestTheoreticalBounds:
         assert bounds.critical_condition == "omega"
         assert bounds.lower == pytest.approx(1.0, abs=1e-12)
         assert bounds.upper == pytest.approx(1.0, abs=1e-12)
-        assert bounds.equidistant
+        assert is_equidistant(model)
 
     def test_non_critical_has_no_bounds(self):
         model = model_for("fig4")
@@ -130,7 +131,6 @@ class TestTheoreticalBounds:
         model = model_for("fig5")
         bounds = theoretical_bounds(model, classify(model))
         assert bounds.critical_condition == "omega"     # takes priority over gamma
-        assert bounds.sum_channel == "alpha"
         assert bounds.lower_unclamped == pytest.approx(
             1.0 - np.log(0.82) / np.log(0.40), rel=1e-12)
         assert bounds.lower_unclamped < 1.0
@@ -142,7 +142,6 @@ class TestTheoreticalBounds:
         model = model_for("fig10")
         bounds = theoretical_bounds(model, classify(model))
         assert bounds.critical_condition == "gamma"
-        assert bounds.sum_channel == "gamma"
         assert bounds.lower_unclamped == pytest.approx(
             1.0 - np.log(0.85) / np.log(0.40), rel=1e-12)
 
@@ -364,8 +363,7 @@ class TestEstimateDimension:
         result = estimate_dimension(sample_exact(model_for("fig9"), 10), range(4, 11))
         assert result.r_squared > 0.99
         assert len(result.counts) == 7
-        assert result.eps_min == 2.0 ** (-10)
-        assert result.eps_max == 2.0 ** (-4)
+        assert result.exponents == tuple(range(4, 11))
 
 
 class TestDimensionOnePredicate:

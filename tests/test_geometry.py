@@ -19,43 +19,43 @@ from helpers import ALL_GALLERY, make_problem, model_for, power, zero_param_prob
 class TestValidate:
     def test_extreme_but_legal_coupling(self):
         # |beta| + |gamma| = 0.995 stays strictly below 1
-        assert validate(resolve_config("fig2").problem).ok
+        assert not validate(resolve_config("fig2").problem)
 
     def test_zero_parameters_ok(self):
-        assert validate(zero_param_problem()).ok
+        assert not validate(zero_param_problem())
 
     def test_coupling_bound_violation_names_interval(self):
         problem = make_problem(betas=(0.6, 0.35, 0.5), gammas=(0.5, 0.3, 0.24))
-        result = validate(problem)
-        assert not result.ok
-        assert any("beta_1" in str(v) and "1.1" in str(v) for v in result.violations)
+        violations = validate(problem)
+        assert violations
+        assert any("beta_1" in str(v) and "1.1" in str(v) for v in violations)
 
     def test_alpha_bound_violation(self):
-        result = validate(make_problem(alphas=(1.0, 0.2, 0.2)))
-        assert any("alpha_1" in str(v) for v in result.violations)
+        violations = validate(make_problem(alphas=(1.0, 0.2, 0.2)))
+        assert any("alpha_1" in str(v) for v in violations)
 
     def test_non_increasing_abscissas(self):
         problem = make_problem(nodes=((0.0, 2.0), (0.75, 7.0), (0.35, 4.0), (1.0, 9.0)))
-        result = validate(problem)
-        assert any("strictly increasing" in str(v) for v in result.violations)
+        violations = validate(problem)
+        assert any("strictly increasing" in str(v) for v in violations)
 
     def test_hidden_length_mismatch(self):
         problem = make_problem(hidden=(3.0, 1.0, 8.0))
-        assert any("hidden" in v.where for v in validate(problem).violations)
+        assert any("hidden" in v.where for v in validate(problem))
 
     def test_single_interval_rejected(self):
         problem = make_problem(
             nodes=((0.0, 2.0), (1.0, 9.0)), hidden=(2.0, 9.0),
             alphas=(0.2,), betas=(0.4,), gammas=(0.3,))
-        assert not validate(problem).ok
+        assert validate(problem)
 
     def test_overflowing_abscissa_span(self):
         problem = make_problem(nodes=((-1e308, 2.0), (0.0, 7.0), (0.5, 4.0), (1e308, 9.0)))
-        assert [v.where for v in validate(problem).violations] == ["nodes"]
+        assert [v.where for v in validate(problem)] == ["nodes"]
 
     def test_power_exponent_range(self):
         problem = make_problem(p_powers=(power(0.5, 1.5), None, None))
-        assert any("exponent" in str(v) for v in validate(problem).violations)
+        assert any("exponent" in str(v) for v in validate(problem))
 
     @pytest.mark.parametrize("nodes, where, field", [
         # finite data whose solved map coefficient c overflows
@@ -65,12 +65,12 @@ class TestValidate:
     ])
     def test_overflowing_solved_model(self, nodes, where, field):
         problem = make_problem(nodes=nodes)
-        result = validate(problem)
-        assert [v.where for v in result.violations] == where
-        assert all(field in v.message for v in result.violations)
+        violations = validate(problem)
+        assert [v.where for v in violations] == where
+        assert all(field in v.message for v in violations)
         with pytest.raises(ValidationError) as err:
             solve_model(problem)
-        assert err.value.violations == result.violations
+        assert err.value.violations == violations
 
 
 class TestSolveModel:

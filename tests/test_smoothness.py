@@ -68,7 +68,6 @@ class TestClassifyGallery:
 
     def test_degenerate_exponent_is_reported_not_hidden(self):
         report = classify(model_for("fig6"))
-        assert report.degenerate
         assert report.delta == 0.0           # log(alpha*gamma)/log(I_min) - mu lands exactly at 0
         assert "delta6" in report.degeneracy
         assert report.modulus_order == "LIP_DELTA"
@@ -103,11 +102,10 @@ class TestClassifyGallery:
 
     def test_tau_bounds_reported(self):
         report = classify(model_for("fig8"))
-        taus = report.tau_bounds
-        assert taus.tau1 == pytest.approx(np.log(0.5) / np.log(0.25), rel=1e-12)
-        assert taus.tau2 == pytest.approx(np.log(0.3) / np.log(0.25), rel=1e-12)
-        assert taus.tau3 == min(taus.tau1, taus.tau2)
-        assert taus.tau4 == taus.tau1
+        assert report.tau1 == pytest.approx(np.log(0.5) / np.log(0.25), rel=1e-12)
+        assert report.tau2 == pytest.approx(np.log(0.3) / np.log(0.25), rel=1e-12)
+        assert report.tau3 == min(report.tau1, report.tau2)
+        assert report.tau4 == report.tau1
 
 
 class TestClassifySplitExponents:
@@ -173,8 +171,8 @@ class TestRemarkSpecialCase:
     def test_subcase_labels(self, name, tag):
         report = remark_special_case(model_for(name))
         assert report.delta_tag == tag
-        theta, _, gamma = EXPECTED_REGIMES[name][0], None, EXPECTED_REGIMES[name][2]
-        assert report.special_case == f"theta_{theta}/gamma_{gamma}"
+        theta, _, gamma = EXPECTED_REGIMES[name]
+        assert (report.theta_regime, report.gamma_state) == (theta, gamma)
 
     def test_low_theta_low_gamma_is_lipschitz_mu(self):
         report = remark_special_case(model_for("fig4"))
@@ -186,12 +184,12 @@ class TestRemarkSpecialCase:
         assert report.modulus_order == "DELTA_LOG2"
         model = model_for("fig11")
         assert report.delta == pytest.approx(
-            min(model.lam, report.tau_bounds.tau2), rel=1e-12)
+            min(model.lam, report.tau2), rel=1e-12)
 
     def test_high_theta_critical_gamma_gets_log_with_tau1(self):
         report = remark_special_case(model_for("fig12"))
         assert report.modulus_order == "DELTA_LOG"
-        assert report.delta == pytest.approx(report.tau_bounds.tau1, rel=1e-12)
+        assert report.delta == pytest.approx(report.tau1, rel=1e-12)
 
 
 class TestTotality:
@@ -216,7 +214,7 @@ class TestTotality:
                     for _ in range(n)))
             report = classify(solve_model(problem))
             assert report.delta_tag in tags
-            if not report.degenerate:
+            if report.degeneracy is None:
                 assert 0.0 < report.delta <= 1.0
 
 
@@ -277,7 +275,7 @@ class TestEmpiricalHolder:
 
     def test_diagnostics_shape(self):
         estimate = empirical_holder(sampled_for("fig4", 8), 4, 9)
-        assert len(estimate.scales) == len(estimate.oscillations) == len(estimate.residuals)
+        assert len(estimate.scales) == len(estimate.oscillations)
         assert len(estimate.scales) == 6
 
 
@@ -389,7 +387,7 @@ def placed_ratio_problems(draw):
         draw(st.lists(st.floats(-0.9, 0.9), min_size=n, max_size=n)), gammas))
     problem = make_problem(nodes=nodes, hidden=zs, alphas=alphas, betas=betas, gammas=gammas,
                            p_powers=p_powers, q_powers=q_powers)
-    assume(validate(problem).ok)
+    assume(not validate(problem))
     return solve_model(problem)
 
 
@@ -399,7 +397,7 @@ LINE = SampledGraph(xs=np.linspace(0.0, 1.0, 257), f1s=np.linspace(0.0, 1.0, 257
 
 
 class TestClassifyMatchesOracle:
-    """``classify`` and ``dimension_report`` against the per-regime branch block they replaced."""
+    """``classify`` and ``dimension_report`` against the case table written out in ``classify_oracle``."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(placed_ratio_problems())
@@ -408,8 +406,9 @@ class TestClassifyMatchesOracle:
         report = classify(model)
         assert (report.theta_regime, report.omega_state, report.gamma_state) == (
             want.theta, want.omega, want.gamma)
-        assert (report.modulus_order, report.delta, report.delta_tag, report.degenerate) == (
+        assert (report.modulus_order, report.delta, report.delta_tag, report.degeneracy is not None) == (
             want.order, want.delta, want.tag, want.degenerate)
+        assert (report.tau1, report.tau2) == (want.tau1, want.tau2)
 
         rep = dict(dimension_report(model, report, LINE, range(1, 5)))
         critical = {"omega": want.omega == "EQ1", "gamma": want.gamma == "EQ1",
