@@ -9,7 +9,6 @@ smoothness regime, and bounds/estimates the fractal dimension of the graph.
 from .attractor import (
     IterationResult,
     SampledGraph,
-    apply_operator,
     chaos_game,
     exact_blocks,
     exact_residuals,

@@ -54,32 +54,6 @@ def check_finite(what: str, *arrays) -> None:
         raise CurveOverflowError(f"{what} overflows: the curve leaves the float range")
 
 
-def _map_coefficients(model: ChfifModel, j, x):
-    # the parts of the maps that do not depend on (f1, f2)
-    return model.alpha[j], model.beta[j], model.gamma[j], model.p(j, x), model.q(j, x)
-
-
-def _apply_maps(coefficients, f1, f2, out=(None, None)):
-    # alpha*f1 + beta*f2 + p and gamma*f2 + q, in that order, summed in
-    # place into the products, which are fresh or written into ``out``
-    alpha, beta, gamma, p, q = coefficients
-    out1 = np.multiply(alpha, f1, out=out[0])
-    out1 += beta * f2
-    out1 += p
-    out2 = np.multiply(gamma, f2, out=out[1])
-    out2 += q
-    return out1, out2
-
-
-def map_images(model: ChfifModel, j, x, f1, f2):
-    """Values of (f1, f2) at L_j(x), given their values at x.
-
-    alpha_j f1 + beta_j f2 + p_j(x) and gamma_j f2 + q_j(x), with ``j`` a
-    0-based interval index or an index array aligned with ``x``.
-    """
-    return _apply_maps(_map_coefficients(model, j, x), f1, f2)
-
-
 @dataclass(frozen=True)
 class SampledGraph:
     """Sorted abscissas with the two component values at each point."""
@@ -132,7 +106,13 @@ def _image(model: ChfifModel, j: int, xs, f1, f2, ends_at_one: bool, out=(None, 
     img_x += model.b[j]
     if ends_at_one:
         img_x[-1] = model.node_x[j + 1]
-    return (img_x, *_apply_maps(_map_coefficients(model, j, xs), f1, f2, out=out[1:]))
+    # alpha*f1 + beta*f2 + p and gamma*f2 + q, in that order, summed in place
+    img_1 = np.multiply(model.alpha[j], f1, out=out[1])
+    img_1 += model.beta[j] * f2
+    img_1 += model.p(j, xs)
+    img_2 = np.multiply(model.gamma[j], f2, out=out[2])
+    img_2 += model.q(j, xs)
+    return img_x, img_1, img_2
 
 
 def _blocks(model: ChfifModel, depth: int, held: int):
@@ -205,12 +185,6 @@ def sample_exact(model: ChfifModel, depth: int) -> SampledGraph:
     return SampledGraph(xs=xs, f1s=f1, f2s=f2)
 
 
-def _interval_index(model: ChfifModel, xs: np.ndarray) -> np.ndarray:
-    # node abscissas belong to the interval they close on the right
-    idx = np.searchsorted(model.node_x, xs, side="left") - 1
-    return np.clip(idx, 0, model.n_intervals - 1)
-
-
 class _SweepPlan:
     """The parts of an operator sweep that stay fixed on one grid.
 
@@ -228,7 +202,8 @@ class _SweepPlan:
 
     def __init__(self, model: ChfifModel, xs) -> None:
         xs = np.asarray(xs, dtype=float)
-        idx = _interval_index(model, xs)
+        # node abscissas belong to the interval they close on the right
+        idx = np.clip(np.searchsorted(model.node_x, xs, side="left") - 1, 0, model.n_intervals - 1)
         u = np.clip((xs - model.b[idx]) / model.a[idx], 0.0, 1.0)
         lo = np.clip(np.searchsorted(xs, u, side="right") - 1, 0, len(xs) - 1)
         between = (xs[0] <= u) & (u < xs[-1]) & (xs[lo] != u)
@@ -236,7 +211,7 @@ class _SweepPlan:
         self.hi = np.where(between, lo + 1, lo)
         self.t = np.where(between, u - xs[lo], -0.0)
         self.dx = np.where(between, xs[self.hi] - xs[lo], 1.0)
-        self.coefficients = _map_coefficients(model, idx, u)
+        self.coefficients = model.alpha[idx], model.beta[idx], model.gamma[idx], model.p(idx, u), model.q(idx, u)
 
     def _gather(self, f: np.ndarray) -> np.ndarray:
         lo = f.take(self.lo)
@@ -246,19 +221,6 @@ class _SweepPlan:
         g *= self.t
         g += lo
         return g
-
-    def __call__(self, f1: np.ndarray, f2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _apply_maps(self.coefficients, self._gather(f1), self._gather(f2))
-
-
-def apply_operator(model: ChfifModel, xs: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One sweep of the contraction operator on a grid function.
-
-    ``xs`` must be sorted unit-domain abscissas covering [0, 1]; values of
-    the current iterate at L_i^{-1}(x) are obtained by linear interpolation
-    between grid samples.
-    """
-    return _SweepPlan(model, xs)(np.asarray(f1, dtype=float), np.asarray(f2, dtype=float))
 
 
 def _sup_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -366,16 +328,13 @@ def exact_residuals(model: ChfifModel, depth: int) -> tuple[float, float]:
     unit = replace(model, x0=0.0, span=1.0)
     coarse = sample_exact(unit, depth)
     fine = sample_exact(unit, depth + 1)
-    xs = coarse.xs
-    per_block = len(xs)
+    m = len(coarse.xs)
     worst1 = worst2 = 0.0
     for j in range(model.n_intervals):
-        lo = j * (per_block - 1)
-        sl = slice(lo, lo + per_block)
-        image_x = model.a[j] * xs + model.b[j]
+        sl = slice(j * (m - 1), j * (m - 1) + m)
+        image_x, rhs1, rhs2 = _image(model, j, coarse.xs, coarse.f1s, coarse.f2s, True)
         if not np.allclose(fine.xs[sl], image_x, rtol=0, atol=1e-9):
             raise AssertionError("refined grid misaligned with interval images")
-        rhs1, rhs2 = map_images(model, j, xs, coarse.f1s, coarse.f2s)
         worst1 = max(worst1, float(np.max(np.abs(fine.f1s[sl] - rhs1))))
         worst2 = max(worst2, float(np.max(np.abs(fine.f2s[sl] - rhs2))))
     return worst1, worst2

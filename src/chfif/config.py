@@ -86,12 +86,25 @@ def check_options(config: RunConfig, sizes) -> None:
             raise ConfigError(f"options.{key}", f"expected an integer <= {highest[key]}, got {getattr(opts, key)}")
 
 
+class _UnreadInteger:
+    """An ``!!int`` scalar that ``int()`` refuses: over ``sys.get_int_max_str_digits()`` digits, or malformed."""
+
+    def __repr__(self) -> str:
+        return "an integer literal that Python cannot read"
+
+
 class _Loader(yaml.SafeLoader):
     """SafeLoader that also reads YAML 1.2 floats such as 1e-12, 2e5 and 1.0e308.
 
     YAML 1.1, which PyYAML follows, wants a dot and a signed exponent, and
     reads those numbers as strings.  Quoted scalars stay strings.
     """
+
+    def construct_int(self, node) -> int | _UnreadInteger:
+        try:
+            return self.construct_yaml_int(node)
+        except ValueError:   # reported with the path of the field it fills
+            return _UnreadInteger()
 
 
 class _Dumper(yaml.SafeDumper):
@@ -103,6 +116,7 @@ for _cls in (_Loader, _Dumper):
         "tag:yaml.org,2002:float",
         re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
         list("-+.0123456789"))
+_Loader.add_constructor("tag:yaml.org,2002:int", _Loader.construct_int)
 
 # record types a field annotation may name
 _RECORDS = {"PowerTerm": PowerTerm}
@@ -124,7 +138,10 @@ def _reject_unknown(mapping: dict, allowed, prefix: str) -> None:
 def _number(obj, where: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(where, f"expected a number, got {obj!r}")
-    return float(obj)
+    try:
+        return float(obj)
+    except OverflowError:
+        raise ConfigError(where, "expected a number within the float range, got an integer beyond it") from None
 
 
 def _value(kind: str, obj, where: str):

@@ -5,13 +5,14 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 
-from chfif import (InterpolationProblem, IntervalParams, PowerTerm, apply_operator, build_moment_table,
-                   sample_exact, solve_model, whole_interval_integrals)
-from chfif.attractor import CHAOS_BURN_IN, map_images
+from chfif import (InterpolationProblem, IntervalParams, PowerTerm, build_moment_table, sample_exact, solve_model,
+                   whole_interval_integrals)
+from chfif.attractor import CHAOS_BURN_IN
 from chfif.config import GALLERY_NAMES, resolve_config
 from chfif.geometry import CRITICAL_RTOL
 from chfif.moments import _child
@@ -100,6 +101,19 @@ def power(coeff: float, exponent: float) -> PowerTerm:
     return PowerTerm(coeff=coeff, exponent=exponent)
 
 
+def mirrored(problem: InterpolationProblem) -> InterpolationProblem:
+    """The problem reflected by x -> x0 + xN - x: nodes, hidden ordinates and intervals reversed.
+
+    The end abscissas are swapped exactly, so the domain stays the same
+    interval; without power terms the mirror's curve is the original's,
+    reflected.
+    """
+    x0, xn = problem.nodes[0][0], problem.nodes[-1][0]
+    nodes = [(x0 + xn - x, y) for x, y in reversed(problem.nodes)]
+    nodes[0], nodes[-1] = (x0, nodes[0][1]), (xn, nodes[-1][1])
+    return replace(problem, nodes=tuple(nodes), hidden=problem.hidden[::-1], params=problem.params[::-1])
+
+
 def preimages(model, xs):
     """Interval index of each unit-domain abscissa and its preimage L_i^{-1}(x)."""
     idx = np.clip(np.searchsorted(model.node_x, xs, side="left") - 1, 0, model.n_intervals - 1)
@@ -126,7 +140,7 @@ def functional_residuals(model, graph):
     The natural residual for iterates; on exact samples use ``exact_residuals``.
     """
     xs = (np.asarray(graph.xs, dtype=float) - model.x0) / model.span
-    t1, t2 = apply_operator(model, xs, graph.f1s, graph.f2s)
+    t1, t2 = interp_sweep(model, xs, graph.f1s, graph.f2s)
     return float(np.max(np.abs(t1 - graph.f1s))), float(np.max(np.abs(t2 - graph.f2s)))
 
 
@@ -254,7 +268,8 @@ def breadth_first_exact(model, depth):
         for j in range(n):
             img_x = model.a[j] * xs + model.b[j]
             img_x[-1] = model.node_x[j + 1]   # keep shared boundaries canonical
-            img_1, img_2 = map_images(model, j, xs, f1, f2)
+            img_1 = model.alpha[j] * f1 + model.beta[j] * f2 + model.p(j, xs)
+            img_2 = model.gamma[j] * f2 + model.q(j, xs)
             if j > 0:   # drop the duplicate of the previous block's endpoint
                 img_x, img_1, img_2 = img_x[1:], img_1[1:], img_2[1:]
             bx.append(img_x)

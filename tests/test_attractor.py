@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from chfif import (
     CurveOverflowError,
     DepthLimitError,
-    apply_operator,
     chaos_game,
     classify,
     convergence_profile,
@@ -39,6 +38,7 @@ from helpers import (
     interp_sweep,
     interval_of,
     make_problem,
+    mirrored,
     model_for,
     moment_b,
     orbit_defect,
@@ -267,6 +267,58 @@ class TestExactBlocks:
         assert np.geterr() == settings_before
 
 
+@st.composite
+def affine_problems(draw):
+    """A random admissible problem without power terms, its nodes equidistant or on a shifted domain."""
+    n = draw(st.integers(2, 5))
+    gaps = [1.0] * n if draw(st.booleans()) else draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    xs = draw(st.floats(-5.0, 5.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+    ys, zs = (draw(st.lists(st.floats(-10.0, 10.0), min_size=n + 1, max_size=n + 1)) for _ in range(2))
+    alphas = draw(st.lists(st.floats(-0.99, 0.99), min_size=n, max_size=n))
+    betas, gammas = (draw(st.lists(st.floats(-0.49, 0.49), min_size=n, max_size=n)) for _ in range(2))
+    problem = make_problem(nodes=tuple(zip(xs.tolist(), ys)), hidden=tuple(zs), alphas=tuple(alphas),
+                           betas=tuple(betas), gammas=tuple(gammas))
+    assume(not validate(problem))
+    return problem
+
+
+def assert_exact_route_mirrors(problem, depths):
+    """The mirrored problem's exact values, reversed, are the original's to rounding.
+
+    A level-d value has gone through d map applications, each rounding a
+    few terms (alpha f1, beta f2, p) no larger than a few times the largest
+    value; the scalings are below 1, so earlier errors do not grow.  The
+    mirror's unit-domain abscissas are rounded from raw ones, off 1 - x by
+    up to kappa = max(|x0|, |xN|) / (xN - x0) rounding units, which moves p.
+    So the allowance is 4 (1 + kappa) units of the largest value per level:
+    over 6,000 random problems of this kind (depths through the first level
+    above 3,000 points) the worst was 1.3 such units per level, and 5.3 in
+    all; on the bundled configs, 1.6 in all.
+    """
+    (x0, _), (xn, _) = problem.nodes[0], problem.nodes[-1]
+    kappa = max(abs(x0), abs(xn)) / (xn - x0)
+    model, mirror = solve_model(problem), solve_model(mirrored(problem))
+    for depth in depths:
+        graph, reflected = sample_exact(model, depth), sample_exact(mirror, depth)
+        unit = np.finfo(float).eps * max(1.0, np.max(np.abs(graph.f1s)), np.max(np.abs(graph.f2s)))
+        for have, want in ((reflected.f1s[::-1], graph.f1s), (reflected.f2s[::-1], graph.f2s)):
+            assert np.max(np.abs(have - want)) <= 4 * (depth + 1) * (1 + kappa) * unit, depth
+
+
+class TestReflection:
+    """The exact route commutes with the reflection x -> x0 + xN - x (no power terms)."""
+
+    @pytest.mark.parametrize("name", bundled_config_names())
+    def test_bundled_configs(self, name):
+        assert_exact_route_mirrors(resolve_config(name).problem, (0, 3, 8))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(affine_problems())
+    def test_random_problems(self, problem):
+        n = len(problem.params)
+        assert_exact_route_mirrors(problem, range(deepest_level(n, 3000) + 2))
+
+
 class TestFixedPointIterate:
     def test_zero_parameters_converge_immediately(self):
         model = solve_model(zero_param_problem())
@@ -393,12 +445,14 @@ class TestSweepMatchesInterp:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(sweep_cases())
     def test_random_problems_and_grids(self, case):
+        # the plan's map coefficients at the preimages, and its gathered
+        # values, where signed zeros still show
         model, xs, f1, f2 = case
-        for got, want in zip(apply_operator(model, xs, f1, f2), interp_sweep(model, xs, f1, f2)):
-            assert bit_identical(got, want)
-        # the gathered values themselves, where signed zeros still show
         plan = _SweepPlan(model, xs)
-        _, u = preimages(model, xs)
+        idx, u = preimages(model, xs)
+        want = model.alpha[idx], model.beta[idx], model.gamma[idx], model.p(idx, u), model.q(idx, u)
+        for got, oracle in zip(plan.coefficients, want, strict=True):
+            assert bit_identical(got, oracle)
         for f in (f1, f2):
             assert bit_identical(plan._gather(f), np.interp(u, xs, f))
 
@@ -409,14 +463,13 @@ class TestSweepMatchesInterp:
                                                 ys=(1.0, -2.0, 0.5), zs=(0.0, 3.0, -1.0)))
         xs = np.linspace(0.0, 1.0, 5)
         assert (xs[2] - model.b[0]) / model.a[0] == xs[-1]
-        f1 = np.array([0.5, -1.0, 2.0, 0.25, -0.0])
-        f2 = np.array([1.5, 0.0, -3.0, 2.5, 4.0])
-        t1, t2 = apply_operator(model, xs, f1, f2)
-        assert t1[2] == model.alpha[0] * f1[-1] + model.beta[0] * f2[-1] + model.p(0, 1.0)
-        assert t2[2] == model.gamma[0] * f2[-1] + model.q(0, 1.0)
-        want1, want2 = interp_sweep(model, xs, f1, f2)
-        assert bit_identical(t1, want1)
-        assert bit_identical(t2, want2)
+        plan = _SweepPlan(model, xs)
+        _, u = preimages(model, xs)
+        for f in (np.array([0.5, -1.0, 2.0, 0.25, -0.0]), np.array([1.5, 0.0, -3.0, 2.5, 4.0])):
+            g = plan._gather(f)
+            assert bit_identical(g[2], f[-1])
+            assert bit_identical(g, np.interp(u, xs, f))
+        assert_matches_reference(model, fixed_point_iterate(model, 5, max_iters=5, tol=1e-300))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

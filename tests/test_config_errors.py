@@ -44,6 +44,11 @@ YAML_READER = (
     "special characters are not allowed\n"
     '  in "<unicode string>", position 0')
 
+BEYOND_FLOAT = "1" + "0" * 400
+BEYOND_FLOAT_RANGE = "expected a number within the float range, got an integer beyond it"
+OVER_DIGIT_LIMIT = "9" * 5000   # int() reads at most 4,300 decimal digits
+UNREAD = "an integer literal that Python cannot read"
+
 # id -> (document, message after "error: ")
 CASES = {
     # the document
@@ -147,6 +152,26 @@ CASES = {
     # Python's float formatting refuses a precision above 2**31 - 1
     "precision-above-format-limit": (options("{precision: 2147483648}"),
                                      "options.precision: expected an integer <= 2147483647, got 2147483648"),
+    # integers beyond the float range, where float() overflows, and over
+    # the digit limit, where int() refuses them
+    "node-beyond-float-range": (problem(nodes=f"[[0.0, 2.0], [0.35, {BEYOND_FLOAT}], [0.75, 4.0], [1.0, 9.0]]"),
+                                f"problem.nodes[1][1]: {BEYOND_FLOAT_RANGE}"),
+    "hidden-beyond-float-range": (problem(hidden=f"[3.0, 1.0, -{BEYOND_FLOAT}, 5.0]"),
+                                  f"problem.hidden[2]: {BEYOND_FLOAT_RANGE}"),
+    "beta-beyond-float-range": (first_interval(f"{{alpha: 0.2, beta: {BEYOND_FLOAT}, gamma: 0.3}}"),
+                                f"problem.intervals[0].beta: {BEYOND_FLOAT_RANGE}"),
+    "power-coeff-beyond-float-range": (
+        first_interval(f"{FIRST[:-1]}, q_power: {{coeff: {BEYOND_FLOAT}, exponent: 0.5}}}}"),
+        f"problem.intervals[0].q_power.coeff: {BEYOND_FLOAT_RANGE}"),
+    "tol-beyond-float-range": (options(f"{{tol: {BEYOND_FLOAT}}}"), f"options.tol: {BEYOND_FLOAT_RANGE}"),
+    "node-over-digit-limit": (problem(nodes=f"[[0.0, {OVER_DIGIT_LIMIT}], [0.35, 7.0], [0.75, 4.0], [1.0, 9.0]]"),
+                              f"problem.nodes[0][1]: expected a number, got {UNREAD}"),
+    "alpha-over-digit-limit": (first_interval(f"{{alpha: -{OVER_DIGIT_LIMIT}, beta: 0.4, gamma: 0.3}}"),
+                               f"problem.intervals[0].alpha: expected a number, got {UNREAD}"),
+    "depth-over-digit-limit": (options(f"{{depth: {OVER_DIGIT_LIMIT}}}"),
+                               f"options.depth: expected an integer, got {UNREAD}"),
+    "method-over-digit-limit": (options(f"{{method: {OVER_DIGIT_LIMIT}}}"),
+                                f"options.method: expected a string, got {UNREAD}"),
     # two errors: which one is reported
     "interval-fields-in-declaration-order": (
         first_interval("{gamma: '0.3', alpha: '0.2', beta: 0.4}"),

@@ -1,8 +1,11 @@
 """Tests for regime classification and the oscillation estimator."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from click.testing import CliRunner
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chfif import (
@@ -17,6 +20,8 @@ from chfif import (
     solve_model,
     validate,
 )
+from chfif.cli import main
+from chfif.config import RunConfig, serialize_config
 from chfif.geometry import CRITICAL_RTOL
 from chfif.smoothness import regime_state
 
@@ -71,6 +76,23 @@ class TestClassifyGallery:
         assert report.delta == 0.0           # log(alpha*gamma)/log(I_min) - mu lands exactly at 0
         assert "delta6" in report.degeneracy
         assert report.modulus_order == "LIP_DELTA"
+
+    def test_delta6_misses_the_affine_fif_exponent(self, tmp_path):
+        # a finding against the case table, pinned rather than patched: with
+        # beta = 0 and z = y, f1 = f2 is Barnsley's affine FIF, whose Hoelder
+        # exponent log 0.6 / log(1/3) classify prints as tau1; yet delta6 reads
+        # log(alpha_max * gamma_max) / log(I_min) - mu = 2 tau1 - 1 < 0
+        problem = equidistant_problem((0.5, -0.6, 0.5), (0.0,) * 3, (0.5, -0.6, 0.5), ys=(0.0, 1.0, -0.5, 0.7))
+        report = classify(solve_model(problem))
+        assert (report.theta_regime, report.omega_state, report.gamma_state) == ("GT1", "GT1", "GT1")
+        assert report.tau1 == pytest.approx(math.log(0.6) / math.log(1 / 3), rel=1e-12)
+        assert report.delta_tag == "delta6"
+        assert report.delta == pytest.approx(2 * report.tau1 - 1, rel=1e-12)
+        assert round(report.delta, 6) == -0.070053
+        assert "delta6" in report.degeneracy
+        path = tmp_path / "affine_fif.yaml"
+        path.write_text(serialize_config(RunConfig(problem=problem)), encoding="utf-8")
+        assert CliRunner().invoke(main, ["classify", "--config", str(path)]).exit_code == 3
 
     def test_high_scaling_with_small_hidden_rate(self):
         report = classify(model_for("fig8"))
@@ -396,11 +418,19 @@ LINE = SampledGraph(xs=np.linspace(0.0, 1.0, 257), f1s=np.linspace(0.0, 1.0, 257
                     f2s=np.zeros(257))
 
 
+# delta4 = min(lam, tau2) with lam = 0.5 < tau2 = 0.7268 < mu = 0.9: only
+# there does reading mu for lam show, and the random draws need not land there
+DELTA4_BETWEEN_EXPONENTS = solve_model(equidistant_problem(
+    (0.2, -0.1, 0.1), (0.3, 0.2, -0.2), (0.45, 0.2, -0.1), ys=(0.0, 1.0, -0.5, 0.7),
+    p_powers=(power(1.0, 0.5),) * 3, q_powers=(power(1.0, 0.9),) * 3))
+
+
 class TestClassifyMatchesOracle:
     """``classify`` and ``dimension_report`` against the case table written out in ``classify_oracle``."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(placed_ratio_problems())
+    @example(DELTA4_BETWEEN_EXPONENTS)
     def test_random_problems_at_the_window_edges(self, model):
         want = classify_oracle(model)
         report = classify(model)
