@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from .attractor import chaos_game, exact_blocks, fixed_point_iterate, sample_exact
-from .config import RunConfig, check_options, resolve_config
+from .config import ROUTE_SIZE, RunConfig, check_options, resolve_config
 from .dimension import dimension_report
 from .exceptions import (
     EXIT_DEGENERATE,
@@ -242,20 +242,16 @@ def _command(*options, sizes):
     return decorate
 
 
-# the size option each `generate` route reads
-_ROUTE_SIZE = {"exact": "depth", "iterate": "grid_size", "chaos": "points"}
-
-
 @main.command()
 @_command(
     click.option("--depth", type=int, help="Refinement depth of the output grid."),
-    click.option("--method", type=click.Choice(["exact", "iterate", "chaos"]),
+    click.option("--method", type=click.Choice(list(ROUTE_SIZE)),
                  help="Evaluation route (default exact)."),
     click.option("--seed", type=int, help="Chaos-game seed."),
     click.option("--points", type=int, help="Chaos-game point count."),
     click.option("--grid-size", type=int, help="Iteration grid size."),
     click.option("--tol", type=float, help="Iteration tolerance."),
-    sizes=lambda opts: (_ROUTE_SIZE[opts.method],),
+    sizes=lambda opts: (ROUTE_SIZE[opts.method],),
 )
 def generate(config: RunConfig) -> None:
     """Write the curve as delimiter-separated x,f1,f2 rows."""

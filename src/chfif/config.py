@@ -2,15 +2,16 @@
 
 A config document has a ``problem`` section (nodes, hidden ordinates and
 one parameter mapping per interval) and an optional ``options`` section.
-The interval, power-term and option mappings are read field by field from
-the dataclasses that hold them, :class:`IntervalParams`, :class:`PowerTerm`
-and :class:`RunOptions`, so the schema is written down once.  This module
-does not import ``click``.
+The problem, interval, power-term and option mappings are read field by
+field from the dataclasses that hold them, :class:`InterpolationProblem`,
+:class:`IntervalParams`, :class:`PowerTerm` and :class:`RunOptions`, so the
+schema is written down once.  This module does not import ``click``.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -22,6 +23,9 @@ from .exceptions import ConfigError
 from .geometry import InterpolationProblem, IntervalParams, PowerTerm
 
 GALLERY_NAMES: tuple[str, ...] = tuple(f"fig{i}" for i in range(1, 17))
+
+# the evaluation routes of `generate` (`options.method`) and the size option each reads
+ROUTE_SIZE = {"exact": "depth", "iterate": "grid_size", "chaos": "points"}
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,7 @@ def check_options(config: RunConfig, sizes) -> None:
               "eps_max_exp": opts.eps_min_exp + 3}
     for key, low in lowest.items():
         if getattr(opts, key) < low:
-            raise ConfigError(f"options.{key}", f"expected an integer >= {low}, got {getattr(opts, key)}")
+            raise ConfigError(f"options.{key}", f"expected an integer >= {_shown(low)}, got {_shown(getattr(opts, key))}")
     if not opts.tol > 0.0:   # NaN too
         raise ConfigError("options.tol", f"expected a number > 0, got {opts.tol}")
     budget = attractor.DEFAULT_MAX_POINTS
@@ -83,7 +87,7 @@ def check_options(config: RunConfig, sizes) -> None:
                "grid_size": budget}
     for key in ("eps_max_exp", "precision", *sizes):
         if getattr(opts, key) > highest[key]:
-            raise ConfigError(f"options.{key}", f"expected an integer <= {highest[key]}, got {getattr(opts, key)}")
+            raise ConfigError(f"options.{key}", f"expected an integer <= {highest[key]}, got {_shown(getattr(opts, key))}")
 
 
 class _UnreadInteger:
@@ -91,6 +95,15 @@ class _UnreadInteger:
 
     def __repr__(self) -> str:
         return "an integer literal that Python cannot read"
+
+
+def _shown(obj, show=repr) -> str:
+    """``show(obj)``, or what it is where ``str()`` refuses an integer over ``sys.get_int_max_str_digits()`` digits."""
+    try:
+        return show(obj)
+    except ValueError:   # a hexadecimal literal is read at any length
+        what = "an integer" if isinstance(obj, int) else f"a {type(obj).__name__} holding an integer"
+        return f"{what} of more than {sys.get_int_max_str_digits()} digits"
 
 
 class _Loader(yaml.SafeLoader):
@@ -119,12 +132,17 @@ for _cls in (_Loader, _Dumper):
 _Loader.add_constructor("tag:yaml.org,2002:int", _Loader.construct_int)
 
 # record types a field annotation may name
-_RECORDS = {"PowerTerm": PowerTerm}
+_RECORDS = {"IntervalParams": IntervalParams, "PowerTerm": PowerTerm}
+# what a `tuple[item, ...]` field's list holds, by item annotation
+_PLURALS = {"tuple[float, float]": "[x, y] pairs", "float": "numbers", "IntervalParams": "parameter mappings"}
+# the YAML key of a field whose name differs from it: `intervals` fills InterpolationProblem.params
+_KEYS = {"params": "intervals"}
 
 
 def _require_mapping(obj, where: str) -> dict:
     if not isinstance(obj, dict):
-        raise ConfigError(where, f"expected a mapping, got {type(obj).__name__}")
+        got = repr(obj) if isinstance(obj, _UnreadInteger) else type(obj).__name__
+        raise ConfigError(where, f"expected a mapping, got {got}")
     return obj
 
 
@@ -132,33 +150,39 @@ def _reject_unknown(mapping: dict, allowed, prefix: str) -> None:
     unknown = set(mapping) - set(allowed)
     if unknown:
         # keys need not be strings: `1: 2` is an int key
-        raise ConfigError(f"{prefix}{min(unknown, key=str)}", "unknown key")
-
-
-def _number(obj, where: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ConfigError(where, f"expected a number, got {obj!r}")
-    try:
-        return float(obj)
-    except OverflowError:
-        raise ConfigError(where, "expected a number within the float range, got an integer beyond it") from None
+        raise ConfigError(f"{prefix}{min(_shown(key, str) for key in unknown)}", "unknown key")
 
 
 def _value(kind: str, obj, where: str):
-    """Check ``obj`` against a field annotation: float, int, str, a record, or ``... | None``."""
+    """Check ``obj`` against a field annotation: float, int, str, a record, ``tuple[float, float]``,
+    ``tuple[X, ...]`` or ``X | None``."""
     if kind.endswith(" | None"):
         if obj is None:
             return None
         kind = kind.removesuffix(" | None")
+    if kind.endswith(", ...]"):
+        item = kind.removeprefix("tuple[").removesuffix(", ...]")
+        if not isinstance(obj, list):
+            raise ConfigError(where, f"expected a list of {_PLURALS[item]}")
+        return tuple(_value(item, v, f"{where}[{i}]") for i, v in enumerate(obj))
+    if kind == "tuple[float, float]":
+        if not isinstance(obj, list) or len(obj) != 2:
+            raise ConfigError(where, "expected a [x, y] pair")
+        return tuple(_value("float", v, f"{where}[{k}]") for k, v in enumerate(obj))
     if kind == "float":
-        return _number(obj, where)
+        if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+            raise ConfigError(where, f"expected a number, got {_shown(obj)}")
+        try:
+            return float(obj)
+        except OverflowError:
+            raise ConfigError(where, "expected a number within the float range, got an integer beyond it") from None
     if kind == "int":
         if isinstance(obj, bool) or not isinstance(obj, int):
-            raise ConfigError(where, f"expected an integer, got {obj!r}")
+            raise ConfigError(where, f"expected an integer, got {_shown(obj)}")
         return obj
     if kind == "str":
         if not isinstance(obj, str):
-            raise ConfigError(where, f"expected a string, got {obj!r}")
+            raise ConfigError(where, f"expected a string, got {_shown(obj)}")
         return obj
     return _record(_RECORDS[kind], obj, where)
 
@@ -171,13 +195,14 @@ def _record(cls, obj, where: str, document_order: bool = False):
     ``document_order`` is set, and the first bad one is reported.
     """
     mapping = _require_mapping(obj, where)
-    kinds = {f.name: f.type for f in fields(cls)}
-    _reject_unknown(mapping, kinds, f"{where}.")
-    for f in fields(cls):
-        if f.default is MISSING and f.default_factory is MISSING and f.name not in mapping:
-            raise ConfigError(where, f"missing key {f.name!r}")
-    keys = mapping if document_order else [key for key in kinds if key in mapping]
-    return cls(**{key: _value(kinds[key], mapping[key], f"{where}.{key}") for key in keys})
+    by_key = {_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    _reject_unknown(mapping, by_key, f"{where}.")
+    for key, f in by_key.items():
+        if f.default is MISSING and f.default_factory is MISSING and key not in mapping:
+            raise ConfigError(where, f"missing key {key!r}")
+    keys = mapping if document_order else [key for key in by_key if key in mapping]
+    return cls(**{by_key[key].name: _value(by_key[key].type, mapping[key], f"{where}.{key}")
+                  for key in keys})
 
 
 def parse_config(text: str, name: str = "config") -> RunConfig:
@@ -202,37 +227,13 @@ def parse_config(text: str, name: str = "config") -> RunConfig:
     _reject_unknown(doc, ("problem", "options"), "")
     if "problem" not in doc:
         raise ConfigError("document", "missing required section 'problem'")
-
-    prob = _require_mapping(doc["problem"], "problem")
-    _reject_unknown(prob, ("nodes", "hidden", "intervals"), "problem.")
-    for key in ("nodes", "hidden", "intervals"):
-        if key not in prob:
-            raise ConfigError("problem", f"missing required key {key!r}")
-
-    if not isinstance(prob["nodes"], list):
-        raise ConfigError("problem.nodes", "expected a list of [x, y] pairs")
-    nodes = []
-    for i, entry in enumerate(prob["nodes"]):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ConfigError(f"problem.nodes[{i}]", "expected a [x, y] pair")
-        nodes.append(tuple(_number(v, f"problem.nodes[{i}][{k}]") for k, v in enumerate(entry)))
-
-    if not isinstance(prob["hidden"], list):
-        raise ConfigError("problem.hidden", "expected a list of numbers")
-    hidden = tuple(_number(v, f"problem.hidden[{i}]") for i, v in enumerate(prob["hidden"]))
-
-    if not isinstance(prob["intervals"], list):
-        raise ConfigError("problem.intervals", "expected a list of parameter mappings")
-    params = tuple(_record(IntervalParams, entry, f"problem.intervals[{i}]")
-                   for i, entry in enumerate(prob["intervals"]))
+    problem = _record(InterpolationProblem, doc["problem"], "problem")
 
     options = RunOptions()
     if doc.get("options") is not None:
         options = _record(RunOptions, doc["options"], "options", document_order=True)
-        if options.method not in ("exact", "iterate", "chaos"):
-            raise ConfigError("options.method", f"expected exact|iterate|chaos, got {options.method!r}")
-
-    problem = InterpolationProblem(nodes=tuple(nodes), hidden=hidden, params=params)
+        if options.method not in ROUTE_SIZE:
+            raise ConfigError("options.method", f"expected {'|'.join(ROUTE_SIZE)}, got {options.method!r}")
     return RunConfig(problem=problem, options=options, name=name)
 
 

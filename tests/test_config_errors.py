@@ -3,13 +3,27 @@
 Each document goes through ``chfif validate``, which must exit 1 with
 ``error: <path>: <message>`` on stderr.  The table checks the messages
 where users read them, so it holds whichever module parses the config.
-The last rows hold two errors each and pin which one is reported.
+The last rows hold two errors each and pin which one is reported.  A
+hypothesis test then puts one random value at one schema position of a
+bundled document: parsing and the option checks either accept it or refuse
+it with a :class:`ConfigError` located in that section.
 """
 
+import copy
+import json
+import math
+import sys
+from dataclasses import fields
+
 import pytest
+import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chfif.cli import main
+from chfif.config import RunOptions, check_options, load_bundled_config, parse_config
+from chfif.exceptions import ConfigError
 
 NODES = "[[0.0, 2.0], [0.35, 7.0], [0.75, 4.0], [1.0, 9.0]]"
 HIDDEN = "[3.0, 1.0, 8.0, 5.0]"
@@ -48,6 +62,9 @@ BEYOND_FLOAT = "1" + "0" * 400
 BEYOND_FLOAT_RANGE = "expected a number within the float range, got an integer beyond it"
 OVER_DIGIT_LIMIT = "9" * 5000   # int() reads at most 4,300 decimal digits
 UNREAD = "an integer literal that Python cannot read"
+# a hexadecimal literal is read at any length, but str() refuses it past the digit limit
+OVER_DIGIT_LIMIT_HEX = "0x" + "f" * 4000
+UNWRITTEN = f"an integer of more than {sys.get_int_max_str_digits()} digits"
 
 # id -> (document, message after "error: ")
 CASES = {
@@ -68,11 +85,11 @@ CASES = {
     "problem-null": ("problem:\n", "problem: expected a mapping, got NoneType"),
     "unknown-problem-key": (problem(extra="  params: []\n"), "problem.params: unknown key"),
     "missing-nodes": (f"problem:\n  hidden: {HIDDEN}\n  intervals: [{FIRST}]\n",
-                      "problem: missing required key 'nodes'"),
+                      "problem: missing key 'nodes'"),
     "missing-hidden": (f"problem:\n  nodes: {NODES}\n",
-                       "problem: missing required key 'hidden'"),
+                       "problem: missing key 'hidden'"),
     "missing-intervals": (f"problem:\n  nodes: {NODES}\n  hidden: {HIDDEN}\n",
-                          "problem: missing required key 'intervals'"),
+                          "problem: missing key 'intervals'"),
     "nodes-mapping": (problem(nodes="{x: 0.0}"),
                       "problem.nodes: expected a list of [x, y] pairs"),
     "node-scalar": (problem(nodes="[[0.0, 2.0], 0.35, [0.75, 4.0], [1.0, 9.0]]"),
@@ -172,6 +189,16 @@ CASES = {
                                f"options.depth: expected an integer, got {UNREAD}"),
     "method-over-digit-limit": (options(f"{{method: {OVER_DIGIT_LIMIT}}}"),
                                 f"options.method: expected a string, got {UNREAD}"),
+    "problem-over-digit-limit": (f"problem: {OVER_DIGIT_LIMIT}\n",
+                                 f"problem: expected a mapping, got {UNREAD}"),
+    "interval-over-digit-limit": (first_interval(OVER_DIGIT_LIMIT),
+                                  f"problem.intervals[0]: expected a mapping, got {UNREAD}"),
+    "options-over-digit-limit": (options(OVER_DIGIT_LIMIT), f"options: expected a mapping, got {UNREAD}"),
+    "seed-below-range-over-digit-limit": (options(f"{{seed: -{OVER_DIGIT_LIMIT_HEX}}}"),
+                                          f"options.seed: expected an integer >= 0, got {UNWRITTEN}"),
+    "precision-above-range-over-digit-limit": (
+        options(f"{{precision: {OVER_DIGIT_LIMIT_HEX}}}"),
+        f"options.precision: expected an integer <= 2147483647, got {UNWRITTEN}"),
     # two errors: which one is reported
     "interval-fields-in-declaration-order": (
         first_interval("{gamma: '0.3', alpha: '0.2', beta: 0.4}"),
@@ -204,3 +231,89 @@ def test_config_error_message(text, message, tmp_path):
     assert result.exit_code == 1
     assert result.stdout == ""
     assert result.stderr == f"error: {message}\n"
+
+
+# ---- one random value at one schema position of fig4's document ----
+
+FIG4 = {**yaml.safe_load(load_bundled_config("fig4")), "options": {}}
+INTERVAL_KEYS = ("alpha", "beta", "gamma", "p_power", "q_power")
+POWER_KEYS = ("coeff", "exponent")
+OPTION_KEYS = tuple(f.name for f in fields(RunOptions))
+SIZES = ("depth", "probe_depth", "moments_depth", "points", "grid_size")
+
+POSITIONS = [
+    ("problem",), ("problem", "nodes"), ("problem", "hidden"), ("problem", "intervals"),
+    *[("problem", "nodes", i) for i in range(4)],
+    *[("problem", "nodes", i, k) for i in range(4) for k in range(2)],
+    *[("problem", "hidden", i) for i in range(4)],
+    *[("problem", "intervals", i) for i in range(3)],
+    *[("problem", "intervals", i, key) for i in range(3) for key in INTERVAL_KEYS],
+    *[("problem", "intervals", i, power, key)
+      for i in range(3) for power in ("p_power", "q_power") for key in POWER_KEYS],
+    ("options",),
+    *[("options", key) for key in OPTION_KEYS],
+]
+
+
+class Value:
+    """Marks where the random value's YAML text goes."""
+
+    def __init__(self, text):
+        self.text = text
+
+
+def placed(position, text):
+    """fig4's document with ``text`` at ``position``; a power term on the way is made up."""
+    doc = copy.deepcopy(FIG4)
+    parent = doc
+    for key in position[:-1]:
+        if isinstance(parent, dict) and key not in parent:
+            parent[key] = {"coeff": 1.5, "exponent": 0.5}
+        parent = parent[key]
+    parent[position[-1]] = Value(text)
+    return doc
+
+
+def flow(obj) -> str:
+    """``obj`` as YAML flow text."""
+    if isinstance(obj, Value):
+        return obj.text
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{flow(key)}: {flow(value)}" for key, value in obj.items()) + "}"
+    if isinstance(obj, list):
+        return "[" + ", ".join(map(flow, obj)) + "]"
+    return json.dumps(obj)   # the document's own scalars: finite floats and strings
+
+
+def float_text(x: float) -> str:
+    if math.isnan(x):
+        return ".nan"
+    return {math.inf: ".inf", -math.inf: "-.inf"}.get(x, repr(x))
+
+
+LONG_INTEGERS = [OVER_DIGIT_LIMIT, f"-{OVER_DIGIT_LIMIT}", OVER_DIGIT_LIMIT_HEX, f"-{OVER_DIGIT_LIMIT_HEX}"]
+SCALARS = st.one_of(
+    st.sampled_from(["null", "~", "true", "false"]),
+    st.integers().map(str),
+    st.sampled_from(LONG_INTEGERS),
+    st.floats().map(float_text),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6).map(json.dumps),
+)
+KEYS = st.sampled_from([*INTERVAL_KEYS, *POWER_KEYS, *OPTION_KEYS, "nodes", "intervals", "null", "1",
+                        *LONG_INTEGERS])
+VALUES = st.one_of(st.sampled_from(LONG_INTEGERS), st.recursive(SCALARS, lambda items: st.one_of(
+    st.lists(items, max_size=4).map(lambda texts: "[" + ", ".join(texts) + "]"),
+    st.dictionaries(KEYS, items, max_size=3).map(
+        # `? ` marks an explicit key, which may be longer than 1024 characters
+        lambda pairs: "{" + ", ".join(f"? {key}: {value}" for key, value in pairs.items()) + "}"),
+), max_leaves=6))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(position=st.sampled_from(POSITIONS), value=VALUES)
+def test_a_random_value_is_read_or_refused_with_its_section(position, value):
+    try:
+        check_options(parse_config(flow(placed(position, value))), SIZES)
+    except ConfigError as exc:
+        assert exc.where.startswith(position[0])
+        assert "_UnreadInteger" not in str(exc) and "Exceeds the limit" not in str(exc)
