@@ -11,7 +11,6 @@ from .attractor import (
     SampledGraph,
     chaos_game,
     exact_blocks,
-    exact_residuals,
     fixed_point_iterate,
     sample_exact,
 )
@@ -61,7 +60,6 @@ from .smoothness import (
     empirical_holder,
     max_oscillation,
     regime_state,
-    remark_special_case,
 )
 
 __version__ = "0.1.0"

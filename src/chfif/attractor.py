@@ -17,12 +17,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import CurveOverflowError, DepthLimitError
-from .geometry import ChfifModel
+from .geometry import ChfifModel, _freeze_arrays
 
 CHAOS_BURN_IN = 100
 
@@ -56,18 +56,18 @@ def check_finite(what: str, *arrays) -> None:
 
 @dataclass(frozen=True)
 class SampledGraph:
-    """Sorted abscissas with the two component values at each point."""
+    """Sorted abscissas with the two component values at each point, made read-only in place."""
 
     xs: np.ndarray
     f1s: np.ndarray
     f2s: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.xs)
+    def __post_init__(self) -> None:
+        _freeze_arrays(self)
 
     @functools.cached_property
     def max_gap(self) -> float:
-        """The widest spacing of ``xs``, computed on first use and then held (stale if ``xs`` is mutated)."""
+        """The widest spacing of ``xs``, computed on first use and then held (``xs`` is read-only)."""
         return float(np.max(np.diff(np.asarray(self.xs, dtype=float))))
 
     @functools.cached_property
@@ -313,31 +313,6 @@ def fixed_point_iterate(model: ChfifModel, grid_size: int, max_iters: int, tol: 
         f2_distances=tuple(d2s),
         converged=converged,
     )
-
-
-def exact_residuals(model: ChfifModel, depth: int) -> tuple[float, float]:
-    """Functional-equation residuals of exact samples, by value lookup.
-
-    For every level-``depth`` grid point x and every interval i, compares
-    the stored value at L_i(x) (a level-``depth + 1`` grid point) against
-    alpha_i f1(x) + beta_i f2(x) + p_i(x) and the hidden analogue.  Exact
-    propagation makes these vanish to machine precision.  Both grids are
-    sampled on the unit domain, so no abscissa is rounded on its way to the
-    raw domain and back.
-    """
-    unit = replace(model, x0=0.0, span=1.0)
-    coarse = sample_exact(unit, depth)
-    fine = sample_exact(unit, depth + 1)
-    m = len(coarse.xs)
-    worst1 = worst2 = 0.0
-    for j in range(model.n_intervals):
-        sl = slice(j * (m - 1), j * (m - 1) + m)
-        image_x, rhs1, rhs2 = _image(model, j, coarse.xs, coarse.f1s, coarse.f2s, True)
-        if not np.allclose(fine.xs[sl], image_x, rtol=0, atol=1e-9):
-            raise AssertionError("refined grid misaligned with interval images")
-        worst1 = max(worst1, float(np.max(np.abs(fine.f1s[sl] - rhs1))))
-        worst2 = max(worst2, float(np.max(np.abs(fine.f2s[sl] - rhs2))))
-    return worst1, worst2
 
 
 def _affine_scan(a: np.ndarray, c: np.ndarray, y0: float) -> np.ndarray:

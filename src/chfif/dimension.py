@@ -152,13 +152,13 @@ def box_count(
     boundary value out of its column.  Each column's extent is the min and
     max of its run of samples, folded with its boundary values.  The runs
     come from the graph's table at ``eps`` (:attr:`~SampledGraph.box_columns`,
-    stale once the graph's arrays are mutated): one ``searchsorted`` split
-    of the samples, or the held table at an exact ``eps/2`` with columns 2c
-    and 2c+1 merged, the same bits since ``(2j)*(eps/2)`` is the float
-    ``j*eps``.  Refuses (rather than undercounts) when the sample spacing,
-    the graph's :attr:`~SampledGraph.max_gap`, exceeds eps / density_factor.
+    held from first use): one ``searchsorted`` split of the samples, or the
+    held table at an exact ``eps/2`` with columns 2c and 2c+1 merged, the
+    same bits since ``(2j)*(eps/2)`` is the float ``j*eps``.  Refuses
+    (rather than undercounts) when the sample spacing, the graph's
+    :attr:`~SampledGraph.max_gap`, exceeds eps / density_factor.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if _too_coarse(sampled, epsilon, density_factor):
         raise SamplingTooCoarseError(

@@ -226,7 +226,6 @@ class ChfifModel:
     internally (interval ``i`` of the construction is index ``i - 1``).
     """
 
-    problem: InterpolationProblem
     x0: float                 # left end of the raw domain
     span: float               # raw domain width
     node_x: np.ndarray        # normalised node abscissas, node_x[0] = 0, node_x[-1] = 1
@@ -337,7 +336,6 @@ def _solve(problem: InterpolationProblem) -> ChfifModel:
     theta_i = np.abs(alpha) / a ** mu
 
     return ChfifModel(
-        problem=problem,
         x0=x0,
         span=span,
         node_x=node_x,

@@ -12,7 +12,7 @@ their largest admissible value and tagged accordingly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -133,34 +133,6 @@ def classify(model: ChfifModel) -> SmoothnessReport:
         case_label="b" if critical_subcase else "a",
         degeneracy=degeneracy,
     )
-
-
-_SPECIAL_CASE_TAGS = {
-    # (theta regime, gamma subcase) -> preferred exponent label
-    ("LT1", "LT1"): "delta1",
-    ("LT1", "EQ1"): "delta1",
-    ("LT1", "GT1"): "tau2",
-    ("EQ1", "LT1"): "delta1",
-    ("EQ1", "EQ1"): "delta1",
-    ("EQ1", "GT1"): "delta4",
-    ("GT1", "LT1"): "tau1",
-    ("GT1", "EQ1"): "tau1",
-    ("GT1", "GT1"): "delta6",
-}
-
-
-def remark_special_case(model: ChfifModel) -> SmoothnessReport:
-    """Refined three-subcase classification available when lam = mu.
-
-    With equal Lipschitz exponents the Omega and Theta ratio lists
-    coincide, collapsing the nine-way table to three subcases per Theta
-    regime keyed only on Gamma.  The reported exponent value equals the
-    general classifier's; only the preferred label changes.
-    """
-    if model.lam != model.mu:
-        raise ValueError(f"requires lam == mu, got lam={model.lam}, mu={model.mu}")
-    base = classify(model)
-    return replace(base, delta_tag=_SPECIAL_CASE_TAGS[(base.theta_regime, base.gamma_state)])
 
 
 def max_oscillation(xs: np.ndarray, ys: np.ndarray, window: float) -> float:

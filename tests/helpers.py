@@ -134,6 +134,33 @@ def interp_sweep(model, xs, f1, f2):
             model.gamma[idx] * g2 + model.q(idx, u))
 
 
+def exact_residuals(model, depth: int) -> tuple[float, float]:
+    """Functional-equation residuals of exact samples, by value lookup.
+
+    For every level-``depth`` grid point x and every interval i, compares
+    the stored value at L_i(x) (a level-``depth + 1`` grid point) against
+    alpha_i f1(x) + beta_i f2(x) + p_i(x) and gamma_i f2(x) + q_i(x),
+    summed in the exact route's order.  Exact propagation makes these
+    vanish to machine precision.  Both grids are sampled on the unit
+    domain, so no abscissa is rounded on its way to the raw domain and back.
+    """
+    unit = replace(model, x0=0.0, span=1.0)
+    coarse = sample_exact(unit, depth)
+    fine = sample_exact(unit, depth + 1)
+    xs, f1, f2 = coarse.xs, coarse.f1s, coarse.f2s
+    m = len(xs)
+    worst1 = worst2 = 0.0
+    for j in range(model.n_intervals):
+        sl = slice(j * (m - 1), j * (m - 1) + m)
+        if not np.allclose(fine.xs[sl], model.a[j] * xs + model.b[j], rtol=0, atol=1e-9):
+            raise AssertionError("refined grid misaligned with interval images")
+        rhs1 = model.alpha[j] * f1 + model.beta[j] * f2 + model.p(j, xs)
+        rhs2 = model.gamma[j] * f2 + model.q(j, xs)
+        worst1 = max(worst1, float(np.max(np.abs(fine.f1s[sl] - rhs1))))
+        worst2 = max(worst2, float(np.max(np.abs(fine.f2s[sl] - rhs2))))
+    return worst1, worst2
+
+
 def functional_residuals(model, graph):
     """Sup-norm residuals of the two functional equations after one operator sweep.
 
@@ -403,8 +430,9 @@ def classify_oracle(model):
     Decides each ratio's regime with its own copy of the critical window and
     evaluates tau1, tau2 and delta1..delta8 from the model's parameter
     arrays; a log ratio over a zero parameter maximum is infinite.  Returns
-    the regimes ``theta``, ``omega``, ``gamma`` and the report's ``order``,
-    ``delta``, ``tag``, ``tau1``, ``tau2`` and ``degenerate``.
+    the regimes ``theta``, ``omega``, ``gamma``, the report's ``order``,
+    ``delta``, ``tag``, ``tau1``, ``tau2`` and ``degenerate``, and
+    ``formulas``, every exponent by name before the cap at 1.
     """
     def regime_state(value, rtol):
         if abs(value - 1.0) <= rtol:
@@ -425,13 +453,14 @@ def classify_oracle(model):
     lam, mu = model.lam, model.mu
     tau1, tau2 = log_ratio(alpha_max), log_ratio(gamma_max)
     delta6 = log_ratio(alpha_max * gamma_max) - mu
-    deltas = {
+    formulas = {
+        "tau1": tau1, "tau2": tau2,
         "delta1": min(lam, mu), "delta2": min(tau1, tau2), "delta3": min(tau1, mu),
         "delta4": min(lam, tau2), "delta5": min(lam, tau1), "delta6": delta6,
         "delta7": tau1, "delta8": min(lam, delta6),
     }
     tag = _ORACLE_TAGS[(theta == "GT1", omega == "GT1", gamma == "GT1")]
-    delta = deltas[tag]
+    delta = formulas[tag]
 
     critical_subcase = omega == "EQ1" or gamma == "EQ1"
     if theta == "GT1":
@@ -445,4 +474,24 @@ def classify_oracle(model):
     if not degenerate and delta > 1.0:
         delta = 1.0
     return SimpleNamespace(theta=theta, omega=omega, gamma=gamma, order=order, delta=delta,
-                           tag=tag, tau1=tau1, tau2=tau2, degenerate=degenerate)
+                           tag=tag, tau1=tau1, tau2=tau2, degenerate=degenerate, formulas=formulas)
+
+
+# The refined table of the paper's Remark for lam = mu: each omega_i is then
+# theta_i, so Omega sits where Theta does and, within a Theta regime, the
+# Gamma state alone picks the exponent.  (theta regime, gamma state) -> the
+# name of one of classify_oracle's formulas.
+REMARK_EXPONENTS = {
+    ("LT1", "LT1"): "delta1", ("LT1", "EQ1"): "delta1", ("LT1", "GT1"): "tau2",
+    ("EQ1", "LT1"): "delta1", ("EQ1", "EQ1"): "delta1", ("EQ1", "GT1"): "delta4",
+    ("GT1", "LT1"): "tau1", ("GT1", "EQ1"): "tau1", ("GT1", "GT1"): "delta6",
+}
+
+
+def remark_exponent(model) -> tuple[str, float]:
+    """Oracle for ``classify`` when lam = mu: the Remark's exponent name and value, before the cap at 1."""
+    if model.lam != model.mu:
+        raise ValueError(f"the Remark needs lam == mu, got lam={model.lam}, mu={model.mu}")
+    want = classify_oracle(model)
+    tag = REMARK_EXPONENTS[(want.theta, want.gamma)]
+    return tag, want.formulas[tag]

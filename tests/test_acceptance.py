@@ -21,7 +21,6 @@ from chfif import (
     dimension_one_predicate,
     empirical_holder,
     estimate_dimension,
-    exact_residuals,
     fixed_point_iterate,
     is_self_affine_config,
     sample_exact,
@@ -32,8 +31,8 @@ from chfif import (
 from chfif.cli import main as cli_main
 from chfif.config import GALLERY_NAMES
 
-from helpers import (EXPECTED_REGIMES, equidistant_problem, interval_of, moment_a, moment_b, model_for,
-                     zero_param_problem)
+from helpers import (EXPECTED_REGIMES, equidistant_problem, exact_residuals, interval_of, moment_a, moment_b,
+                     model_for, zero_param_problem)
 
 
 def report(num, name, ok, detail=""):

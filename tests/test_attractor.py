@@ -15,7 +15,6 @@ from chfif import (
     classify,
     convergence_profile,
     exact_blocks,
-    exact_residuals,
     fixed_point_iterate,
     max_oscillation,
     sample_exact,
@@ -34,6 +33,7 @@ from helpers import (
     breadth_first_exact,
     chaos_reference,
     equidistant_problem,
+    exact_residuals,
     functional_residuals,
     interp_sweep,
     interval_of,
@@ -142,7 +142,7 @@ class TestSampleExact:
 
     def test_grid_size_and_monotonicity(self):
         graph = sampled_for("fig4", 6)
-        assert len(graph) == 3 ** 7 + 1
+        assert len(graph.xs) == 3 ** 7 + 1
         assert np.all(np.diff(graph.xs) > 0)
 
     @pytest.mark.parametrize("name", ["fig2", "fig5", "fig13"])

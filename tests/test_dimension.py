@@ -173,6 +173,20 @@ class TestBoxCount:
         count = box_count(graph, 1.0 / 16)
         assert 16 <= count <= 32
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
+    def test_rejects_epsilon_not_positive(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            box_count(sample_exact(model_for("fig4"), 6), epsilon)
+
+    def test_counted_graph_is_read_only(self):
+        # the graph holds its widest gap and column tables from the first
+        # count, so a write into its arrays would leave the next count stale
+        graph = sample_exact(model_for("fig4"), 6)
+        box_count(graph, 2.0 ** -6)
+        for values in (graph.xs, graph.f1s, graph.f2s):
+            with pytest.raises(ValueError, match="read-only"):
+                values[:] = 0.0
+
     def test_refinement_monotonicity(self):
         graph = sample_exact(model_for("fig5"), 12)
         counts = [box_count(graph, 2.0 ** (-j)) for j in range(4, 13)]

@@ -15,13 +15,12 @@ from chfif import (
     dimension_report,
     empirical_holder,
     max_oscillation,
-    remark_special_case,
     sample_exact,
     solve_model,
     validate,
 )
 from chfif.cli import main
-from chfif.config import RunConfig, serialize_config
+from chfif.config import RunConfig, resolve_config, serialize_config
 from chfif.geometry import CRITICAL_RTOL
 from chfif.smoothness import regime_state
 
@@ -35,6 +34,7 @@ from helpers import (
     make_problem,
     model_for,
     power,
+    remark_exponent,
     sampled_for,
     zero_param_problem,
 )
@@ -170,48 +170,7 @@ class TestClassifySplitExponents:
             alphas=(0.3, 0.3), betas=(0.0, 0.0), gammas=(0.3, 0.3),
             p_powers=(power(0.4, 0.5), power(0.4, 0.5)))
         with pytest.raises(ValueError):
-            remark_special_case(solve_model(problem))
-
-
-class TestRemarkSpecialCase:
-    @pytest.mark.parametrize("name", ALL_GALLERY)
-    def test_same_modulus_order_as_general_table(self, name):
-        model = model_for(name)
-        assert remark_special_case(model).modulus_order == classify(model).modulus_order
-
-    @pytest.mark.parametrize("name,tag", [
-        ("fig4", "delta1"),
-        ("fig10", "delta1"),
-        ("fig7", "tau2"),
-        ("fig9", "delta1"),
-        ("fig5", "delta1"),
-        ("fig11", "delta4"),
-        ("fig8", "tau1"),
-        ("fig12", "tau1"),
-        ("fig6", "delta6"),
-    ])
-    def test_subcase_labels(self, name, tag):
-        report = remark_special_case(model_for(name))
-        assert report.delta_tag == tag
-        theta, _, gamma = EXPECTED_REGIMES[name]
-        assert (report.theta_regime, report.gamma_state) == (theta, gamma)
-
-    def test_low_theta_low_gamma_is_lipschitz_mu(self):
-        report = remark_special_case(model_for("fig4"))
-        assert report.modulus_order == "LIP_DELTA"
-        assert report.delta == model_for("fig4").mu == 1.0
-
-    def test_critical_theta_high_gamma_keeps_squared_log(self):
-        report = remark_special_case(model_for("fig11"))
-        assert report.modulus_order == "DELTA_LOG2"
-        model = model_for("fig11")
-        assert report.delta == pytest.approx(
-            min(model.lam, report.tau2), rel=1e-12)
-
-    def test_high_theta_critical_gamma_gets_log_with_tau1(self):
-        report = remark_special_case(model_for("fig12"))
-        assert report.modulus_order == "DELTA_LOG"
-        assert report.delta == pytest.approx(report.tau1, rel=1e-12)
+            remark_exponent(solve_model(problem))
 
 
 class TestTotality:
@@ -245,9 +204,8 @@ class TestMonotoneConsistency:
 
     @pytest.mark.parametrize("name", ["fig4", "fig9", "fig8"])
     def test_growing_alpha_never_lowers_regimes(self, name):
-        base = model_for(name)
-        report = classify(base)
-        problem = base.problem
+        report = classify(model_for(name))
+        problem = resolve_config(name).problem
         scaled = make_problem(
             nodes=problem.nodes, hidden=problem.hidden,
             alphas=tuple(min(p.alpha * 1.2, 0.99) for p in problem.params),
@@ -378,8 +336,11 @@ WINDOW_EDGES = tuple(1.0 + s * f * CRITICAL_RTOL for s in (-1.0, 1.0) for f in (
 
 
 @st.composite
-def placed_ratio_problems(draw):
-    """Admissible models whose Omega or Theta, and Gamma, may sit just inside or outside the window."""
+def placed_ratio_problems(draw, same_exponent=False):
+    """Admissible models whose Omega or Theta, and Gamma, may sit just inside or outside the window.
+
+    With ``same_exponent`` the q exponent mu is drawn as for any model, then set to lam.
+    """
     n = draw(st.integers(2, 4))
     if draw(st.booleans()):
         xs = np.linspace(0.0, 1.0, n + 1)
@@ -387,6 +348,8 @@ def placed_ratio_problems(draw):
         gaps = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
         xs = np.concatenate(([0.0], np.cumsum(gaps)))
     lam, mu = (draw(st.sampled_from([1.0, 0.5]) | st.floats(0.2, 1.0)) for _ in range(2))
+    if same_exponent:
+        mu = lam
     p_powers = tuple(power(draw(st.floats(-2.0, 2.0)), lam) for _ in range(n)) if lam < 1.0 else None
     q_powers = tuple(power(draw(st.floats(-2.0, 2.0)), mu) for _ in range(n)) if mu < 1.0 else None
     ys, zs = (tuple(draw(st.lists(st.floats(-5.0, 5.0), min_size=n + 1, max_size=n + 1)))
@@ -447,3 +410,59 @@ class TestClassifyMatchesOracle:
             critical.values())
         first = next((name for name, crit in critical.items() if crit), "none")
         assert rep["critical_condition"] == ("none" if want.degenerate else first)
+
+
+class TestRemarkSpecialCase:
+    """``classify`` against the paper's Remark for lam = mu (``helpers.REMARK_EXPONENTS``).
+
+    With equal exponents each omega_i is theta_i, so Omega sits where Theta
+    does, and within a Theta regime the Gamma state alone names the exponent.
+    """
+
+    @staticmethod
+    def remark_tag(model) -> str:
+        report = classify(model)
+        assert report.omega_state == report.theta_regime
+        tag, exponent = remark_exponent(model)
+        assert report.delta == min(exponent, 1.0)
+        return tag
+
+    @pytest.mark.parametrize("name,tag", [
+        ("fig1", "delta6"), ("fig1_corrected", "delta6"), ("fig2", "tau1"), ("fig3", "tau1"),
+        ("fig4", "delta1"), ("fig5", "delta1"), ("fig6", "delta6"), ("fig7", "tau2"),
+        ("fig8", "tau1"), ("fig9", "delta1"), ("fig10", "delta1"), ("fig11", "delta4"),
+        ("fig12", "tau1"), ("fig13", "delta1"), ("fig14", "delta6"), ("fig15", "tau1"),
+        ("fig16", "delta6"),
+    ])
+    def test_subcase_labels(self, name, tag):
+        assert self.remark_tag(model_for(name)) == tag
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(placed_ratio_problems(same_exponent=True))
+    def test_random_equal_exponent_problems(self, model):
+        self.remark_tag(model)
+
+    @pytest.mark.parametrize("name", ALL_GALLERY)
+    def test_same_modulus_order_as_general_table(self, name):
+        # one log factor for Theta = 1 and one for Omega = 1 or Gamma = 1,
+        # which with Omega at Theta is Theta = 1 or Gamma = 1
+        report = classify(model_for(name))
+        logs = (report.theta_regime == "EQ1") + ("EQ1" in (report.theta_regime, report.gamma_state))
+        assert report.modulus_order == ("LIP_DELTA", "DELTA_LOG", "DELTA_LOG2")[logs]
+
+    def test_low_theta_low_gamma_is_lipschitz_mu(self):
+        model = model_for("fig4")
+        assert remark_exponent(model) == ("delta1", model.mu)
+        assert classify(model).modulus_order == "LIP_DELTA"
+
+    def test_critical_theta_high_gamma_keeps_squared_log(self):
+        model = model_for("fig11")
+        report = classify(model)
+        assert remark_exponent(model) == ("delta4", min(model.lam, report.tau2))
+        assert report.modulus_order == "DELTA_LOG2"
+
+    def test_high_theta_critical_gamma_gets_log_with_tau1(self):
+        model = model_for("fig12")
+        report = classify(model)
+        assert remark_exponent(model) == ("tau1", report.tau1)
+        assert report.modulus_order == "DELTA_LOG"
