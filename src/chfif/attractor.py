@@ -241,10 +241,6 @@ class IterationResult:
     def iterations(self) -> int:
         return len(self.f1_distances)
 
-    @property
-    def distances(self) -> tuple[float, ...]:
-        return tuple(max(d1, d2) for d1, d2 in zip(self.f1_distances, self.f2_distances))
-
 
 @np.errstate(over="ignore", invalid="ignore")
 def fixed_point_iterate(model: ChfifModel, grid_size: int, max_iters: int, tol: float) -> IterationResult:
@@ -255,7 +251,7 @@ def fixed_point_iterate(model: ChfifModel, grid_size: int, max_iters: int, tol: 
     successive sweeps per component.  Non-convergence is reported through
     ``converged`` rather than raised, so callers can inspect the distance
     sequence; it usually means the tolerance is tighter than the grid
-    resolution supports.
+    resolution supports.  A ``tol`` that is not positive, or NaN, raises.
 
     The hidden component f2 never reads f1, so once a sweep leaves f2
     bitwise unchanged (distance 0.0 and the same bit pattern, signed zeros
@@ -269,7 +265,7 @@ def fixed_point_iterate(model: ChfifModel, grid_size: int, max_iters: int, tol: 
         raise ValueError("grid_size must be at least N + 1")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if tol <= 0:
+    if not tol > 0:   # NaN too
         raise ValueError("tol must be positive")
 
     xs = np.linspace(0.0, 1.0, grid_size)

@@ -265,7 +265,7 @@ def generate(config: RunConfig) -> None:
         if not result.converged:
             raise NotConvergedError(
                 f"iteration did not reach tol {opts.tol} in {opts.iterations} sweeps "
-                f"(last distance {result.distances[-1]:.3g})")
+                f"(last distance {max(result.f1_distances[-1], result.f2_distances[-1]):.3g})")
         blocks = [(result.graph.xs, result.graph.f1s, result.graph.f2s)]
     else:
         blocks = exact_blocks(model, opts.depth)

@@ -23,6 +23,7 @@ from .exceptions import ConfigError
 from .geometry import InterpolationProblem, IntervalParams, PowerTerm
 
 GALLERY_NAMES: tuple[str, ...] = tuple(f"fig{i}" for i in range(1, 17))
+BUNDLED_NAMES: tuple[str, ...] = GALLERY_NAMES + ("fig1_corrected",)
 
 # the evaluation routes of `generate` (`options.method`) and the size option each reads
 ROUTE_SIZE = {"exact": "depth", "iterate": "grid_size", "chaos": "points"}
@@ -257,10 +258,6 @@ def serialize_config(config: RunConfig) -> str:
     return yaml.dump(doc, Dumper=_Dumper, sort_keys=False)
 
 
-def bundled_config_names() -> tuple[str, ...]:
-    return GALLERY_NAMES + ("fig1_corrected",)
-
-
 def load_bundled_config(name: str) -> str:
     path = resources.files("chfif").joinpath("configs", f"{name}.yaml")
     return path.read_text(encoding="utf-8")
@@ -271,8 +268,8 @@ def resolve_config(ref: str) -> RunConfig:
     path = Path(ref)
     if path.exists():
         return parse_config(path.read_text(encoding="utf-8"), name=path.stem)
-    if ref in bundled_config_names():
+    if ref in BUNDLED_NAMES:
         return parse_config(load_bundled_config(ref), name=ref)
     raise FileNotFoundError(
         f"{ref!r} is neither an existing file nor a bundled config "
-        f"({', '.join(bundled_config_names())})")
+        f"({', '.join(BUNDLED_NAMES)})")

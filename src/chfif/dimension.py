@@ -92,6 +92,8 @@ def theoretical_bounds(model: ChfifModel, report: SmoothnessReport) -> Theoretic
 
 
 def _too_coarse(sampled: SampledGraph, epsilon: float, density_factor: float) -> bool:
+    if not density_factor > 0:   # NaN too
+        raise ValueError("density_factor must be positive")
     return sampled.max_gap > epsilon / density_factor * (1.0 + 1e-12)
 
 
@@ -156,7 +158,8 @@ def box_count(
     held table at an exact ``eps/2`` with columns 2c and 2c+1 merged, the
     same bits since ``(2j)*(eps/2)`` is the float ``j*eps``.  Refuses
     (rather than undercounts) when the sample spacing, the graph's
-    :attr:`~SampledGraph.max_gap`, exceeds eps / density_factor.
+    :attr:`~SampledGraph.max_gap`, exceeds eps / density_factor.  Raises
+    ``ValueError`` unless ``epsilon`` and ``density_factor`` are positive.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -197,8 +200,8 @@ def estimate_dimension(
     ``eps_exponents`` are the dyadic exponents j, eps = 2**-j; at least
     four are required, each narrower than the graph's x-extent (a wider
     cell covers a whole column of the graph, so its count says nothing of
-    the dimension).  The density precondition of :func:`box_count`
-    applies to the smallest epsilon.
+    the dimension).  :func:`box_count`'s density precondition applies to
+    the smallest epsilon, and its positive ``density_factor`` to all.
     """
     exponents = sorted(set(int(j) for j in eps_exponents))
     if len(exponents) < 4:

@@ -67,16 +67,6 @@ class InterpolationProblem:
     hidden: tuple[float, ...]
     params: tuple[IntervalParams, ...]
 
-    @property
-    def n_intervals(self) -> int:
-        return len(self.nodes) - 1
-
-    def xs(self) -> np.ndarray:
-        return np.array([p[0] for p in self.nodes], dtype=float)
-
-    def ys(self) -> np.ndarray:
-        return np.array([p[1] for p in self.nodes], dtype=float)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -300,8 +290,7 @@ def solve_model(problem: InterpolationProblem) -> ChfifModel:
 # overflow is reported by _non_finite_violations, not as a numpy warning
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _solve(problem: InterpolationProblem) -> ChfifModel:
-    xs_raw = problem.xs()
-    y = problem.ys()
+    xs_raw, y = (np.array(column, dtype=float) for column in zip(*problem.nodes))
     z = np.array(problem.hidden, dtype=float)
 
     x0 = float(xs_raw[0])

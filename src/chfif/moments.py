@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import attractor
 from .attractor import check_finite, sample_exact
+from .exceptions import DepthLimitError
 from .geometry import ChfifModel
 
 
@@ -86,9 +88,15 @@ class MomentTable:
 
 
 def build_moment_table(model: ChfifModel, depth: int) -> MomentTable:
-    """Tabulate moments for every word of length <= depth."""
+    """Tabulate moments for every word of length <= depth.
+
+    Raises :class:`DepthLimitError` when the N**depth + 1 cell edges exceed
+    ``attractor.DEFAULT_MAX_POINTS``, the budget of :func:`sample_exact`.
+    """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if depth > attractor.deepest_level(model.n_intervals, attractor.DEFAULT_MAX_POINTS) + 1:
+        raise DepthLimitError(f"depth {depth} needs more cell edges than the {attractor.DEFAULT_MAX_POINTS}-point limit")
     whole_a, whole_b = whole_interval_integrals(model)
     cells = (np.array([0.0]), np.array([1.0]), np.array([whole_a]), np.array([whole_b]))
     levels: list[LevelMoments] = []

@@ -23,7 +23,7 @@ from chfif import (
 )
 from chfif import attractor
 from chfif.attractor import _SweepPlan, deepest_level
-from chfif.config import bundled_config_names, parse_config, resolve_config
+from chfif.config import BUNDLED_NAMES, parse_config, resolve_config
 
 from helpers import (
     LATE_OVERFLOW,
@@ -50,7 +50,7 @@ from helpers import (
 )
 
 POWER_CONFIG = Path(__file__).resolve().parent / "data" / "power.yaml"
-ALL_CONFIGS = (*bundled_config_names(), str(POWER_CONFIG))
+ALL_CONFIGS = (*BUNDLED_NAMES, str(POWER_CONFIG))
 
 
 def node_indices(model, xs):
@@ -308,7 +308,7 @@ def assert_exact_route_mirrors(problem, depths):
 class TestReflection:
     """The exact route commutes with the reflection x -> x0 + xN - x (no power terms)."""
 
-    @pytest.mark.parametrize("name", bundled_config_names())
+    @pytest.mark.parametrize("name", BUNDLED_NAMES)
     def test_bundled_configs(self, name):
         assert_exact_route_mirrors(resolve_config(name).problem, (0, 3, 8))
 
@@ -368,11 +368,16 @@ class TestFixedPointIterate:
     def test_non_convergence_reported_not_raised(self):
         result = fixed_point_iterate(model_for("fig2"), 513, max_iters=5, tol=1e-14)
         assert not result.converged
-        assert len(result.distances) == 5
+        assert result.iterations == 5
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             fixed_point_iterate(model_for("fig4"), 3, max_iters=10, tol=1e-10)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_rejects_tol_not_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            fixed_point_iterate(model_for("fig4"), 82, max_iters=5, tol=tol)
 
     def test_settled_hidden_component_is_not_swept(self, monkeypatch):
         # fig3's f2 is a bitwise fixed point from sweep 9: from then on a

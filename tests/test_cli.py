@@ -1,5 +1,6 @@
 """Tests for config parsing, serialization and the command surface."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -22,13 +23,14 @@ from chfif import (
     IntervalParams,
     PowerTerm,
     exact_blocks,
+    fixed_point_iterate,
     solve_model,
     validate,
 )
 from chfif import attractor, cli
 from chfif.cli import main
 from chfif.config import (
-    bundled_config_names,
+    BUNDLED_NAMES,
     load_bundled_config,
     RunConfig,
     RunOptions,
@@ -200,7 +202,7 @@ class TestParseConfig:
         assert again.problem == original.problem
         assert again.options == original.options
 
-    @pytest.mark.parametrize("name", bundled_config_names() + ("power",))
+    @pytest.mark.parametrize("name", BUNDLED_NAMES + ("power",))
     def test_bundled_configs_round_trip(self, name):
         if name == "power":
             text = (Path(__file__).parent / "data" / "power.yaml").read_text()
@@ -220,9 +222,17 @@ class TestParseConfig:
         assert parse_config(serialize_config(config)) == config
 
     def test_all_bundled_configs_parse_and_validate(self):
-        for name in bundled_config_names():
+        for name in BUNDLED_NAMES:
             config = parse_config(load_bundled_config(name), name=name)
             assert not validate(config.problem), name
+
+    def test_bundled_names_are_the_config_files_and_the_benchmark_gallery(self, monkeypatch):
+        # a config file missing from BUNDLED_NAMES would not resolve, and one
+        # missing from perfbench's gallery would not be benchmarked
+        stems = sorted(path.stem for path in Path(cli.__file__).with_name("configs").glob("*.yaml"))
+        assert sorted(BUNDLED_NAMES) == stems
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        assert importlib.import_module("workloads").GALLERY == BUNDLED_NAMES
 
     def test_resolve_prefers_files(self, tmp_path):
         path = tmp_path / "fig4"          # a file shadowing a bundled name
@@ -459,6 +469,10 @@ class TestCommands:
         assert isinstance(result.exception, SystemExit)   # not a traceback
         assert "did not reach tol" in result.stderr
         assert "in 5 sweeps" in result.stderr
+        # the last sweep's distance, the larger of its two components'
+        sweeps = fixed_point_iterate(solve_model(parse_config(MINIMAL).problem), 257, 5, RunOptions().tol)
+        last = max(sweeps.f1_distances[-1], sweeps.f2_distances[-1])
+        assert f"(last distance {last:.3g})" in result.stderr
 
     @pytest.mark.parametrize("iterations", [0, -1])
     def test_empty_sweep_budget_is_validation_error(self, iterations, tmp_path):
@@ -645,7 +659,7 @@ class TestCommands:
         assert result.stdout == ""
         assert result.stderr == "error: options.depth: expected an integer <= 14, got 15\n"
 
-    @pytest.mark.parametrize("name", bundled_config_names())
+    @pytest.mark.parametrize("name", BUNDLED_NAMES)
     def test_every_bundled_config_runs_end_to_end(self, name, tmp_path):
         out = tmp_path / "report.txt"
         result = self.run("classify", "--config", name, "--out", str(out))

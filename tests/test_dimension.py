@@ -23,7 +23,7 @@ from chfif import (
     theoretical_bounds,
 )
 from chfif import dimension
-from chfif.config import bundled_config_names
+from chfif.config import BUNDLED_NAMES
 from chfif.smoothness import SmoothnessReport
 
 from helpers import equidistant_problem, model_for, zero_param_problem
@@ -178,6 +178,14 @@ class TestBoxCount:
         with pytest.raises(ValueError, match="epsilon must be positive"):
             box_count(sample_exact(model_for("fig4"), 6), epsilon)
 
+    @pytest.mark.parametrize("density_factor", [0.0, -1.0, float("nan")])
+    def test_rejects_density_factor_not_positive(self, density_factor):
+        graph = sample_exact(model_for("fig4"), 6)
+        with pytest.raises(ValueError, match="density_factor must be positive"):
+            box_count(graph, 2.0 ** -4, density_factor)
+        with pytest.raises(ValueError, match="density_factor must be positive"):
+            estimate_dimension(graph, range(1, 5), density_factor)
+
     def test_counted_graph_is_read_only(self):
         # the graph holds its widest gap and column tables from the first
         # count, so a write into its arrays would leave the next count stale
@@ -249,7 +257,7 @@ class TestBoxCount:
         assert box_count(graph, 1.0, density_factor=0.25) == 3
         assert brute_force_count(graph, 1.0, points_per_cell=64) == 3
 
-    @pytest.mark.parametrize("name", bundled_config_names())
+    @pytest.mark.parametrize("name", BUNDLED_NAMES)
     def test_folded_counts_equal_direct_counts(self, name, box_count_calls):
         # estimate_dimension counts finest first, each scale folding the one below
         graph = sample_exact(model_for(name), 10)

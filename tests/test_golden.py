@@ -22,13 +22,13 @@ import pytest
 from click.testing import CliRunner
 
 from chfif.cli import main
-from chfif.config import bundled_config_names
+from chfif.config import BUNDLED_NAMES
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
 MANIFEST = GOLDEN / "manifest.json"
 
-CONFIGS = {name: name for name in bundled_config_names()}
+CONFIGS = {name: name for name in BUNDLED_NAMES}
 CONFIGS["power"] = str(HERE / "data" / "power.yaml")
 
 TEXT_COMMANDS = ("classify", "dimension", "moments", "validate")

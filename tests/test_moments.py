@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from chfif import build_moment_table, convergence_profile, sample_exact, solve_model, whole_interval_integrals
-from chfif.config import bundled_config_names
+from chfif import DepthLimitError, attractor
+from chfif.config import BUNDLED_NAMES
 
 from helpers import (address_of, bit_identical, interval_of, lookup, make_problem, moment_a, moment_b, model_for,
                      q_m_values, repeated_profile, sampled_for, word_index, zero_param_problem)
@@ -124,6 +125,13 @@ class TestMomentTable:
         for level in table.levels:
             assert np.all(np.diff(level.starts) > 0)
 
+    def test_depth_limit(self, monkeypatch):
+        # the level-d table's N**d + 1 cell edges stay within the exact route's budget
+        monkeypatch.setattr(attractor, "DEFAULT_MAX_POINTS", 100)
+        assert len(build_moment_table(model_for("fig4"), 4).levels) == 4   # 3**4 + 1 = 82 edges
+        with pytest.raises(DepthLimitError):
+            build_moment_table(model_for("fig4"), 5)   # 244 edges
+
     def test_depth_guard(self):
         table = build_moment_table(model_for("fig4"), 2)
         with pytest.raises(KeyError):
@@ -194,7 +202,7 @@ class TestConvergenceProfile:
         profile = dict(convergence_profile(model_for("fig6"), 8, 8))
         assert profile[8] < 0.15 * profile[2]
 
-    @pytest.mark.parametrize("name", [*bundled_config_names(), "zero-data"])
+    @pytest.mark.parametrize("name", [*BUNDLED_NAMES, "zero-data"])
     def test_bits_equal_repeated_means(self, name):
         # zero data makes every sup zero, where the sign of a zero would show:
         # |mean - f| is 0, never -0
