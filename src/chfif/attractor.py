@@ -94,8 +94,7 @@ def _check_depth(model: ChfifModel, depth: int) -> None:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if depth > deepest_level(model.n_intervals, DEFAULT_MAX_POINTS):
-        raise DepthLimitError(f"depth {depth} needs {model.n_intervals ** (depth + 1) + 1} points, "
-                              f"above the limit of {DEFAULT_MAX_POINTS}")
+        raise DepthLimitError(f"depth {depth} needs more points than the {DEFAULT_MAX_POINTS}-point limit")
 
 
 def _image(model: ChfifModel, j: int, xs, f1, f2, ends_at_one: bool, out=(None, None, None)):

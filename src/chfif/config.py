@@ -5,7 +5,8 @@ one parameter mapping per interval) and an optional ``options`` section.
 The problem, interval, power-term and option mappings are read field by
 field from the dataclasses that hold them, :class:`InterpolationProblem`,
 :class:`IntervalParams`, :class:`PowerTerm` and :class:`RunOptions`, so the
-schema is written down once.  This module does not import ``click``.
+schema is written down once.  This module does not import ``click``, and
+imports PyYAML only for documents outside the bundled configs' subset of YAML.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import cache
 from importlib import resources
 from pathlib import Path
-
-import yaml
 
 from . import attractor
 from .exceptions import ConfigError
@@ -107,30 +107,35 @@ def _shown(obj, show=repr) -> str:
         return f"{what} of more than {sys.get_int_max_str_digits()} digits"
 
 
-class _Loader(yaml.SafeLoader):
-    """SafeLoader that also reads YAML 1.2 floats such as 1e-12, 2e5 and 1.0e308.
+@cache
+def _yaml():
+    """PyYAML and this module's loader and dumper, imported on first use."""
+    import yaml
 
-    YAML 1.1, which PyYAML follows, wants a dot and a signed exponent, and
-    reads those numbers as strings.  Quoted scalars stay strings.
-    """
+    class _Loader(yaml.SafeLoader):
+        """SafeLoader that also reads YAML 1.2 floats such as 1e-12, 2e5 and 1.0e308.
 
-    def construct_int(self, node) -> int | _UnreadInteger:
-        try:
-            return self.construct_yaml_int(node)
-        except ValueError:   # reported with the path of the field it fills
-            return _UnreadInteger()
+        YAML 1.1, which PyYAML follows, wants a dot and a signed exponent, and
+        reads those numbers as strings.  Quoted scalars stay strings.
+        """
 
+        def construct_int(self, node) -> int | _UnreadInteger:
+            try:
+                return self.construct_yaml_int(node)
+            except ValueError:   # reported with the path of the field it fills
+                return _UnreadInteger()
 
-class _Dumper(yaml.SafeDumper):
-    """SafeDumper that quotes the strings :class:`_Loader` would read as floats."""
+    class _Dumper(yaml.SafeDumper):
+        """SafeDumper that quotes the strings :class:`_Loader` would read as floats."""
 
+    for cls in (_Loader, _Dumper):
+        cls.add_implicit_resolver(
+            "tag:yaml.org,2002:float",
+            re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+            list("-+.0123456789"))
+    _Loader.add_constructor("tag:yaml.org,2002:int", _Loader.construct_int)
+    return yaml, _Loader, _Dumper
 
-for _cls in (_Loader, _Dumper):
-    _cls.add_implicit_resolver(
-        "tag:yaml.org,2002:float",
-        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
-        list("-+.0123456789"))
-_Loader.add_constructor("tag:yaml.org,2002:int", _Loader.construct_int)
 
 # record types a field annotation may name
 _RECORDS = {"IntervalParams": IntervalParams, "PowerTerm": PowerTerm}
@@ -206,6 +211,89 @@ def _record(cls, obj, where: str, document_order: bool = False):
                   for key in keys})
 
 
+# the subset of YAML that the bundled configs are written in (`_read_subset`)
+_SUBSET_KEY = "(" + "|".join(sorted({*_KEYS.values()}.union(
+    f.name for cls in (RunConfig, InterpolationProblem, *_RECORDS.values(), RunOptions) for f in fields(cls)))) + ")"
+_SUBSET_LINE = re.compile(r"( *)(?:(?:" + _SUBSET_KEY + r":|(-))(?: +(.*?))?)? *")
+_SUBSET_TOKEN = re.compile(r" *(?:([\[\]{},])|" + _SUBSET_KEY + r": |(-?(?:0|[1-9][0-9]{0,17})(\.[0-9]+)?))")
+_SUBSET_DEPTH = 8   # deeper documents go to PyYAML, whose RecursionError has its own message
+
+
+class _OutsideSubset(Exception):
+    """A document :func:`_read_subset` leaves to PyYAML."""
+
+
+def _read_subset(text: str):
+    """What ``yaml.load(text, Loader=_Loader)`` returns, read without PyYAML, or None.
+
+    None outside the subset: printable ASCII; ``#`` comments at a line's start
+    or after a space; block mappings of schema keys (YAML 1.1 reads keys such
+    as ``no`` and ``on`` as booleans); block sequences indented under their
+    key, of ``- <flow value>`` items; one-line flow values ``[...]``,
+    ``{key: value, ...}`` and numbers ``-?(0|[1-9][0-9]{0,17})(.[0-9]+)?``.
+    """
+    if not (text.isascii() and text.replace("\n", "").isprintable()):
+        return None
+    lines = [_SUBSET_LINE.fullmatch("" if line.startswith("#") else line.split(" #", 1)[0])
+             for line in text.split("\n")]
+    if not all(lines):
+        return None
+    # (indent, key or None for a sequence item, flow text or ""/None); blank lines left out
+    rows = [(len(line[1]), line[2], line[4]) for line in lines if line[2] or line[3]]
+    try:
+        doc, end = _subset_block(rows, 0, 0) if rows else (None, 0)
+    except _OutsideSubset:
+        return None
+    return doc if end == len(rows) else None
+
+
+def _subset_block(rows, i: int, depth: int):
+    """The block mapping or sequence whose first row is ``rows[i]``, and the index of the row after it."""
+    indent, first_key, _ = rows[i]
+    items = []
+    while i < len(rows) and rows[i][0] == indent:   # a deeper row not under a key is left unread
+        _, key, text = rows[i]
+        i += 1
+        if (key is None) != (first_key is None) or depth >= _SUBSET_DEPTH:
+            raise _OutsideSubset
+        if text:
+            value, end = _subset_flow(text, 0, depth + 1)
+            if end != len(text):
+                raise _OutsideSubset
+        elif key and i < len(rows) and rows[i][0] > indent:
+            value, i = _subset_block(rows, i, depth + 1)
+        else:   # a null, or a sequence at its key's column
+            raise _OutsideSubset
+        items.append((key, value))
+    # the last of duplicate keys wins, as in PyYAML
+    return (dict(items) if first_key else [value for _, value in items]), i
+
+
+def _subset_flow(text: str, pos: int, depth: int):
+    """The flow value at ``text[pos:]``, and the position after it."""
+    token = _SUBSET_TOKEN.match(text, pos)
+    if token and token[3]:
+        return (float(token[3]) if token[4] else int(token[3])), token.end()
+    if not token or token[1] not in ("[", "{") or depth >= _SUBSET_DEPTH:
+        raise _OutsideSubset
+    close = "}" if token[1] == "{" else "]"
+    items, pos = [], token.end()
+    while True:
+        token = _SUBSET_TOKEN.match(text, pos)
+        if token and token[1] == close:   # also after a trailing comma, as in PyYAML
+            return (dict(items) if close == "}" else [value for _, value in items]), token.end()
+        key = token[2] if token else None
+        if (key is None) != (close == "]"):   # each mapping entry starts with a key
+            raise _OutsideSubset
+        value, pos = _subset_flow(text, token.end() if key else pos, depth + 1)
+        items.append((key, value))
+        token = _SUBSET_TOKEN.match(text, pos)
+        if token and token[1] == ",":
+            pos = token.end()
+        elif not token or token[1] != close:
+            raise _OutsideSubset
+
+
 def parse_config(text: str, name: str = "config") -> RunConfig:
     """Parse and strictly validate a YAML configuration document.
 
@@ -213,14 +301,17 @@ def parse_config(text: str, name: str = "config") -> RunConfig:
     constraints on the parameters themselves are left to validation so the
     two failure kinds stay distinguishable.
     """
-    try:
-        doc = yaml.load(text, Loader=_Loader)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        where = f"line {mark.line + 1}" if mark else "document"
-        raise ConfigError(where, f"YAML parse error: {exc}") from exc
-    except RecursionError as exc:   # PyYAML composes nested collections recursively
-        raise ConfigError("document", "YAML parse error: nested too deeply") from exc
+    doc = _read_subset(text)
+    if doc is None:
+        yaml, loader, _ = _yaml()
+        try:
+            doc = yaml.load(text, Loader=loader)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f"line {mark.line + 1}" if mark else "document"
+            raise ConfigError(where, f"YAML parse error: {exc}") from exc
+        except RecursionError as exc:   # PyYAML composes nested collections recursively
+            raise ConfigError("document", "YAML parse error: nested too deeply") from exc
     if doc is None:
         raise ConfigError("document", "empty document; required sections: problem")
     doc = _require_mapping(doc, "document")
@@ -255,7 +346,8 @@ def serialize_config(config: RunConfig) -> str:
                if value != defaults[key]}
     if options:
         doc["options"] = options
-    return yaml.dump(doc, Dumper=_Dumper, sort_keys=False)
+    yaml, _, dumper = _yaml()
+    return yaml.dump(doc, Dumper=dumper, sort_keys=False)
 
 
 def load_bundled_config(name: str) -> str:

@@ -253,6 +253,14 @@ class TestExactBlocks:
         with pytest.raises(DepthLimitError):
             exact_blocks(model_for("fig4"), 15)   # 3**16 + 1 points
 
+    @pytest.mark.parametrize("sample", [sample_exact, exact_blocks])
+    def test_depth_limit_names_no_unprintable_count(self, sample):
+        # 3**10001 + 1 has more digits than str() writes
+        with pytest.raises(DepthLimitError) as err:
+            sample(model_for("fig4"), 10**4)
+        assert str(err.value) == (f"depth 10000 needs more points than the "
+                                  f"{attractor.DEFAULT_MAX_POINTS}-point limit")
+
     @pytest.mark.filterwarnings("error")   # overflow stays inside each block's errstate
     def test_overflow_past_the_first_block(self, monkeypatch):
         monkeypatch.setattr(attractor, "_BLOCK_POINTS", 3)

@@ -75,6 +75,8 @@ CASES = {
     "scalar-document": ("just text\n", "document: expected a mapping, got str"),
     "yaml-syntax": ("problem: [unclosed\n", YAML_SYNTAX),
     "yaml-reader": ("\x07", YAML_READER),
+    # PyYAML refuses a control character anywhere, inside a comment too
+    "yaml-reader-in-comment": ("# \x07\n" + problem(), YAML_READER.replace("position 0", "position 2")),
     "yaml-too-deep": ("problem: " + "[" * 5000 + "]" * 5000 + "\n",
                       "document: YAML parse error: nested too deeply"),
     "unknown-top-key": (problem() + "extra: 1\n", "extra: unknown key"),
@@ -84,6 +86,8 @@ CASES = {
     "problem-list": ("problem: [1, 2]\n", "problem: expected a mapping, got list"),
     "problem-null": ("problem:\n", "problem: expected a mapping, got NoneType"),
     "unknown-problem-key": (problem(extra="  params: []\n"), "problem.params: unknown key"),
+    # YAML 1.1 reads the key `no` as False
+    "unknown-problem-key-read-as-bool": (problem(extra="  no: 1\n"), "problem.False: unknown key"),
     "missing-nodes": (f"problem:\n  hidden: {HIDDEN}\n  intervals: [{FIRST}]\n",
                       "problem: missing key 'nodes'"),
     "missing-hidden": (f"problem:\n  nodes: {NODES}\n",
