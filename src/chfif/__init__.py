@@ -15,7 +15,6 @@ from .attractor import (
     sample_exact,
 )
 from .dimension import (
-    DimensionOneResult,
     EmpiricalDimension,
     TheoreticalBounds,
     box_count,
@@ -42,7 +41,6 @@ from .geometry import (
     PowerTerm,
     Violation,
     is_equidistant,
-    is_self_affine_config,
     self_affine_discrepancies,
     solve_model,
     validate,

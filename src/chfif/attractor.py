@@ -68,7 +68,7 @@ class SampledGraph:
     @functools.cached_property
     def max_gap(self) -> float:
         """The widest spacing of ``xs``, computed on first use and then held (``xs`` is read-only)."""
-        return float(np.max(np.diff(np.asarray(self.xs, dtype=float))))
+        return float(np.max(np.diff(np.asarray(self.xs, dtype=float)), initial=0.0))
 
     @functools.cached_property
     def box_columns(self) -> dict:

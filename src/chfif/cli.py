@@ -31,8 +31,7 @@ from .exceptions import (
     ChfifError,
     NotConvergedError,
 )
-from .geometry import (ENDPOINT_ATOL, is_self_affine_config, self_affine_discrepancies,
-                       solve_model, validate)
+from .geometry import ENDPOINT_ATOL, self_affine_discrepancies, solve_model, validate
 from .moments import build_moment_table, convergence_profile
 from .smoothness import classify
 
@@ -145,20 +144,8 @@ def _report(pairs, opts, degeneracy: str | None) -> None:
         sys.exit(EXIT_DEGENERATE)
 
 
-def _near_self_affine_warning(model) -> str | None:
-    # hidden ordinates ride on the data and the collapse identity holds on
-    # some intervals but not all: likely a mistyped parameter
-    if not bool(np.all(np.abs(model.y - model.z) <= ENDPOINT_ATOL)):
-        return None
-    gaps = np.abs(model.alpha + model.beta - model.gamma)
-    failing = int(np.sum(gaps > ENDPOINT_ATOL))
-    if 0 < failing < model.n_intervals:
-        issues = self_affine_discrepancies(model)
-        return "near-self-affine: " + "; ".join(issues)
-    return None
-
-
 def _classification_pairs(config: RunConfig, model, report):
+    issues = self_affine_discrepancies(model)
     pairs = [
         ("command", "classify"),
         ("config", config.name),
@@ -181,16 +168,18 @@ def _classification_pairs(config: RunConfig, model, report):
         ("delta_tag", report.delta_tag),
         ("tau1", report.tau1),
         ("tau2", report.tau2),
-        ("tau3", report.tau3),
-        ("tau4", report.tau4),
-        ("self_affine", is_self_affine_config(model)),
+        ("tau3", min(report.tau1, report.tau2)),
+        ("tau4", report.tau1),
+        ("self_affine", not issues),
         ("degenerate", report.degeneracy is not None),
     ]
     if report.degeneracy is not None:
         pairs.append(("warning", report.degeneracy))
-    near_miss = _near_self_affine_warning(model)
-    if near_miss:
-        pairs.append(("warning", near_miss))
+    # hidden ordinates ride on the data and the collapse identity holds on
+    # some intervals but not all: likely a mistyped parameter
+    failing = int(np.sum(np.abs(model.alpha + model.beta - model.gamma) > ENDPOINT_ATOL))
+    if np.all(np.abs(model.y - model.z) <= ENDPOINT_ATOL) and 0 < failing < model.n_intervals:
+        pairs.append(("warning", "near-self-affine: " + "; ".join(issues)))
     return pairs
 
 

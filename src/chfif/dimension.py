@@ -221,12 +221,6 @@ def estimate_dimension(
     return EmpiricalDimension(estimate=slope, r_squared=r2, exponents=tuple(exponents), counts=tuple(counts))
 
 
-@dataclass(frozen=True)
-class DimensionOneResult:
-    holds: bool
-    note: str | None = None
-
-
 # (theta regimes, admissible delta tags, parameter-sum channels); a case
 # holds when the report's tag is listed with delta = 1 and one listed
 # channel sum is <= 1.
@@ -239,17 +233,17 @@ _DIMENSION_ONE_CASES = (
 )
 
 
-def dimension_one_predicate(model: ChfifModel, report: SmoothnessReport) -> DimensionOneResult:
-    """Whether the graph provably has dimension exactly 1.
+def dimension_one_predicate(model: ChfifModel, report: SmoothnessReport) -> tuple[bool, str | None]:
+    """Whether the graph provably has dimension exactly 1, and which hypothesis failed.
 
     Only stated for equidistant nodes; each case requires the classifier's
     exponent tag to equal 1 and the relevant parameter sum to stay at or
-    below 1.
+    below 1.  The note names a failed hypothesis, or is None.
     """
     if not is_equidistant(model):
-        return DimensionOneResult(False, "equidistant hypothesis fails")
+        return False, "equidistant hypothesis fails"
     if report.degeneracy is not None:
-        return DimensionOneResult(False, "classification exponent is degenerate")
+        return False, "classification exponent is degenerate"
     delta_is_one = abs(report.delta - 1.0) <= CRITICAL_RTOL
     for regimes, tags, channels in _DIMENSION_ONE_CASES:
         if report.theta_regime not in regimes:
@@ -257,8 +251,8 @@ def dimension_one_predicate(model: ChfifModel, report: SmoothnessReport) -> Dime
         if report.delta_tag not in tags or not delta_is_one:
             continue
         if any(_abs_sum(model, ch) <= 1.0 + CRITICAL_RTOL for ch in channels):
-            return DimensionOneResult(True)
-    return DimensionOneResult(False)
+            return True, None
+    return False, None
 
 
 def dimension_report(
@@ -270,7 +264,7 @@ def dimension_report(
     """The report's ``(key, value)`` lines; which ratios are critical is read from ``report``."""
     bounds = theoretical_bounds(model, report)
     empirical = estimate_dimension(sampled, eps_exponents)
-    one = dimension_one_predicate(model, report)
+    one_holds, one_note = dimension_one_predicate(model, report)
     pairs = [
         ("critical_condition", bounds.critical_condition if bounds else "none"),
         ("omega_critical", report.omega_state == "EQ1"),
@@ -294,8 +288,8 @@ def dimension_report(
         ("eps_exponents", empirical.exponents),
         ("box_counts", empirical.counts),
         ("r_squared", empirical.r_squared),
-        ("dimension_one_flag", one.holds),
+        ("dimension_one_flag", one_holds),
     ]
-    if one.note:
-        pairs.append(("dimension_one_note", one.note))
+    if one_note:
+        pairs.append(("dimension_one_note", one_note))
     return pairs

@@ -383,11 +383,6 @@ def self_affine_discrepancies(model: ChfifModel) -> tuple[str, ...]:
     return tuple(issues)
 
 
-def is_self_affine_config(model: ChfifModel) -> bool:
-    """True iff the configuration collapses the two components."""
-    return not self_affine_discrepancies(model)
-
-
 def is_equidistant(model: ChfifModel) -> bool:
     ref = model.a[0]
     return bool(np.all(np.abs(model.a - ref) <= CRITICAL_RTOL * ref))

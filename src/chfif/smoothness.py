@@ -38,8 +38,7 @@ class SmoothnessReport:
 
     tau1 = log(max|alpha_i|) / log(I_min) and tau2 its gamma analogue are
     the largest admissible values of the log-ratio exponent bounds, infinite
-    when the parameter maximum is zero (the bound is then never used);
-    tau3 = min(tau1, tau2) and tau4 = tau1 follow from them.
+    when the parameter maximum is zero (the bound is then never used).
     ``degeneracy`` names the formula when the exponent is not positive and
     is None exactly when delta > 0.
     """
@@ -54,14 +53,6 @@ class SmoothnessReport:
     tau2: float
     case_label: Literal["a", "b"]
     degeneracy: str | None
-
-    @property
-    def tau3(self) -> float:
-        return min(self.tau1, self.tau2)
-
-    @property
-    def tau4(self) -> float:
-        return self.tau1
 
 
 def _log_ratio(numer_max: float, i_min: float) -> float:

@@ -22,7 +22,6 @@ from chfif import (
     empirical_holder,
     estimate_dimension,
     fixed_point_iterate,
-    is_self_affine_config,
     sample_exact,
     self_affine_discrepancies,
     solve_model,
@@ -107,9 +106,8 @@ def test_criterion_04_self_affine_collapse():
     gap = float(np.max(np.abs(graph.f1s - graph.f2s)))
     original = model_for("fig1")
     issues = self_affine_discrepancies(original)
-    flagged = (not is_self_affine_config(original)) and any(
-        "alpha_3 + beta_3" in msg for msg in issues)
-    ok = gap <= 1e-12 and is_self_affine_config(corrected) and flagged
+    flagged = any("alpha_3 + beta_3" in msg for msg in issues)
+    ok = gap <= 1e-12 and not self_affine_discrepancies(corrected) and flagged
     msg = report(4, "self-affine collapse", ok,
                  f"corrected max|f1-f2| {gap:.2e}; uncorrected flagged: {flagged}")
     assert ok, msg
@@ -237,11 +235,11 @@ def test_criterion_11_dimension_one_predicate():
     model = solve_model(equidistant_problem(
         alphas=(0.3, 0.3), betas=(0.0, 0.0), gammas=(0.3, 0.3)))
     rpt = classify(model)
-    flag = dimension_one_predicate(model, rpt)
+    holds, _ = dimension_one_predicate(model, rpt)
     est = estimate_dimension(sample_exact(model, 13), range(4, 13)).estimate
-    ok = flag.holds and abs(est - 1.0) <= 0.05
+    ok = holds and abs(est - 1.0) <= 0.05
     msg = report(11, "dimension-one predicate", ok,
-                 f"flag {flag.holds}, estimate {est:.3f}")
+                 f"flag {holds}, estimate {est:.3f}")
     assert ok, msg
 
 

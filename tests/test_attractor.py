@@ -247,6 +247,10 @@ class TestExactBlocks:
         sizes = [len(xs) for xs, _, _ in exact_blocks(model_for("fig4"), depth)]
         assert sizes == [n ** (held + 1) + 1] + [n ** (held + 1)] * (n ** (depth - held) - 1)
 
+    def test_deepest_level_needs_two_intervals(self):
+        with pytest.raises(ValueError, match="^deepest_level needs at least 2 intervals$"):
+            deepest_level(1, 10**6)
+
     def test_depth_checks_run_at_the_call(self):
         with pytest.raises(ValueError):
             exact_blocks(model_for("fig4"), -1)
@@ -381,6 +385,10 @@ class TestFixedPointIterate:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             fixed_point_iterate(model_for("fig4"), 3, max_iters=10, tol=1e-10)
+
+    def test_rejects_no_sweeps(self):
+        with pytest.raises(ValueError, match="^max_iters must be >= 1$"):
+            fixed_point_iterate(model_for("fig4"), 82, max_iters=0, tol=1e-10)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
     def test_rejects_tol_not_positive(self, tol):

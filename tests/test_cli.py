@@ -254,6 +254,13 @@ class TestCommands:
         assert result.exit_code == 0
         assert "ok: true" in result.output
 
+    def test_module_entry_point(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        child = subprocess.run([sys.executable, "-m", "chfif.cli", "validate", "--config", "fig4"],
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert (child.returncode, child.stderr) == (0, "")
+        assert "ok: true" in child.stdout.splitlines()
+
     def test_validate_failure_exit_code(self, tmp_path):
         bad = MINIMAL.replace("{alpha: 0.2, beta: 0.4, gamma: 0.3}",
                               "{alpha: 0.2, beta: 0.7, gamma: 0.5}")

@@ -257,6 +257,13 @@ class TestBoxCount:
         assert box_count(graph, 1.0, density_factor=0.25) == 3
         assert brute_force_count(graph, 1.0, points_per_cell=64) == 3
 
+    @pytest.mark.parametrize("epsilon", [1.0, 0.25, 2.0 ** -10])
+    def test_single_sample_counts_one_cell(self, epsilon):
+        # a lone point has no spacing to refuse and lies in exactly one cell
+        graph = SampledGraph(xs=np.array([0.3]), f1s=np.array([0.7]), f2s=np.array([0.7]))
+        assert graph.max_gap == 0.0
+        assert box_count(graph, epsilon) == 1
+
     @pytest.mark.parametrize("name", BUNDLED_NAMES)
     def test_folded_counts_equal_direct_counts(self, name, box_count_calls):
         # estimate_dimension counts finest first, each scale folding the one below
@@ -393,29 +400,37 @@ class TestDimensionOnePredicate:
         model = synthetic_self_affine(gamma=0.3, alpha=0.3)
         report = classify(model)
         assert report.delta == 1.0 and report.delta_tag == "delta1"
-        result = dimension_one_predicate(model, report)
-        assert result.holds
+        holds, _ = dimension_one_predicate(model, report)
+        assert holds
 
     def test_non_equidistant_gate(self):
         model = model_for("fig4")
-        result = dimension_one_predicate(model, classify(model))
-        assert not result.holds
-        assert "equidistant" in result.note
+        holds, note = dimension_one_predicate(model, classify(model))
+        assert not holds
+        assert "equidistant" in note
 
     def test_large_alpha_sum_blocks_the_gamma_branch_case(self):
         model = synthetic_self_affine(gamma=0.3, alpha=0.7)   # sum 1.4
-        result = dimension_one_predicate(model, fake_report("LT1", 1.0, "delta4"))
-        assert not result.holds
+        holds, _ = dimension_one_predicate(model, fake_report("LT1", 1.0, "delta4"))
+        assert not holds
 
     def test_gamma_sum_can_carry_first_case(self):
         model = synthetic_self_affine(gamma=0.3, alpha=0.7)   # alpha sum 1.4, gamma sum 0.6
-        result = dimension_one_predicate(model, fake_report("LT1", 1.0, "delta1"))
-        assert result.holds
+        holds, _ = dimension_one_predicate(model, fake_report("LT1", 1.0, "delta1"))
+        assert holds
 
     def test_delta_below_one_fails(self):
         model = synthetic_self_affine(gamma=0.3, alpha=0.3)
-        result = dimension_one_predicate(model, fake_report("LT1", 0.9, "delta1"))
-        assert not result.holds
+        holds, _ = dimension_one_predicate(model, fake_report("LT1", 0.9, "delta1"))
+        assert not holds
+
+    def test_degenerate_exponent_gate(self):
+        # the equidistant affine FIF whose delta6 reads -0.070 (see test_smoothness)
+        model = solve_model(equidistant_problem((0.5, -0.6, 0.5), (0.0,) * 3, (0.5, -0.6, 0.5),
+                                                ys=(0.0, 1.0, -0.5, 0.7)))
+        assert is_equidistant(model)
+        assert dimension_one_predicate(model, classify(model)) == (
+            False, "classification exponent is degenerate")
 
 
 class TestDimensionReport:

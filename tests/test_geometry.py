@@ -6,7 +6,6 @@ import pytest
 from chfif import (
     ValidationError,
     is_equidistant,
-    is_self_affine_config,
     self_affine_discrepancies,
     solve_model,
     validate,
@@ -184,19 +183,19 @@ class TestSelfAffine:
         problem = make_problem(
             hidden=(2.0, 7.0, 4.0, 9.0),
             alphas=(0.5, 0.5, 0.5), betas=(0.2, 0.2, 0.2), gammas=(0.7, 0.7, 0.7))
-        assert is_self_affine_config(solve_model(problem))
+        assert not self_affine_discrepancies(solve_model(problem))
 
     def test_distinct_hidden_data_is_not_self_affine(self):
-        assert not is_self_affine_config(model_for("fig4"))
+        assert self_affine_discrepancies(model_for("fig4"))
 
     def test_nominal_self_affine_entry_fails_on_third_interval(self):
         model = model_for("fig1")
-        assert not is_self_affine_config(model)
         issues = self_affine_discrepancies(model)
+        assert issues
         assert any("alpha_3 + beta_3" in msg and "gamma_3" in msg for msg in issues)
 
     def test_corrected_entry_collapses(self):
-        assert is_self_affine_config(model_for("fig1_corrected"))
+        assert not self_affine_discrepancies(model_for("fig1_corrected"))
 
 
 class TestEquidistant:

@@ -132,6 +132,10 @@ class TestMomentTable:
         with pytest.raises(DepthLimitError):
             build_moment_table(model_for("fig4"), 5)   # 244 edges
 
+    def test_rejects_negative_depth(self):
+        with pytest.raises(ValueError, match="^depth must be >= 0$"):
+            build_moment_table(model_for("fig4"), -1)
+
     def test_depth_guard(self):
         table = build_moment_table(model_for("fig4"), 2)
         with pytest.raises(KeyError):

@@ -126,8 +126,6 @@ class TestClassifyGallery:
         report = classify(model_for("fig8"))
         assert report.tau1 == pytest.approx(np.log(0.5) / np.log(0.25), rel=1e-12)
         assert report.tau2 == pytest.approx(np.log(0.3) / np.log(0.25), rel=1e-12)
-        assert report.tau3 == min(report.tau1, report.tau2)
-        assert report.tau4 == report.tau1
 
 
 class TestClassifySplitExponents:
@@ -252,6 +250,10 @@ class TestEmpiricalHolder:
         graph = SampledGraph(xs=xs, f1s=np.full_like(xs, 3.0), f2s=xs)
         with pytest.raises(InsufficientScalesError):
             empirical_holder(graph, 4, 10)
+
+    def test_rejects_reversed_scales(self):
+        with pytest.raises(ValueError, match="^scale_max_exp must be >= scale_min_exp$"):
+            empirical_holder(sampled_for("fig4", 8), 5, 4)
 
     def test_diagnostics_shape(self):
         estimate = empirical_holder(sampled_for("fig4", 8), 4, 9)
