@@ -64,19 +64,19 @@ def fmt(value, precision: int) -> str:
 
 
 # Rows per %-format call of `_table_pieces`: enough to amortise the call,
-# few enough that one chunk's float list, value tuple and text each stay
-# under glibc's 128 KiB mmap threshold, so the heap reuses them chunk after
-# chunk.
+# few enough that one chunk's float list, value tuple and bytes (written as
+# they are, with no encoded copy) each stay under glibc's 128 KiB mmap
+# threshold, so the heap reuses them chunk after chunk.
 _CHUNK_ROWS = 2048
 
 
-def _table_pieces(row: str, columns, labels):
-    """The rows of equal-length float ``columns`` as text pieces, printed by ``row``.
+def _table_pieces(row: bytes, columns, labels):
+    """The rows of equal-length float ``columns`` as bytes pieces, printed by ``row``.
 
     One %-format call per chunk of at most ``_CHUNK_ROWS`` rows.  ``labels``,
-    unless None, yields each row's leading text cell.  Printed with
+    unless None, yields each row's leading bytes cell.  Printed with
     :func:`_spec`'s spec, the bytes equal those of formatting each value
-    with :func:`fmt`.
+    with :func:`fmt` and encoding it.
     """
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
         chunk = np.stack([c[start:start + _CHUNK_ROWS] for c in columns], axis=1)
@@ -87,36 +87,37 @@ def _table_pieces(row: str, columns, labels):
 
 
 def _csv_pieces(blocks, precision: int):
-    """The ``x,f1,f2`` table of consecutive ``(xs, f1, f2)`` blocks as text pieces."""
-    yield "x,f1,f2\n"
-    row = ",".join([_spec(precision)] * 3) + "\n"
+    """The ``x,f1,f2`` table of consecutive ``(xs, f1, f2)`` blocks as bytes pieces."""
+    yield b"x,f1,f2\n"
+    row = (",".join([_spec(precision)] * 3) + "\n").encode()
     for block in blocks:
         yield from _table_pieces(row, block, None)
 
 
 def _write_out(pieces, out: str | None) -> None:
-    """Write text pieces in order to ``out``, or to stdout when it is None or "-".
+    """Write bytes pieces in order to ``out``, or to stdout when it is None or "-".
 
     Each piece is written as soon as it is produced, so a generator of
     pieces is never held in memory whole.  A file is written whole or not
     at all: the pieces go to a temporary file beside it, which replaces
     ``out`` after the last piece and is removed if producing one raises.
-    Stdout keeps whatever was written before the error.
+    Pieces are UTF-8, with surrogateescape for an undecodable config file
+    name; stdout gets them as text, in its encoding, up to any error.
     """
     if out is None or out == "-":
         for piece in pieces:
-            click.echo(piece, nl=False)
+            click.echo(piece.decode(errors="surrogateescape"), nl=False)
         return
     target = os.path.realpath(out)
     if os.path.exists(target) and not os.path.isfile(target):
         # a device or pipe cannot be replaced; write to it directly
-        with open(target, "w", encoding="utf-8", newline="\n") as fh:
+        with open(target, "wb") as fh:
             fh.writelines(pieces)
         return
     directory, name = os.path.split(target)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        with open(tmp, "wb") as fh:
             fh.writelines(pieces)
         os.replace(tmp, target)
     except BaseException:
@@ -138,7 +139,7 @@ def _kv_lines(pairs, precision: int) -> str:
 
 def _report(pairs, opts, degeneracy: str | None) -> None:
     """Write a key-value report; then, if ``degeneracy`` names one, warn on stderr and exit 3."""
-    _write_out((_kv_lines(pairs, opts.precision),), opts.out)
+    _write_out((_kv_lines(pairs, opts.precision).encode(errors="surrogateescape"),), opts.out)
     if degeneracy is not None:
         click.echo(f"warning: {degeneracy}", err=True)
         sys.exit(EXIT_DEGENERATE)
@@ -306,24 +307,24 @@ def moments(config: RunConfig) -> None:
 
 
 def _moment_pieces(name: str, n_intervals: int, table, profile, p: int):
-    # the report's text, a chunk of cells at a time: held whole, the text of
+    # the report's bytes, a chunk of cells at a time: held whole, the text of
     # the deepest table the options allow (14.3M cells for N = 3) takes GBs
     yield (f"# config: {name}\n"
            f"# whole-interval integrals: B={fmt(table.whole_b, p)} A={fmt(table.whole_a, p)}\n"
-           "word,start,length,b,a\n")
-    row = "%s" + f",{_spec(p)}" * 4 + "\n"
-    symbols = [str(r) for r in range(1, n_intervals + 1)]
+           "word,start,length,b,a\n").encode(errors="surrogateescape")
+    row = ("%s" + f",{_spec(p)}" * 4 + "\n").encode()
+    symbols = [str(r).encode() for r in range(1, n_intervals + 1)]
     for length, level in enumerate(table.levels, start=1):
         columns = (level.starts, level.lengths, level.b_values, level.a_values)
         yield from _table_pieces(row, columns, _words(symbols, length))
-    yield "\nm,sup_error\n" + "".join(f"{m},{fmt(err, p)}\n" for m, err in profile)
+    yield ("\nm,sup_error\n" + "".join(f"{m},{fmt(err, p)}\n" for m, err in profile)).encode()
 
 
 def _words(symbols, length: int):
     # spatial order: word r_1..r_m has index digits (r_m ... r_1) base N, so
     # r_1 varies fastest in front of the words of r_2..r_m
     if not length:
-        return iter(("",))
+        return iter((b"",))
     return (r + tail for tail in _words(symbols, length - 1) for r in symbols)
 
 

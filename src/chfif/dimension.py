@@ -159,10 +159,13 @@ def box_count(
     same bits since ``(2j)*(eps/2)`` is the float ``j*eps``.  Refuses
     (rather than undercounts) when the sample spacing, the graph's
     :attr:`~SampledGraph.max_gap`, exceeds eps / density_factor.  Raises
-    ``ValueError`` unless ``epsilon`` and ``density_factor`` are positive.
+    ``ValueError`` on a graph with no samples, and unless ``epsilon`` and
+    ``density_factor`` are positive.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
+    if not len(sampled.xs):
+        raise ValueError("the graph has no samples")
     if _too_coarse(sampled, epsilon, density_factor):
         raise SamplingTooCoarseError(
             f"sample spacing {sampled.max_gap:.3g} exceeds epsilon/{density_factor:g} = "
@@ -207,6 +210,8 @@ def estimate_dimension(
     if len(exponents) < 4:
         raise InsufficientScalesError(
             f"need at least 4 epsilon values, got {len(exponents)}")
+    if not len(sampled.xs):
+        raise ValueError("the graph has no samples")
     width = float(sampled.xs[-1] - sampled.xs[0])
     if 2.0 ** (-exponents[0]) >= width:
         raise InsufficientScalesError(

@@ -1,7 +1,9 @@
 """Tests for config parsing, serialization and the command surface."""
 
 import importlib
+import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -9,12 +11,13 @@ import threading
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chfif import (
@@ -819,6 +822,25 @@ def test_random_problems_end_in_an_exit_code(config):
 
 SPECIAL_VALUES = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 0.1, -2.5, 1 / 3, 0.0, 7.0])
 
+NEGATIVE_NAN = math.copysign(math.nan, -1.0)
+
+# any double: hypothesis's floats, every bit pattern, and the values whose
+# printing a formatter most often gets wrong
+DOUBLES = st.one_of(
+    st.floats(),
+    st.integers(0, 2 ** 64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.sampled_from([NEGATIVE_NAN, math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-320]),
+)
+
+
+def _run_module(config, *args, encoding: str):
+    """Run ``python -m chfif.cli`` with ``config`` (str or bytes) and return its stdout bytes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONIOENCODING=encoding)
+    child = subprocess.run([sys.executable, "-m", "chfif.cli", args[0], "--config", config, *args[1:]],
+                           capture_output=True, env=env, timeout=120)
+    assert (child.returncode, child.stderr) == (0, b"")
+    return child.stdout
+
 
 class TestGenerateWriter:
     """The chunked ``generate`` and ``moments`` writers against per-value formatting oracles."""
@@ -877,3 +899,50 @@ class TestGenerateWriter:
         out = tmp_path / "fig4.moments.txt"
         assert self.run("moments", "--config", "fig4", "--out", str(out)).exit_code == 0
         assert out.read_bytes() == (Path(__file__).parent / "golden" / "fig4.moments.txt").read_bytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.tuples(DOUBLES, DOUBLES, DOUBLES, DOUBLES), min_size=1, max_size=3),
+           precision=st.integers(0, 800))
+    @example(rows=[(NEGATIVE_NAN, math.inf, -math.inf, -0.0), (0.0, 5e-324, -2.5e-320, math.nan)],
+             precision=0)
+    @example(rows=[(NEGATIVE_NAN, 5e-324, -math.inf, -0.0)], precision=767)
+    @example(rows=[(-2.5e-320, math.nan, math.inf, 0.0)], precision=800)
+    def test_byte_templates_match_fmt(self, rows, precision):
+        # the generate and moments row templates, applied as bytes, against fmt per value
+        def line(values):
+            return b",".join(cli.fmt(v, precision).encode() for v in values) + b"\n"
+
+        columns = [np.array(column) for column in zip(*rows)]
+        pieces = list(cli._csv_pieces([columns[:3]], precision))
+        assert b"".join(pieces[1:]) == b"".join(line(row[:3]) for row in rows)
+        level = SimpleNamespace(starts=columns[0], lengths=columns[1], b_values=columns[2], a_values=columns[3])
+        table = SimpleNamespace(whole_b=0.5, whole_a=0.25, levels=[level])
+        pieces = list(cli._moment_pieces("t", len(rows), table, [], precision))
+        # between the header and the profile: words 1..N, then the four values
+        assert b"".join(pieces[1:-1]) == b"".join(b"%d," % i + line(row) for i, row in enumerate(rows, 1))
+
+    @pytest.mark.parametrize("command, line", [("validate", "config: {}\n"), ("moments", "# config: {}\n")],
+                             ids=["validate", "moments"])
+    def test_stdout_prints_config_name_in_its_encoding(self, command, line, tmp_path):
+        config = tmp_path / "f\xefg.yaml"
+        config.write_text(load_bundled_config("fig4"), encoding="utf-8")
+        want = line.format("f\xefg")
+        assert want.encode("latin-1") in _run_module(str(config), command, encoding="latin-1").splitlines(True)
+        assert want.encode() in _run_module(str(config), command, encoding="utf-8").splitlines(True)
+        out = tmp_path / "report.txt"
+        assert _run_module(str(config), command, "--out", str(out), encoding="latin-1") == b""
+        assert want.encode() in out.read_bytes().splitlines(True)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs a file name that is not UTF-8")
+    @pytest.mark.parametrize("command, line", [("validate", b"config: f\xffg\n"), ("moments", b"# config: f\xffg\n")],
+                             ids=["validate", "moments"])
+    def test_undecodable_config_name_keeps_its_bytes(self, command, line, tmp_path):
+        # the name's file-name bytes, on stdout and in the --out file alike
+        config = os.path.join(os.fsencode(tmp_path), b"f\xffg.yaml")
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write(load_bundled_config("fig4"))
+        stdout = _run_module(config, command, encoding="utf-8:surrogateescape")
+        assert line in stdout.splitlines(True)
+        out = tmp_path / "report.txt"
+        assert _run_module(config, command, "--out", str(out), encoding="utf-8") == b""
+        assert out.read_bytes() == stdout

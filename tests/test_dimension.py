@@ -257,6 +257,13 @@ class TestBoxCount:
         assert box_count(graph, 1.0, density_factor=0.25) == 3
         assert brute_force_count(graph, 1.0, points_per_cell=64) == 3
 
+    @pytest.mark.parametrize("count", [lambda g: box_count(g, 0.25), lambda g: estimate_dimension(g, range(4, 8))],
+                             ids=["box_count", "estimate_dimension"])
+    def test_empty_graph_is_refused(self, count):
+        empty = np.array([])
+        with pytest.raises(ValueError, match="^the graph has no samples$"):
+            count(SampledGraph(xs=empty, f1s=empty, f2s=empty))
+
     @pytest.mark.parametrize("epsilon", [1.0, 0.25, 2.0 ** -10])
     def test_single_sample_counts_one_cell(self, epsilon):
         # a lone point has no spacing to refuse and lies in exactly one cell
