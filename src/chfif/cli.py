@@ -31,7 +31,7 @@ from .exceptions import (
     ChfifError,
     NotConvergedError,
 )
-from .geometry import ENDPOINT_ATOL, self_affine_discrepancies, solve_model, validate
+from .geometry import self_affine_discrepancies, solve_model, validate
 from .moments import build_moment_table, convergence_profile
 from .smoothness import classify
 
@@ -100,7 +100,8 @@ def _write_out(pieces, out: str | None) -> None:
     Each piece is written as soon as it is produced, so a generator of
     pieces is never held in memory whole.  A file is written whole or not
     at all: the pieces go to a temporary file beside it, which replaces
-    ``out`` after the last piece and is removed if producing one raises.
+    ``out`` after the last piece and is removed if producing one raises; an
+    error opening or replacing it names ``out``, not the temporary file.
     Pieces are UTF-8, with surrogateescape for an undecodable config file
     name; stdout gets them as text, in its encoding, up to any error.
     """
@@ -120,9 +121,12 @@ def _write_out(pieces, out: str | None) -> None:
         with open(tmp, "wb") as fh:
             fh.writelines(pieces)
         os.replace(tmp, target)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(exc, OSError) and tmp in (exc.filename, exc.filename2):
+            # name the file asked for, not the temporary one beside it
+            raise OSError(exc.errno, exc.strerror, out) from exc
         raise
 
 
@@ -176,10 +180,10 @@ def _classification_pairs(config: RunConfig, model, report):
     ]
     if report.degeneracy is not None:
         pairs.append(("warning", report.degeneracy))
-    # hidden ordinates ride on the data and the collapse identity holds on
-    # some intervals but not all: likely a mistyped parameter
-    failing = int(np.sum(np.abs(model.alpha + model.beta - model.gamma) > ENDPOINT_ATOL))
-    if np.all(np.abs(model.y - model.z) <= ENDPOINT_ATOL) and 0 < failing < model.n_intervals:
+    # hidden ordinates ride on the data (no z_ clause) and the collapse
+    # identity fails on some intervals but not all: likely a mistyped parameter
+    failing = sum(issue.startswith("alpha_") for issue in issues)
+    if 0 < failing < model.n_intervals and not issues[0].startswith("z_"):
         pairs.append(("warning", "near-self-affine: " + "; ".join(issues)))
     return pairs
 

@@ -25,7 +25,7 @@ from .exceptions import ValidationError
 # Relative tolerance used everywhere a ratio is compared against 1.
 CRITICAL_RTOL = 1e-9
 
-# Absolute tolerance for endpoint-condition residuals and coefficient equality.
+# Absolute tolerance of the self-affinity tests z_i = y_i and alpha_i + beta_i = gamma_i.
 ENDPOINT_ATOL = 1e-12
 
 
@@ -352,33 +352,25 @@ def _solve(problem: InterpolationProblem) -> ChfifModel:
     )
 
 
-def _templates_equal(model: ChfifModel, j: int) -> bool:
-    p, q = model.p, model.q
-    return (
-        abs(p.lin[j] - q.lin[j]) <= ENDPOINT_ATOL
-        and abs(p.const[j] - q.const[j]) <= ENDPOINT_ATOL
-        and abs(p.coeff[j] - q.coeff[j]) <= ENDPOINT_ATOL
-        and (p.coeff[j] == 0.0 or abs(p.exponent[j] - q.exponent[j]) <= ENDPOINT_ATOL)
-    )
-
-
 def self_affine_discrepancies(model: ChfifModel) -> tuple[str, ...]:
     """List what prevents the two components from coinciding.
 
     Empty result means z = y, alpha_i + beta_i = gamma_i on every interval
-    and the solved map functions agree, so the visible component collapses
-    onto the self-affine hidden one.
+    and p_i, q_i carry equal power terms, so the visible component collapses
+    onto the self-affine hidden one.  Under the first two the solve gives
+    p_i = q_i exactly when the power terms agree, so these inputs decide it
+    at any scale of the data, with no solved coefficient compared.
     """
-    issues: list[str] = []
-    for i, (yi, zi) in enumerate(zip(model.y, model.z)):
-        if abs(yi - zi) > ENDPOINT_ATOL:
-            issues.append(f"z_{i} = {zi} != y_{i} = {yi}")
+    issues = [f"z_{i} = {zi} != y_{i} = {yi}"
+              for i, (yi, zi) in enumerate(zip(model.y, model.z)) if abs(yi - zi) > ENDPOINT_ATOL]
+    p, q = model.p, model.q   # their power terms are the inputs' h, lam and k, mu
+    s = model.alpha + model.beta
+    breaks = np.abs(s - model.gamma) > ENDPOINT_ATOL
+    differs = breaks | bool(issues) | (p.coeff != q.coeff) | ((p.coeff != 0.0) & (p.exponent != q.exponent))
     for j in range(model.n_intervals):
-        s = model.alpha[j] + model.beta[j]
-        if abs(s - model.gamma[j]) > ENDPOINT_ATOL:
-            issues.append(
-                f"alpha_{j+1} + beta_{j+1} = {s} != gamma_{j+1} = {model.gamma[j]}")
-        if not _templates_equal(model, j):
+        if breaks[j]:
+            issues.append(f"alpha_{j+1} + beta_{j+1} = {s[j]} != gamma_{j+1} = {model.gamma[j]}")
+        if differs[j]:
             issues.append(f"p_{j+1} != q_{j+1} (solved coefficients differ)")
     return tuple(issues)
 

@@ -396,6 +396,15 @@ class TestCommands:
         result = self.run("classify", "--config", "fig4", "--out", str(tmp_path))
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("command", ["generate", "classify"])
+    def test_out_into_a_missing_directory_names_the_path_given(self, command, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        result = self.run(command, "--config", "fig4", "--out", str(out))
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_through_a_symlink_writes_its_target(self, tmp_path):
         target = tmp_path / "report.txt"
         target.write_text("earlier run\n")
@@ -680,6 +689,35 @@ class TestCommands:
                         "--out", str(curve)).exit_code == 0
         assert len(curve.read_text().splitlines()) == 3**4 + 2
 
+
+# (s, t) of y -> s*y + t, z -> s*z + t.  Every classify line reads only the
+# abscissas, the scalings, the exponents and whether z = y and the power
+# terms agree, so none may move; (1, 1e5) puts the solved coefficients'
+# rounding far above any absolute tolerance.
+ORDINATE_MAPS = ((1.0, 1e5), (1e6, 12345.678), (1e3, 0.0), (1e6, 0.0), (-2.0, 3.0))
+
+
+@pytest.mark.parametrize("ref", [*BUNDLED_NAMES, pytest.param(
+    str(Path(__file__).parent / "data" / "power.yaml"), id="power")])
+@pytest.mark.parametrize("s, t", ORDINATE_MAPS)
+def test_classify_report_is_invariant_under_an_affine_map_of_the_ordinates(ref, s, t, tmp_path):
+    config = resolve_config(ref)
+
+    def scaled(term):   # y and z scaled by s scale the power coefficients by s
+        return term and replace(term, coeff=s * term.coeff)
+
+    problem = config.problem
+    problem = replace(
+        problem,
+        nodes=tuple((x, s * y + t) for x, y in problem.nodes),
+        hidden=tuple(s * z + t for z in problem.hidden),
+        params=tuple(replace(prm, p_power=scaled(prm.p_power), q_power=scaled(prm.q_power))
+                     for prm in problem.params))
+    path = tmp_path / f"{config.name}.yaml"    # the same stem prints the same config line
+    path.write_text(serialize_config(replace(config, problem=problem)))
+    base, mapped = (CliRunner().invoke(main, ["classify", "--config", where, "--out", "-"])
+                    for where in (ref, str(path)))
+    assert (mapped.exit_code, mapped.stdout, mapped.stderr) == (base.exit_code, base.stdout, base.stderr)
 
 
 class _Stop(Exception):

@@ -13,6 +13,7 @@ stored manifest, or that none does, and re-records every case.
 """
 
 import hashlib
+import importlib
 import json
 import sys
 import tempfile
@@ -27,6 +28,7 @@ from chfif.config import BUNDLED_NAMES
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
 MANIFEST = GOLDEN / "manifest.json"
+PERFBENCH = HERE.parent / "perfbench"
 
 CONFIGS = {name: name for name in BUNDLED_NAMES}
 CONFIGS["power"] = str(HERE / "data" / "power.yaml")
@@ -64,6 +66,19 @@ def test_output_unchanged(case, tmp_path):
         assert data.decode() == (GOLDEN / f"{case}.txt").read_bytes().decode()
     else:
         assert hashlib.sha256(data).hexdigest() == want["sha256"]
+
+
+@pytest.mark.parametrize("case", [f"{name}.{command}" for name in BUNDLED_NAMES
+                                  for command in ("classify", "dimension", "moments")])
+def test_golden_passes_the_benchmark_check(case, monkeypatch):
+    # the benchmark's gallery checks these reports against its own record;
+    # a re-recorded golden it would reject fails here first
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    name, command = case.split(".")
+    want = json.loads((PERFBENCH / "expected.json").read_text())["gallery"]["cli"][f"{name}/{command}"]
+    assert json.loads(MANIFEST.read_text())[case]["exit_code"] == want["exit"]
+    assert workloads.compare_report((GOLDEN / f"{case}.txt").read_text(encoding="utf-8"), want["text"]) is None
 
 
 def record() -> None:
