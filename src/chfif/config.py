@@ -1,4 +1,4 @@
-"""Run configurations: the YAML schema, its parser and the bundled gallery files.
+"""Run configurations: the YAML schema, its reader and the bundled gallery files.
 
 A config document has a ``problem`` section (nodes, hidden ordinates and
 one parameter mapping per interval) and an optional ``options`` section.
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
 from importlib import resources
 from pathlib import Path
@@ -109,7 +109,7 @@ def _shown(obj, show=repr) -> str:
 
 @cache
 def _yaml():
-    """PyYAML and this module's loader and dumper, imported on first use."""
+    """PyYAML and this module's loader, imported on first use."""
     import yaml
 
     class _Loader(yaml.SafeLoader):
@@ -125,16 +125,12 @@ def _yaml():
             except ValueError:   # reported with the path of the field it fills
                 return _UnreadInteger()
 
-    class _Dumper(yaml.SafeDumper):
-        """SafeDumper that quotes the strings :class:`_Loader` would read as floats."""
-
-    for cls in (_Loader, _Dumper):
-        cls.add_implicit_resolver(
-            "tag:yaml.org,2002:float",
-            re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
-            list("-+.0123456789"))
+    _Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"))
     _Loader.add_constructor("tag:yaml.org,2002:int", _Loader.construct_int)
-    return yaml, _Loader, _Dumper
+    return yaml, _Loader
 
 
 # record types a field annotation may name
@@ -303,7 +299,7 @@ def parse_config(text: str, name: str = "config") -> RunConfig:
     """
     doc = _read_subset(text)
     if doc is None:
-        yaml, loader, _ = _yaml()
+        yaml, loader = _yaml()
         try:
             doc = yaml.load(text, Loader=loader)
         except yaml.YAMLError as exc:
@@ -327,27 +323,6 @@ def parse_config(text: str, name: str = "config") -> RunConfig:
         if options.method not in ROUTE_SIZE:
             raise ConfigError("options.method", f"expected {'|'.join(ROUTE_SIZE)}, got {options.method!r}")
     return RunConfig(problem=problem, options=options, name=name)
-
-
-def serialize_config(config: RunConfig) -> str:
-    """YAML text that re-parses to an equal configuration, apart from its name.
-
-    Absent power terms and options at their defaults are left out.
-    """
-    problem = config.problem
-    doc = {"problem": {
-        "nodes": [list(node) for node in problem.nodes],
-        "hidden": list(problem.hidden),
-        "intervals": [{key: value for key, value in asdict(p).items() if value is not None}
-                      for p in problem.params],
-    }}
-    defaults = asdict(RunOptions())
-    options = {key: value for key, value in asdict(config.options).items()
-               if value != defaults[key]}
-    if options:
-        doc["options"] = options
-    yaml, _, dumper = _yaml()
-    return yaml.dump(doc, Dumper=dumper, sort_keys=False)
 
 
 def load_bundled_config(name: str) -> str:

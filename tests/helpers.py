@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import functools
+import json
 import math
+import re
 from collections import deque
-from dataclasses import replace
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +15,7 @@ import numpy as np
 from chfif import (InterpolationProblem, IntervalParams, PowerTerm, build_moment_table, sample_exact, solve_model,
                    whole_interval_integrals)
 from chfif.attractor import CHAOS_BURN_IN
-from chfif.config import GALLERY_NAMES, resolve_config
+from chfif.config import GALLERY_NAMES, RunOptions, resolve_config
 from chfif.geometry import CRITICAL_RTOL
 from chfif.moments import _child
 
@@ -81,6 +83,21 @@ def make_problem(
         for a, b, g, pp, qp in zip(alphas, betas, gammas, p_powers, q_powers)
     )
     return InterpolationProblem(nodes=tuple(nodes), hidden=tuple(hidden), params=params)
+
+
+def config_json(config) -> str:
+    """A document that ``parse_config`` reads back as ``config``, apart from its name.
+
+    JSON is flow-style YAML with every string quoted, so ``"1e5"`` stays a
+    string.  Absent power terms and options at their defaults are left out.
+    Non-ASCII characters are written as YAML's ``\\U`` escapes, since YAML
+    reads JSON's surrogate pair for one character as two.
+    """
+    problem, defaults = config.problem, asdict(RunOptions())
+    intervals = [{k: v for k, v in asdict(p).items() if v is not None} for p in problem.params]
+    doc = {"problem": {"nodes": problem.nodes, "hidden": problem.hidden, "intervals": intervals},
+           "options": {k: v for k, v in asdict(config.options).items() if v != defaults[k]}}
+    return re.sub(r"[^\x00-\x7e]", lambda c: f"\\U{ord(c[0]):08x}", json.dumps(doc, ensure_ascii=False))
 
 
 def zero_param_problem() -> InterpolationProblem:

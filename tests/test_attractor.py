@@ -449,7 +449,7 @@ class TestSweepMatchesInterp:
         # these run the f1-only sweeps
         ("fig2", 6561, 300),
         ("fig3", 513, 300),
-        (str(POWER_CONFIG), 1000, 10_000),
+        pytest.param(str(POWER_CONFIG), 1000, 10_000, id="power-1000-10000"),
     ])
     def test_fixed_point_iterate(self, config, grid_size, max_iters):
         model = solve_model(resolve_config(config).problem)

@@ -1,5 +1,6 @@
-"""Tests for config parsing, serialization and the command surface."""
+"""Tests for config parsing and the command surface."""
 
+import functools
 import importlib
 import math
 import os
@@ -39,10 +40,9 @@ from chfif.config import (
     RunOptions,
     parse_config,
     resolve_config,
-    serialize_config,
 )
 
-from helpers import LATE_OVERFLOW, csv_text, zero_param_problem
+from helpers import LATE_OVERFLOW, config_json, csv_text, zero_param_problem
 
 MINIMAL = """\
 problem:
@@ -201,7 +201,7 @@ class TestParseConfig:
 
     def test_round_trip(self):
         original = parse_config(MINIMAL)
-        again = parse_config(serialize_config(original))
+        again = parse_config(config_json(original))
         assert again.problem == original.problem
         assert again.options == original.options
 
@@ -212,17 +212,17 @@ class TestParseConfig:
         else:
             text = load_bundled_config(name)
         original = parse_config(text, name=name)
-        assert parse_config(serialize_config(original), name=name) == original
+        assert parse_config(config_json(original), name=name) == original
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(run_configs())
     def test_round_trip_random_configs(self, config):
-        assert parse_config(serialize_config(config)) == config
+        assert parse_config(config_json(config)) == config
 
     def test_float_like_strings_round_trip(self):
-        # YAML 1.1 writes "1e5" unquoted, and the config loader reads it as a float
+        # "1e5" written unquoted would read as a float: the loader takes YAML 1.2 floats
         config = replace(parse_config(MINIMAL), options=RunOptions(out="1e5"))
-        assert parse_config(serialize_config(config)) == config
+        assert parse_config(config_json(config)) == config
 
     def test_all_bundled_configs_parse_and_validate(self):
         for name in BUNDLED_NAMES:
@@ -312,7 +312,7 @@ class TestCommands:
 
     def test_generate_zero_parameters_match_interpolant(self, tmp_path):
         config = tmp_path / "zero.yaml"
-        config.write_text(serialize_config(RunConfig(zero_param_problem())))
+        config.write_text(config_json(RunConfig(zero_param_problem())))
         out = tmp_path / "curve.csv"
         result = self.run("generate", "--config", str(config), "--depth", "4", "--out", str(out))
         assert result.exit_code == 0
@@ -697,13 +697,17 @@ class TestCommands:
 ORDINATE_MAPS = ((1.0, 1e5), (1e6, 12345.678), (1e3, 0.0), (1e6, 0.0), (-2.0, 3.0))
 
 
-@pytest.mark.parametrize("ref", [*BUNDLED_NAMES, pytest.param(
-    str(Path(__file__).parent / "data" / "power.yaml"), id="power")])
-@pytest.mark.parametrize("s, t", ORDINATE_MAPS)
-def test_classify_report_is_invariant_under_an_affine_map_of_the_ordinates(ref, s, t, tmp_path):
+ORDINATE_REFS = [*BUNDLED_NAMES, pytest.param(str(Path(__file__).parent / "data" / "power.yaml"), id="power")]
+
+
+def _ordinates_mapped(ref, s, t, tmp_path) -> str:
+    """The path of ``ref``'s config with y -> s*y + t and z -> s*z + t, under the same stem.
+
+    The power coefficients scale by s too, so that f1 -> s*f1 + t and f2 -> s*f2 + t.
+    """
     config = resolve_config(ref)
 
-    def scaled(term):   # y and z scaled by s scale the power coefficients by s
+    def scaled(term):
         return term and replace(term, coeff=s * term.coeff)
 
     problem = config.problem
@@ -714,10 +718,103 @@ def test_classify_report_is_invariant_under_an_affine_map_of_the_ordinates(ref, 
         params=tuple(replace(prm, p_power=scaled(prm.p_power), q_power=scaled(prm.q_power))
                      for prm in problem.params))
     path = tmp_path / f"{config.name}.yaml"    # the same stem prints the same config line
-    path.write_text(serialize_config(replace(config, problem=problem)))
+    path.write_text(config_json(replace(config, problem=problem)))
+    return str(path)
+
+
+@pytest.mark.parametrize("ref", ORDINATE_REFS)
+@pytest.mark.parametrize("s, t", ORDINATE_MAPS)
+def test_classify_report_is_invariant_under_an_affine_map_of_the_ordinates(ref, s, t, tmp_path):
     base, mapped = (CliRunner().invoke(main, ["classify", "--config", where, "--out", "-"])
-                    for where in (ref, str(path)))
+                    for where in (ref, _ordinates_mapped(ref, s, t, tmp_path)))
     assert (mapped.exit_code, mapped.stdout, mapped.stderr) == (base.exit_code, base.stdout, base.stderr)
+
+
+def _stdout(*args) -> str:
+    result = CliRunner().invoke(main, list(args))
+    assert result.exit_code == 0, result.stderr
+    return result.stdout
+
+
+# each bundled config's own output, shared by the five maps
+_base_stdout = functools.lru_cache(maxsize=None)(_stdout)
+
+
+def _rounding_unit(ref, s, t) -> float:
+    """One rounding unit of the mapped curve's largest value: |s| times a certified bound on |f1| and |f2|, plus |t|."""
+    return np.finfo(float).eps * (abs(s) * max(solve_model(resolve_config(ref).problem).value_bounds()) + abs(t))
+
+
+@pytest.mark.parametrize("ref", ORDINATE_REFS)
+@pytest.mark.parametrize("s, t", ORDINATE_MAPS)
+def test_exact_generate_maps_with_an_affine_map_of_the_ordinates(ref, s, t, tmp_path):
+    """Every exact value v becomes s*v + t; the abscissas keep every digit.
+
+    A level-d value has gone through d map applications on data no larger
+    than the mapped bound, each rounding a few terms, and the scalings are
+    below 1, so earlier errors do not grow: 4 (d + 1) units, as for the
+    reflection in ``test_attractor.py``, with no term for the abscissas,
+    which do not move.  The original's error, times |s|, and the rounding
+    of s*v + t fit the same count.  The worst on these cases was 1.1 units
+    per level.
+    """
+    depth = 6
+    base, mapped = (np.array([row.split(",") for row in text.splitlines()[1:]])
+                    for text in (_base_stdout("generate", "--config", ref, "--depth", str(depth), "--precision", "17"),
+                                 _stdout("generate", "--config", _ordinates_mapped(ref, s, t, tmp_path),
+                                         "--depth", str(depth), "--precision", "17")))
+    assert (mapped[:, 0] == base[:, 0]).all()
+    error = np.abs(mapped[:, 1:].astype(float) - (s * base[:, 1:].astype(float) + t))
+    assert np.max(error) <= 4 * (depth + 1) * _rounding_unit(ref, s, t)
+
+
+def _moment_numbers(text: str):
+    """(B, A), the table's [start, length, b, a] rows and the [m, sup_error] rows of a ``moments`` report."""
+    head, profile = text.split("\nm,sup_error\n")
+    lines = head.splitlines()
+    whole = np.array([part.split("=")[1] for part in lines[1].split()[-2:]], dtype=float)
+    table = np.array([row.split(",")[1:] for row in lines[3:]], dtype=float)
+    return whole, table, np.array([row.split(",") for row in profile.splitlines()], dtype=float)
+
+
+@pytest.mark.parametrize("ref", ORDINATE_REFS)
+@pytest.mark.parametrize("s, t", ORDINATE_MAPS)
+def test_moments_map_with_an_affine_map_of_the_ordinates(ref, s, t, tmp_path):
+    """Each integral b or a over a cell of length l becomes s*b + t*l, and each sup_error |s| times it.
+
+    Tolerances, in rounding units of the mapped curve's largest value:
+    - B and A are sums of N closed-form integrals, each a few units,
+      divided by 1 - sum l_i gamma_i and 1 - sum l_i alpha_i, and B takes
+      A's error too: 4 / (both divisors) units.
+    - A level-m cell's integral is a difference of antiderivative values
+      at its ends, a few units however short the cell, plus l_i times its
+      parent's error: B's allowance plus 4 m units.
+    - Q_m - f1 is off by a cell's error over its length, at most the cell
+      allowance over min(l_i)**m, plus the probe value's error of
+      4 (probe_depth + 1) units; in both runs, hence twice that.
+    The worst on these cases was 0.24, 0.07 and 0.08 of these allowances.
+    """
+    model = solve_model(resolve_config(ref).problem)
+    defaults = RunOptions()
+    unit = _rounding_unit(ref, s, t)
+    (whole, table, profile), (mapped_whole, mapped_table, mapped_profile) = (
+        _moment_numbers(text) for text in (_base_stdout("moments", "--config", ref, "--precision", "17"),
+                                           _stdout("moments", "--config", _ordinates_mapped(ref, s, t, tmp_path),
+                                                   "--precision", "17")))
+    whole_allowance = 4 / ((1 - np.sum(model.a * model.gamma)) * (1 - np.sum(model.a * model.alpha)))
+    assert np.max(np.abs(mapped_whole - (s * whole + t))) <= whole_allowance * unit
+
+    assert (mapped_table[:, :2] == table[:, :2]).all()
+    levels = np.arange(1, defaults.moments_depth + 1)
+    levels = np.repeat(levels, model.n_intervals ** levels)   # each row's word length
+    error = np.abs(mapped_table[:, 2:] - (s * table[:, 2:] + t * table[:, 1:2]))
+    assert np.all(error.max(axis=1) <= (whole_allowance + 4 * levels) * unit)
+
+    m = profile[:, 0]
+    cell_allowance = whole_allowance + 4 * m
+    allowance = 2 * (cell_allowance / np.min(model.a) ** m + 4 * (defaults.probe_depth + 1))
+    assert (mapped_profile[:, 0] == m).all()
+    assert np.all(np.abs(mapped_profile[:, 1] - abs(s) * profile[:, 1]) <= allowance * unit)
 
 
 class _Stop(Exception):
@@ -847,7 +944,7 @@ FUZZ_RUNS = (["validate"], ["classify"], ["dimension"], ["moments"], ["generate"
 def test_random_problems_end_in_an_exit_code(config):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "config.yaml")
-        path.write_text(serialize_config(config))
+        path.write_text(config_json(config))
         for run in FUZZ_RUNS:
             result = CliRunner().invoke(main, [*run, "--config", str(path)])
             assert result.exit_code in (0, 1, 3), (run, result.stderr)

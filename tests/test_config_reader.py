@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from chfif import InterpolationProblem, IntervalParams, PowerTerm, cli
 from chfif.config import BUNDLED_NAMES, RunOptions, _read_subset, _yaml, load_bundled_config
 
-YAML, LOADER, _ = _yaml()
+YAML, LOADER = _yaml()
 POWER = Path(__file__).parent / "data" / "power.yaml"
 TEXTS = {**{name: load_bundled_config(name) for name in BUNDLED_NAMES}, "power": POWER.read_text()}
 

@@ -20,7 +20,7 @@ from chfif import (
     validate,
 )
 from chfif.cli import main
-from chfif.config import RunConfig, resolve_config, serialize_config
+from chfif.config import RunConfig, resolve_config
 from chfif.geometry import CRITICAL_RTOL
 from chfif.smoothness import regime_state
 
@@ -29,6 +29,7 @@ from helpers import (
     EXPECTED_REGIMES,
     brute_force_oscillation,
     classify_oracle,
+    config_json,
     deque_oscillation,
     equidistant_problem,
     make_problem,
@@ -91,7 +92,7 @@ class TestClassifyGallery:
         assert round(report.delta, 6) == -0.070053
         assert "delta6" in report.degeneracy
         path = tmp_path / "affine_fif.yaml"
-        path.write_text(serialize_config(RunConfig(problem=problem)), encoding="utf-8")
+        path.write_text(config_json(RunConfig(problem=problem)), encoding="utf-8")
         assert CliRunner().invoke(main, ["classify", "--config", str(path)]).exit_code == 3
 
     def test_high_scaling_with_small_hidden_rate(self):
