@@ -3,8 +3,8 @@
 Three routes are provided on purpose, because each one checks the others:
 
 * :func:`sample_exact` propagates node values through the functional
-  equations, giving exact values on address-refined grids
-  (:func:`exact_blocks` streams the same grid a block at a time);
+  equations, giving exact values of f1 on address-refined grids
+  (:func:`exact_blocks` streams the same grid, f2 too, a block at a time);
 * :func:`fixed_point_iterate` runs the contraction operator on a uniform
   grid until successive sweeps agree;
 * :func:`chaos_game` renders the attractor by seeded random iteration,
@@ -56,11 +56,10 @@ def check_finite(what: str, *arrays) -> None:
 
 @dataclass(frozen=True)
 class SampledGraph:
-    """Sorted abscissas with the two component values at each point, made read-only in place."""
+    """The visible graph: sorted abscissas with the value of f1 at each, made read-only in place."""
 
     xs: np.ndarray
     f1s: np.ndarray
-    f2s: np.ndarray
 
     def __post_init__(self) -> None:
         _freeze_arrays(self)
@@ -100,7 +99,7 @@ def _check_depth(model: ChfifModel, depth: int) -> None:
 def _image(model: ChfifModel, j: int, xs, f1, f2, ends_at_one: bool, out=(None, None, None)):
     # W_j on a block, into fresh arrays or ``out``; while the block still ends
     # at x = 1 its image ends on the node x_{j+1}, set exactly so shared
-    # boundaries stay canonical
+    # boundaries stay canonical; an ``out`` of two slots leaves f2's image out
     img_x = np.multiply(model.a[j], xs, out=out[0])
     img_x += model.b[j]
     if ends_at_one:
@@ -109,35 +108,44 @@ def _image(model: ChfifModel, j: int, xs, f1, f2, ends_at_one: bool, out=(None, 
     img_1 = np.multiply(model.alpha[j], f1, out=out[1])
     img_1 += model.beta[j] * f2
     img_1 += model.p(j, xs)
+    if len(out) < 3:
+        return img_x, img_1
     img_2 = np.multiply(model.gamma[j], f2, out=out[2])
     img_2 += model.q(j, xs)
     return img_x, img_1, img_2
 
 
-def _blocks(model: ChfifModel, depth: int, held: int):
-    """The level-``depth`` grid as ``(xs, f1, f2)`` blocks: each word's image of the level-``held`` grid.
+def _level(model: ChfifModel, depth: int, components: int = 3) -> list:
+    """The level-``depth`` grid on the unit domain: ``[xs, f1, f2]``, or ``[xs, f1]`` for two ``components``.
 
-    The held grid is built level by level, ``_BLOCK_POINTS`` points of a
-    level of m at a time: map j's image of points lo .. hi-1 is written
-    straight into points j*(m-1)+lo .. j*(m-1)+hi-1 of the next level.
-    Chunks run in order, maps last first within each, so the point two
-    neighbouring images share (the right one's point 0, in the first chunk)
-    ends up with the left image's value, the endpoint that sets it to the
-    node exactly.
+    Built level by level, ``_BLOCK_POINTS`` points of a level of m at a
+    time: map j's image of points lo .. hi-1 is written straight into
+    points j*(m-1)+lo .. j*(m-1)+hi-1 of the next level.  Chunks run in
+    order, maps last first within each, so the point two neighbouring
+    images share (the right one's point 0, in the first chunk) ends up
+    with the left image's value, the endpoint that sets it to the node
+    exactly.  Only the last level leaves out the components not asked for:
+    each level's f1 reads the f2 of the level before.
     """
     n = model.n_intervals
-    xs, f1, f2 = model.node_x.copy(), model.y.copy(), model.z.copy()
+    grid = [model.node_x.copy(), model.y.copy(), model.z.copy()]
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(held):
-            m = len(xs)
-            level = [np.empty(n * (m - 1) + 1) for _ in range(3)]
+        for k in range(depth):
+            m = len(grid[0])
+            level = [np.empty(n * (m - 1) + 1) for _ in range(components if k == depth - 1 else 3)]
             for lo in range(0, m, _BLOCK_POINTS):
                 hi = min(lo + _BLOCK_POINTS, m)
                 for j in reversed(range(n)):
-                    _image(model, j, xs[lo:hi], f1[lo:hi], f2[lo:hi], hi == m,
+                    _image(model, j, *(v[lo:hi] for v in grid), hi == m,
                            out=[v[j * (m - 1) + lo:j * (m - 1) + hi] for v in level])
-            xs, f1, f2 = level
-    grid = xs, f1, f2
+            grid = level
+    return grid[:components]
+
+
+def _blocks(model: ChfifModel, depth: int, held: int):
+    """The level-``depth`` grid as ``(xs, f1, f2)`` blocks: each word's image of the level-``held`` grid."""
+    n = model.n_intervals
+    grid = _level(model, held)
     for index, word in enumerate(itertools.product(range(n), repeat=depth - held)):
         with np.errstate(over="ignore", invalid="ignore"):
             block, ends_at_one = grid, True
@@ -168,7 +176,7 @@ def exact_blocks(model: ChfifModel, depth: int):
 
 
 def sample_exact(model: ChfifModel, depth: int) -> SampledGraph:
-    """Exact values of (f1, f2) on the level-``depth`` subdivision grid.
+    """Exact values of f1 on the level-``depth`` subdivision grid: the visible graph.
 
     Seeds the node values and pushes them through the functional equations
     once per level: values at the image points L_i(x) are alpha_i f1(x) +
@@ -176,41 +184,40 @@ def sample_exact(model: ChfifModel, depth: int) -> SampledGraph:
     is introduced; every output value is an exact (floating-point) image of
     the seed values.  Depth m produces N**(m+1) + 1 points; depth 0 returns
     the original nodes.  The whole grid is one block of
-    :func:`exact_blocks`' construction, held at level ``depth``; stream
-    with :func:`exact_blocks` when the grid is not needed at once.
+    :func:`exact_blocks`' construction, held at level ``depth``, so its
+    ``xs`` and ``f1`` are the concatenated blocks' bit for bit; only the
+    deepest level's f2, which no analysis reads, is not built (stream
+    :func:`exact_blocks` for it, or when the grid is not needed at once).
     """
     _check_depth(model, depth)
-    (xs, f1, f2), = _blocks(model, depth, depth)
-    return SampledGraph(xs=xs, f1s=f1, f2s=f2)
+    xs, f1 = _level(model, depth, components=2)
+    check_finite(f"sample_exact at depth {depth}", f1)
+    return SampledGraph(xs=model.to_raw(xs), f1s=f1)
 
 
-class _SweepPlan:
-    """The parts of an operator sweep that stay fixed on one grid.
+class _Interp:
+    """np.interp(u, xs, f) for one sorted ``xs`` and one ``u``, any number of ``f``.
 
-    Built once per grid: the interval of each abscissa x, its preimage
-    u = L_i^{-1}(x), np.interp's bracket for u and the map coefficients
-    at u.  A sweep then reads each component at the preimages with the
+    Built from ``right``, the side="right" split of ``u`` in ``xs``:
+    np.interp's bracket for each u.  Each ``f`` is then read with the
     two-tap gather ((f[hi] - f[lo]) / dx) * t + f[lo].  Where u lies
     strictly between two grid points that is np.interp's arithmetic in
     np.interp's order.  Elsewhere np.interp returns a stored sample (u on
-    a grid point, or at or past either end of the grid); there the plan
-    holds hi = lo and t = -0.0, so the product is -0.0 and f[lo] + -0.0 is
-    f[lo] bit for bit, signed zeros included.  Sweeps are therefore
-    bit-identical to interpolating with np.interp, for finite values.
+    a grid point, the last of repeated ones, or at or past either end of
+    the grid); there it holds hi = lo and t = -0.0, so the product
+    is -0.0 and f[lo] + -0.0 is f[lo] bit for bit, signed zeros included.
+    The gather is therefore bit-identical to np.interp for finite values,
+    an overflowing slope included, and it copies none of ``xs`` or ``f``
+    (np.interp copies read-only inputs whole).
     """
 
-    def __init__(self, model: ChfifModel, xs) -> None:
-        xs = np.asarray(xs, dtype=float)
-        # node abscissas belong to the interval they close on the right
-        idx = np.clip(np.searchsorted(model.node_x, xs, side="left") - 1, 0, model.n_intervals - 1)
-        u = np.clip((xs - model.b[idx]) / model.a[idx], 0.0, 1.0)
-        lo = np.clip(np.searchsorted(xs, u, side="right") - 1, 0, len(xs) - 1)
+    def __init__(self, xs: np.ndarray, u: np.ndarray, right: np.ndarray) -> None:
+        lo = np.clip(right - 1, 0, len(xs) - 1)
         between = (xs[0] <= u) & (u < xs[-1]) & (xs[lo] != u)
         self.lo = lo
         self.hi = np.where(between, lo + 1, lo)
         self.t = np.where(between, u - xs[lo], -0.0)
         self.dx = np.where(between, xs[self.hi] - xs[lo], 1.0)
-        self.coefficients = model.alpha[idx], model.beta[idx], model.gamma[idx], model.p(idx, u), model.q(idx, u)
 
     def _gather(self, f: np.ndarray) -> np.ndarray:
         lo = f.take(self.lo)
@@ -222,6 +229,24 @@ class _SweepPlan:
         return g
 
 
+class _SweepPlan(_Interp):
+    """The parts of an operator sweep that stay fixed on one grid.
+
+    Built once per grid: the interval of each abscissa x, its preimage
+    u = L_i^{-1}(x), the :class:`_Interp` reading of each component at u
+    and the map coefficients at u.  Sweeps are therefore bit-identical to
+    interpolating with np.interp, for finite values.
+    """
+
+    def __init__(self, model: ChfifModel, xs) -> None:
+        xs = np.asarray(xs, dtype=float)
+        # node abscissas belong to the interval they close on the right
+        idx = np.clip(np.searchsorted(model.node_x, xs, side="left") - 1, 0, model.n_intervals - 1)
+        u = np.clip((xs - model.b[idx]) / model.a[idx], 0.0, 1.0)
+        super().__init__(xs, u, np.searchsorted(xs, u, side="right"))
+        self.coefficients = model.alpha[idx], model.beta[idx], model.gamma[idx], model.p(idx, u), model.q(idx, u)
+
+
 def _sup_distance(a: np.ndarray, b: np.ndarray) -> float:
     d = a - b
     return float(np.max(np.abs(d, out=d)))
@@ -229,12 +254,16 @@ def _sup_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class IterationResult:
-    """Fixed-point iteration output with its convergence history."""
+    """Fixed-point iteration output: the visible graph, f2 on its grid (read-only) and the convergence history."""
 
     graph: SampledGraph
+    f2s: np.ndarray
     f1_distances: tuple[float, ...]
     f2_distances: tuple[float, ...]
     converged: bool
+
+    def __post_init__(self) -> None:
+        _freeze_arrays(self)
 
     @property
     def iterations(self) -> int:
@@ -301,9 +330,9 @@ def fixed_point_iterate(model: ChfifModel, grid_size: int, max_iters: int, tol: 
             converged = True
             break
 
-    graph = SampledGraph(xs=model.to_raw(xs), f1s=f1, f2s=f2)
     return IterationResult(
-        graph=graph,
+        graph=SampledGraph(xs=model.to_raw(xs), f1s=f1),
+        f2s=f2,
         f1_distances=tuple(d1s),
         f2_distances=tuple(d2s),
         converged=converged,

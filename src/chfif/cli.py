@@ -260,7 +260,7 @@ def generate(config: RunConfig) -> None:
             raise NotConvergedError(
                 f"iteration did not reach tol {opts.tol} in {opts.iterations} sweeps "
                 f"(last distance {max(result.f1_distances[-1], result.f2_distances[-1]):.3g})")
-        blocks = [(result.graph.xs, result.graph.f1s, result.graph.f2s)]
+        blocks = [(result.graph.xs, result.graph.f1s, result.f2s)]
     else:
         blocks = exact_blocks(model, opts.depth)
     _write_out(_csv_pieces(blocks, opts.precision), opts.out)

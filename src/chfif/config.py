@@ -185,6 +185,9 @@ def _value(kind: str, obj, where: str):
     if kind == "str":
         if not isinstance(obj, str):
             raise ConfigError(where, f"expected a string, got {_shown(obj)}")
+        # YAML reads each \uXXXX escape alone, so a JSON pair for one character is two lone surrogates
+        if any("\ud800" <= c <= "\udfff" for c in obj):
+            raise ConfigError(where, f"expected text that UTF-8 can encode, got {obj!r}, which holds a lone surrogate")
         return obj
     return _record(_RECORDS[kind], obj, where)
 

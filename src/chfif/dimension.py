@@ -14,7 +14,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .attractor import SampledGraph
+from .attractor import SampledGraph, _Interp
 from .exceptions import InsufficientScalesError, SamplingTooCoarseError
 from .geometry import CRITICAL_RTOL, ChfifModel, is_equidistant
 from .smoothness import SmoothnessReport, loglog_fit
@@ -110,7 +110,7 @@ def _column_table(sampled: SampledGraph, epsilon: float):
         # pad to even absolute columns; crossing i lies on boundary j + 1 + i
         j, filled, top, bot, cross_y, rising = fine
         pad = (j % 2, (j % 2 + filled.size) % 2)
-        filled, top, bot = (np.pad(v, pad, constant_values=fill)
+        filled, top, bot = (np.concatenate((np.full(pad[0], fill), v, np.full(pad[1], fill)))
                             for v, fill in ((filled, False), (top, -np.inf), (bot, np.inf)))
         keep = slice((j + 1) % 2, None, 2)
         table = (j_lo, filled[0::2] | filled[1::2], np.maximum(top[0::2], top[1::2]),
@@ -127,7 +127,14 @@ def _column_table(sampled: SampledGraph, epsilon: float):
         top[filled] = np.maximum.reduceat(ys, starts[filled])
         bot[filled] = np.minimum.reduceat(ys, starts[filled])
         k = np.clip(s, 1, xs.size - 1)
-        table = (j_lo, filled, top, bot, np.interp(crossings, xs, ys), ys[k] > ys[k - 1])
+        # np.interp's bracket needs the side="right" split: it differs only
+        # for a crossing on a sample, where it passes repeated ones
+        right = s.copy()
+        on = xs[np.minimum(s, xs.size - 1)] == crossings
+        right[on] = np.searchsorted(xs, crossings[on], side="right")
+        with np.errstate(over="ignore"):   # as np.interp, which does not warn on a slope that overflows
+            cross_y = _Interp(xs, crossings, right)._gather(ys)
+        table = (j_lo, filled, top, bot, cross_y, ys[k] > ys[k - 1])
     tables[epsilon] = table
     return table
 

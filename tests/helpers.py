@@ -6,14 +6,15 @@ import functools
 import json
 import math
 import re
+import tracemalloc
 from collections import deque
 from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
 
-from chfif import (InterpolationProblem, IntervalParams, PowerTerm, build_moment_table, sample_exact, solve_model,
-                   whole_interval_integrals)
+from chfif import (InterpolationProblem, IntervalParams, PowerTerm, build_moment_table, exact_blocks, sample_exact,
+                   solve_model, whole_interval_integrals)
 from chfif.attractor import CHAOS_BURN_IN
 from chfif.config import GALLERY_NAMES, RunOptions, resolve_config
 from chfif.geometry import CRITICAL_RTOL
@@ -64,6 +65,31 @@ def sampled_for(name: str, depth: int):
     if depth > 10:
         raise ValueError("cache only small grids; sample deep grids locally")
     return sample_exact(model_for(name), depth)
+
+
+def exact_grid(model, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(xs, f1, f2)`` on the level-``depth`` grid: ``exact_blocks``' blocks concatenated.
+
+    ``xs`` and ``f1`` equal ``sample_exact``'s bit for bit; ``f2`` is the
+    hidden component that ``sample_exact`` does not build on its grid.
+    """
+    blocks = list(exact_blocks(model, depth))
+    return tuple(np.concatenate([block[k] for block in blocks]) for k in range(3))
+
+
+def traced(call):
+    """``call()``'s result, with the bytes it left allocated and its peak, as tracemalloc counts them.
+
+    numpy reports its array buffers to tracemalloc, so the counts hold the
+    arrays; unlike RSS, they do not depend on the allocator or the run.
+    """
+    tracemalloc.start()
+    try:
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current, peak
 
 
 def make_problem(
@@ -162,30 +188,28 @@ def exact_residuals(model, depth: int) -> tuple[float, float]:
     domain, so no abscissa is rounded on its way to the raw domain and back.
     """
     unit = replace(model, x0=0.0, span=1.0)
-    coarse = sample_exact(unit, depth)
-    fine = sample_exact(unit, depth + 1)
-    xs, f1, f2 = coarse.xs, coarse.f1s, coarse.f2s
+    (xs, f1, f2), (fine_xs, fine_f1, fine_f2) = exact_grid(unit, depth), exact_grid(unit, depth + 1)
     m = len(xs)
     worst1 = worst2 = 0.0
     for j in range(model.n_intervals):
         sl = slice(j * (m - 1), j * (m - 1) + m)
-        if not np.allclose(fine.xs[sl], model.a[j] * xs + model.b[j], rtol=0, atol=1e-9):
+        if not np.allclose(fine_xs[sl], model.a[j] * xs + model.b[j], rtol=0, atol=1e-9):
             raise AssertionError("refined grid misaligned with interval images")
         rhs1 = model.alpha[j] * f1 + model.beta[j] * f2 + model.p(j, xs)
         rhs2 = model.gamma[j] * f2 + model.q(j, xs)
-        worst1 = max(worst1, float(np.max(np.abs(fine.f1s[sl] - rhs1))))
-        worst2 = max(worst2, float(np.max(np.abs(fine.f2s[sl] - rhs2))))
+        worst1 = max(worst1, float(np.max(np.abs(fine_f1[sl] - rhs1))))
+        worst2 = max(worst2, float(np.max(np.abs(fine_f2[sl] - rhs2))))
     return worst1, worst2
 
 
-def functional_residuals(model, graph):
-    """Sup-norm residuals of the two functional equations after one operator sweep.
+def functional_residuals(model, xs, f1, f2):
+    """Sup-norm residuals of the two functional equations after one operator sweep of ``(xs, f1, f2)``.
 
     The natural residual for iterates; on exact samples use ``exact_residuals``.
     """
-    xs = (np.asarray(graph.xs, dtype=float) - model.x0) / model.span
-    t1, t2 = interp_sweep(model, xs, graph.f1s, graph.f2s)
-    return float(np.max(np.abs(t1 - graph.f1s))), float(np.max(np.abs(t2 - graph.f2s)))
+    xs = (np.asarray(xs, dtype=float) - model.x0) / model.span
+    t1, t2 = interp_sweep(model, xs, f1, f2)
+    return float(np.max(np.abs(t1 - f1))), float(np.max(np.abs(t2 - f2)))
 
 
 def address_of(model, x: float, m: int) -> tuple[int, ...]:

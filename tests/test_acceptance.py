@@ -30,8 +30,8 @@ from chfif import (
 from chfif.cli import main as cli_main
 from chfif.config import GALLERY_NAMES
 
-from helpers import (EXPECTED_REGIMES, equidistant_problem, exact_residuals, interval_of, moment_a, moment_b,
-                     model_for, zero_param_problem)
+from helpers import (EXPECTED_REGIMES, equidistant_problem, exact_grid, exact_residuals, interval_of, moment_a,
+                     moment_b, model_for, zero_param_problem)
 
 
 def report(num, name, ok, detail=""):
@@ -52,7 +52,7 @@ def test_criterion_01_interpolation_property():
         idx = np.searchsorted(graph.xs, model.node_x)
         err = max(
             float(np.max(np.abs(graph.f1s[idx] - model.y))),
-            float(np.max(np.abs(graph.f2s[idx] - model.z))),
+            float(np.max(np.abs(exact_grid(model, 8)[2][idx] - model.z))),
         )
         worst = max(worst, err)
         slowest = max(slowest, elapsed)
@@ -90,7 +90,7 @@ def test_criterion_03_evaluation_path_equivalence():
         assert np.allclose(grid.xs[idx_grid], model.node_x, atol=1e-12)
         err = max(
             float(np.max(np.abs(exact.f1s[idx_exact] - grid.f1s[idx_grid]))),
-            float(np.max(np.abs(exact.f2s[idx_exact] - grid.f2s[idx_grid]))),
+            float(np.max(np.abs(exact_grid(model, 8)[2][idx_exact] - result.f2s[idx_grid]))),
         )
         worst = max(worst, err)
     ok = worst <= 1e-6 and laggard is None
@@ -103,7 +103,7 @@ def test_criterion_03_evaluation_path_equivalence():
 def test_criterion_04_self_affine_collapse():
     corrected = model_for("fig1_corrected")
     graph = sample_exact(corrected, 10)
-    gap = float(np.max(np.abs(graph.f1s - graph.f2s)))
+    gap = float(np.max(np.abs(graph.f1s - exact_grid(corrected, 10)[2])))
     original = model_for("fig1")
     issues = self_affine_discrepancies(original)
     flagged = any("alpha_3 + beta_3" in msg for msg in issues)
@@ -121,7 +121,7 @@ def test_criterion_05_moment_oracle():
     for name in GALLERY_NAMES:
         model = model_for(name)
         graph = sample_exact(model, 12)
-        xs, f1, f2 = graph.xs, graph.f1s, graph.f2s
+        xs, f1, f2 = graph.xs, graph.f1s, exact_grid(model, 12)[2]
         worst = 0.0
         for wl in range(0, 4):
             for word in itertools.product((1, 2, 3), repeat=wl):
@@ -179,7 +179,7 @@ def test_criterion_08_empirical_holder_calibration():
     linear_est = empirical_holder(sample_exact(solve_model(zero_param_problem()), 8), 4, 10).estimate
     xs = np.linspace(0.0, 1.0, 2**14 + 1)
     sqrt_est = empirical_holder(
-        SampledGraph(xs=xs, f1s=np.sqrt(xs), f2s=np.zeros_like(xs)), 4, 12).estimate
+        SampledGraph(xs=xs, f1s=np.sqrt(xs)), 4, 12).estimate
     ceiling = 0.0
     for name in GALLERY_NAMES:
         est = empirical_holder(sample_exact(model_for(name), 8), 4, 10).estimate

@@ -33,6 +33,7 @@ from helpers import (
     breadth_first_exact,
     chaos_reference,
     equidistant_problem,
+    exact_grid,
     exact_residuals,
     functional_residuals,
     interp_sweep,
@@ -46,6 +47,7 @@ from helpers import (
     preimages,
     q_m_values,
     sampled_for,
+    traced,
     zero_param_problem,
 )
 
@@ -138,7 +140,7 @@ class TestSampleExact:
         graph = sample_exact(model_for("fig4"), 0)
         np.testing.assert_array_equal(graph.xs, NODES_X)
         np.testing.assert_array_equal(graph.f1s, NODES_Y)
-        np.testing.assert_array_equal(graph.f2s, [3.0, 1.0, 8.0, 5.0])
+        np.testing.assert_array_equal(exact_grid(model_for("fig4"), 0)[2], [3.0, 1.0, 8.0, 5.0])
 
     def test_grid_size_and_monotonicity(self):
         graph = sampled_for("fig4", 6)
@@ -151,7 +153,7 @@ class TestSampleExact:
         graph = sampled_for(name, 8)
         idx = node_indices(model, graph.xs)
         np.testing.assert_allclose(graph.f1s[idx], model.y, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(graph.f2s[idx], model.z, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(exact_grid(model, 8)[2][idx], model.z, rtol=0, atol=1e-12)
 
     def test_zero_parameters_give_linear_interpolant(self):
         model = solve_model(zero_param_problem())
@@ -160,8 +162,9 @@ class TestSampleExact:
         np.testing.assert_allclose(graph.f1s, expected, atol=1e-12)
 
     def test_self_affine_collapse(self):
-        graph = sample_exact(model_for("fig1_corrected"), 10)
-        assert np.max(np.abs(graph.f1s - graph.f2s)) <= 1e-12
+        model = model_for("fig1_corrected")
+        graph = sample_exact(model, 10)
+        assert np.max(np.abs(graph.f1s - exact_grid(model, 10)[2])) <= 1e-12
 
     def test_depth_limit(self):
         with pytest.raises(DepthLimitError):
@@ -184,10 +187,42 @@ class TestSampleExact:
 
     @pytest.mark.parametrize("name", ["fig4", "fig10"])
     def test_interpolated_residual_route_agrees_on_mild_data(self, name):
-        graph = sampled_for(name, 8)
-        r1, r2 = functional_residuals(model_for(name), graph)
+        r1, r2 = functional_residuals(model_for(name), *exact_grid(model_for(name), 8))
         assert r1 <= 1e-10
         assert r2 <= 1e-10
+
+
+class TestVisibleGraph:
+    """``sample_exact`` builds the visible graph alone; the hidden values stay in the other routes' results."""
+
+    @pytest.mark.parametrize("ref", ALL_CONFIGS, ids=lambda ref: Path(ref).stem)
+    def test_split_keeps_every_bit(self, ref):
+        model = solve_model(resolve_config(ref).problem)
+        for depth in range(8):
+            graph, (xs, f1, _) = sample_exact(model, depth), exact_grid(model, depth)
+            assert bit_identical(graph.xs, xs) and bit_identical(graph.f1s, f1), depth
+        if Path(ref).stem in ("fig2", "power"):
+            result = fixed_point_iterate(model, 513, max_iters=50, tol=1e-300)
+            assert bit_identical(result.f2s, _reference_iterate(model, 513, result.iterations)[1])
+            assert not result.f2s.flags.writeable
+
+    # one array of the level-10 grid of fig4, 3**11 + 1 doubles
+    LEVEL = (3 ** 11 + 1) * 8
+
+    def test_peak_below_three_and_a_half_level_arrays(self):
+        # the level before (a third of a level array per component), the two
+        # new ones, and to_raw's xs; building f2 on that level made it 4.09
+        model = model_for("fig4")
+        sample_exact(model, 10)   # first-use allocations are not the route's
+        _, _, peak = traced(lambda: sample_exact(model, 10))
+        assert peak < 3.5 * self.LEVEL
+
+    def test_graph_holds_two_level_arrays(self):
+        model = model_for("fig4")
+        sample_exact(model, 10)
+        graph, held, _ = traced(lambda: sample_exact(model, 10))
+        assert round(held / self.LEVEL, 2) == 2.0
+        assert graph.xs.nbytes == graph.f1s.nbytes == self.LEVEL
 
 
 class TestExactBlocks:
@@ -201,7 +236,7 @@ class TestExactBlocks:
         for depth in range(10):
             want = breadth_first_exact(model, depth)
             graph = sample_exact(model, depth)
-            for have, oracle in zip((graph.xs, graph.f1s, graph.f2s), want):
+            for have, oracle in zip((graph.xs, graph.f1s), want):
                 assert bit_identical(have, oracle), depth
             # below N**2 + 1 points only level 0 is held, and depth 9 would be
             # N**9 tiny blocks of nine maps each: those sizes stop at depth 5
@@ -223,7 +258,7 @@ class TestExactBlocks:
         for depth in range(deepest_level(n, 3000) + 2):   # through the first level above 3,000 points
             want = breadth_first_exact(model, depth)
             graph = sample_exact(model, depth)
-            for have, oracle in zip((graph.xs, graph.f1s, graph.f2s), want):
+            for have, oracle in zip((graph.xs, graph.f1s), want):
                 assert bit_identical(have, oracle), depth
             # N + 1 points hold only level 0, so each block is a whole word's chain
             # of maps; sample_exact then builds every level above N + 1 (or 100)
@@ -235,7 +270,8 @@ class TestExactBlocks:
                     chunked = sample_exact(model, depth)
                 for k, oracle in enumerate(want):
                     assert bit_identical(np.concatenate([block[k] for block in blocks]), oracle), (depth, size)
-                    assert bit_identical((chunked.xs, chunked.f1s, chunked.f2s)[k], oracle), (depth, size)
+                for have, oracle in zip((chunked.xs, chunked.f1s), want):
+                    assert bit_identical(have, oracle), (depth, size)
 
     @pytest.mark.parametrize("block_points, depth, held", [
         (1, 3, 0), (4, 3, 0), (9, 3, 0), (10, 3, 1), (100, 4, 3), (6562, 9, 7),
@@ -311,9 +347,9 @@ def assert_exact_route_mirrors(problem, depths):
     kappa = max(abs(x0), abs(xn)) / (xn - x0)
     model, mirror = solve_model(problem), solve_model(mirrored(problem))
     for depth in depths:
-        graph, reflected = sample_exact(model, depth), sample_exact(mirror, depth)
-        unit = np.finfo(float).eps * max(1.0, np.max(np.abs(graph.f1s)), np.max(np.abs(graph.f2s)))
-        for have, want in ((reflected.f1s[::-1], graph.f1s), (reflected.f2s[::-1], graph.f2s)):
+        (_, f1, f2), (_, mirror_f1, mirror_f2) = exact_grid(model, depth), exact_grid(mirror, depth)
+        unit = np.finfo(float).eps * max(1.0, np.max(np.abs(f1)), np.max(np.abs(f2)))
+        for have, want in ((mirror_f1[::-1], f1), (mirror_f2[::-1], f2)):
             assert np.max(np.abs(have - want)) <= 4 * (depth + 1) * (1 + kappa) * unit, depth
 
 
@@ -344,7 +380,7 @@ class TestFixedPointIterate:
         assert result.converged
         idx = node_indices(model, result.graph.xs)
         np.testing.assert_allclose(result.graph.f1s[idx], model.y, atol=1e-9)
-        np.testing.assert_allclose(result.graph.f2s[idx], model.z, atol=1e-9)
+        np.testing.assert_allclose(result.f2s[idx], model.z, atol=1e-9)
 
     @pytest.mark.parametrize("name", ["fig4", "fig5", "fig8", "fig9"])
     def test_grid_vs_address_agreement(self, name):
@@ -363,7 +399,7 @@ class TestFixedPointIterate:
     def test_residual_bounded_by_tolerance(self):
         model = model_for("fig9")
         result = fixed_point_iterate(model, 2049, max_iters=2000, tol=1e-10)
-        r1, r2 = functional_residuals(model, result.graph)
+        r1, r2 = functional_residuals(model, result.graph.xs, result.graph.f1s, result.f2s)
         assert max(r1, r2) <= 10 * 1e-10
 
     @pytest.mark.parametrize("name", ["fig1", "fig4", "fig7"])
@@ -414,7 +450,7 @@ class TestFixedPointIterate:
                                                 ys=(1.0, 2.0, 0.5), zs=(-0.0, -1.0, 0.5)))
         result = fixed_point_iterate(model, 9, max_iters=10, tol=1e-300)
         assert result.iterations == 4 and result.f2_distances[2:] == (0.0, 0.0)
-        assert np.signbit(result.graph.f2s[0])
+        assert np.signbit(result.f2s[0])
         assert_matches_reference(model, result)
 
 
@@ -436,7 +472,7 @@ def assert_matches_reference(model, result):
     """``result``'s curve and distances equal the oracle's after as many sweeps, bit for bit."""
     f1, f2, d1s, d2s = _reference_iterate(model, len(result.graph.xs), result.iterations)
     assert bit_identical(result.graph.f1s, f1)
-    assert bit_identical(result.graph.f2s, f2)
+    assert bit_identical(result.f2s, f2)
     assert bit_identical(result.f1_distances, d1s)
     assert bit_identical(result.f2_distances, d2s)
 
@@ -516,9 +552,8 @@ def assert_sweeps_fill_the_address_grid(model, depth, next_level_differs=True):
     Level s + 1 still carries the interpolant's error after s sweeps, far
     above the bound, unless the interpolant happens to be exact there.
     """
-    unit = replace(model, x0=0.0, span=1.0)
-    graph = sample_exact(unit, depth)
-    xs, n = graph.xs, model.n_intervals
+    xs, exact_f1, exact_f2 = exact_grid(replace(model, x0=0.0, span=1.0), depth)
+    n = model.n_intervals
     plan = _SweepPlan(model, xs)
     alpha, beta, gamma, p, q = plan.coefficients
     f1 = np.interp(xs, model.node_x, model.y)
@@ -536,7 +571,7 @@ def assert_sweeps_fill_the_address_grid(model, depth, next_level_differs=True):
         g2 = plan._gather(f2)
         f1, f2 = alpha * plan._gather(f1) + beta * g2 + p, gamma * g2 + q
         iterates += [f1, f2]
-    exact = (graph.f1s, graph.f2s)
+    exact = (exact_f1, exact_f2)
     maps = [m(j, xs) for j in range(n) for m in (model.p, model.q)]
     eps = np.finfo(float).eps
     beta_max = float(np.max(np.abs(model.beta)))
@@ -570,15 +605,15 @@ def test_random_admissible_problem(case, data):
     """Properties of every admissible problem, each at rounding level for the data's scale."""
     model = case[0]
     n = model.n_intervals
-    graph = sample_exact(model, 3)
+    xs, f1, f2 = exact_grid(model, 3)
     # one rounding unit of the largest value on the grid: over 4,000 random
     # problems every check below stayed within 2.3 of them
-    unit = np.finfo(float).eps * max(1.0, np.max(np.abs(graph.f1s)), np.max(np.abs(graph.f2s)))
+    unit = np.finfo(float).eps * max(1.0, np.max(np.abs(f1)), np.max(np.abs(f2)))
     # node i is grid point i * N**3, reached through three map applications
     nodes = np.arange(n + 1) * n**3
-    assert np.array_equal(graph.xs[nodes], model.to_raw(model.node_x))
-    assert np.max(np.abs(graph.f1s[nodes] - model.y)) <= 24 * unit
-    assert np.max(np.abs(graph.f2s[nodes] - model.z)) <= 24 * unit
+    assert np.array_equal(xs[nodes], model.to_raw(model.node_x))
+    assert np.max(np.abs(f1[nodes] - model.y)) <= 24 * unit
+    assert np.max(np.abs(f2[nodes] - model.z)) <= 24 * unit
     # the depth-4 grid is the maps' image of the depth-3 grid, value for value
     assert max(exact_residuals(model, 3)) <= 8 * unit
     # the moment over a word is the sum over its N children (s, *word), each

@@ -154,6 +154,13 @@ CASES = {
     "bool-for-float": (options("{tol: false}"), "options.tol: expected a number, got False"),
     "int-for-str": (options("{method: 3}"), "options.method: expected a string, got 3"),
     "int-for-out": (options("{out: 5}"), "options.out: expected a string, got 5"),
+    # YAML reads the pair that JSON writes for one emoji as two lone surrogates
+    "surrogate-pair-in-out": (options('{out: "\\ud83d\\ude00.csv"}'),
+                              "options.out: expected text that UTF-8 can encode, got '\\ud83d\\ude00.csv', "
+                              "which holds a lone surrogate"),
+    "lone-surrogate-in-method": (options('{method: "ex\\udcffact"}'),
+                                 "options.method: expected text that UTF-8 can encode, got 'ex\\udcffact', "
+                                 "which holds a lone surrogate"),
     "bad-method": (options("{method: fast}"),
                    "options.method: expected exact|iterate|chaos, got 'fast'"),
     "grid-below-node-count": (options("{grid_size: 3}"), "options.grid_size: expected an integer >= 4, got 3"),

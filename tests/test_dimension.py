@@ -1,6 +1,7 @@
 """Tests for dimension bounds, box counting and the regression estimate."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -23,10 +24,11 @@ from chfif import (
     theoretical_bounds,
 )
 from chfif import dimension
+from chfif.attractor import _Interp
 from chfif.config import BUNDLED_NAMES
 from chfif.smoothness import SmoothnessReport
 
-from helpers import equidistant_problem, model_for, zero_param_problem
+from helpers import bit_identical, equidistant_problem, exact_grid, model_for, traced, zero_param_problem
 
 SYNTHETIC_DIMENSION = 1.0 + np.log(1.4) / np.log(2.0)   # two maps, rates 0.7
 
@@ -73,7 +75,7 @@ def sparse_graphs(draw):
     gaps = draw(st.lists(st.sampled_from([0.5, 1.0, 4.0]) | st.floats(0.01, 4.0), min_size=1, max_size=60))
     xs = x0 + eps * np.cumsum([0.0, *gaps])
     ys = np.array(draw(st.lists(st.integers(-12, 12), min_size=xs.size, max_size=xs.size))) * eps / 4
-    return SampledGraph(xs=xs, f1s=ys, f2s=xs), eps
+    return SampledGraph(xs=xs, f1s=ys), eps
 
 
 @pytest.fixture
@@ -163,13 +165,13 @@ class TestTheoreticalBounds:
 class TestBoxCount:
     def test_horizontal_segment(self):
         xs = np.linspace(0.0, 1.0, 2001)
-        graph = SampledGraph(xs=xs, f1s=np.full_like(xs, 0.37), f2s=xs)
+        graph = SampledGraph(xs=xs, f1s=np.full_like(xs, 0.37))
         count = box_count(graph, 1.0 / 16)
         assert count in (16, 17)
 
     def test_diagonal_segment(self):
         xs = np.linspace(0.0, 1.0, 2001)
-        graph = SampledGraph(xs=xs, f1s=xs.copy(), f2s=xs)
+        graph = SampledGraph(xs=xs, f1s=xs.copy())
         count = box_count(graph, 1.0 / 16)
         assert 16 <= count <= 32
 
@@ -191,9 +193,39 @@ class TestBoxCount:
         # count, so a write into its arrays would leave the next count stale
         graph = sample_exact(model_for("fig4"), 6)
         box_count(graph, 2.0 ** -6)
-        for values in (graph.xs, graph.f1s, graph.f2s):
+        for values in (graph.xs, graph.f1s):
             with pytest.raises(ValueError, match="read-only"):
                 values[:] = 0.0
+
+    @pytest.mark.parametrize("xs, ys, eps", [
+        # crossings on samples, two of them on runs of repeated abscissas,
+        # where np.interp takes the run's last sample
+        ((0.0, 0.5, 0.5, 0.5, 1.0, 1.5, 1.5, 2.0), (1.0, -2.0, 3.0, 0.5, 2.0, -0.0, 4.0, 1.0), 0.5),
+        # the first crossing on xs[0] (3 * 0.7 rounds down to it) and the
+        # last, 5 * 0.7 = 3.5, past xs[-1]
+        ((3 * 0.7, 2.5, 2.9, 3.4999999999999996), (0.0, 1.0, 2.0, 0.5), 0.7),
+        # finite values whose differences overflow, and a slope that does
+        ((0.0, 0.3, 0.6, 0.6 + 2.0 ** -40, 1.0), (1e308, -1e308, 1e300, -1e300, 0.0), 0.25),
+    ])
+    def test_crossing_values_equal_np_interp(self, xs, ys, eps):
+        # on writable copies: np.interp copies read-only inputs whole
+        xs, ys = np.array(xs), np.array(ys)
+        graph = SampledGraph(xs=xs.copy(), f1s=ys.copy())
+        crossings = eps * np.arange(math.floor(xs[0] / eps) + 1, math.floor(xs[-1] / eps) + 1, dtype=float)
+        assert bit_identical(dimension._column_table(graph, eps)[4], np.interp(crossings, xs, ys))
+        # and off the crossings: before, between and past the samples
+        u = np.concatenate(([xs[0] - 1.0], xs, (xs[1:] + xs[:-1]) / 2, [xs[-1] + 1.0]))
+        with np.errstate(over="ignore"):
+            got = _Interp(graph.xs, u, np.searchsorted(xs, u, side="right"))._gather(graph.f1s)
+        assert bit_identical(got, np.interp(u, xs, ys))
+
+    def test_counting_copies_no_graph_array(self):
+        # the column table reads the frozen graph in place; the graph's own
+        # max_gap, one np.diff of xs, is held before counting
+        graph = sample_exact(model_for("fig4"), 10)
+        assert graph.max_gap > 0.0
+        _, _, peak = traced(lambda: box_count(graph, 2.0 ** -12))
+        assert peak < graph.xs.nbytes
 
     def test_refinement_monotonicity(self):
         graph = sample_exact(model_for("fig5"), 12)
@@ -213,7 +245,7 @@ class TestBoxCount:
         model = synthetic_self_affine()
         graph = sample_exact(model, 10)
         c1 = box_count(graph, 2.0 ** (-6))
-        c2 = box_count(dataclasses.replace(graph, f1s=graph.f2s), 2.0 ** (-6))
+        c2 = box_count(dataclasses.replace(graph, f1s=exact_grid(model, 10)[2]), 2.0 ** (-6))
         assert c1 == c2   # the two components coincide for this model
 
     @pytest.mark.parametrize("ys, expected", [
@@ -226,7 +258,7 @@ class TestBoxCount:
     ])
     def test_right_edge_limit_on_row_boundary(self, ys, expected):
         xs = np.array([0.0, 0.5, 1.0, 1.5])
-        graph = SampledGraph(xs=xs, f1s=np.array(ys), f2s=xs)
+        graph = SampledGraph(xs=xs, f1s=np.array(ys))
         assert box_count(graph, 1.0, density_factor=2.0) == expected
         assert brute_force_count(graph, 1.0, points_per_cell=64) == expected
 
@@ -234,7 +266,7 @@ class TestBoxCount:
         # 3 * 0.7 rounds to 2.0999999999999996, whose x/eps floors to 2; the
         # right column must still start at that crossing (y = 1.0, row 1)
         xs = np.array([1.5, 1.9, 2.3, 2.7])
-        graph = SampledGraph(xs=xs, f1s=np.array([0.0, 0.0, 2.0, 2.0]), f2s=xs)
+        graph = SampledGraph(xs=xs, f1s=np.array([0.0, 0.0, 2.0, 2.0]))
         assert box_count(graph, 0.7, density_factor=1.5) == 4
         assert brute_force_count(graph, 0.7, points_per_cell=64) == 4
 
@@ -244,7 +276,7 @@ class TestBoxCount:
         # and is not counted, and crossing 0 closes nothing.  Column 3 has
         # rows 0..2 (the last a limit of the rise to 2.0), column 4 rows 0..2.
         xs = np.array([3 * 0.7, 2.5, 2.9, 3.3])
-        graph = SampledGraph(xs=xs, f1s=np.array([0.0, 1.0, 2.0, 0.5]), f2s=xs)
+        graph = SampledGraph(xs=xs, f1s=np.array([0.0, 1.0, 2.0, 0.5]))
         assert box_count(graph, 0.7, density_factor=1.5) == 6
         # the oracle bins against the same products, so it too puts xs[0] in column 3
         assert brute_force_count(graph, 0.7, points_per_cell=64) == 6
@@ -253,7 +285,7 @@ class TestBoxCount:
         # y = x from 0 to 2.5 with one-cell boxes: column 1 holds only its
         # crossing, so its rows come from the crossings at x = 1 and x = 2
         xs = np.array([0.0, 2.5])
-        graph = SampledGraph(xs=xs, f1s=xs.copy(), f2s=xs)
+        graph = SampledGraph(xs=xs, f1s=xs.copy())
         assert box_count(graph, 1.0, density_factor=0.25) == 3
         assert brute_force_count(graph, 1.0, points_per_cell=64) == 3
 
@@ -262,12 +294,12 @@ class TestBoxCount:
     def test_empty_graph_is_refused(self, count):
         empty = np.array([])
         with pytest.raises(ValueError, match="^the graph has no samples$"):
-            count(SampledGraph(xs=empty, f1s=empty, f2s=empty))
+            count(SampledGraph(xs=empty, f1s=empty))
 
     @pytest.mark.parametrize("epsilon", [1.0, 0.25, 2.0 ** -10])
     def test_single_sample_counts_one_cell(self, epsilon):
         # a lone point has no spacing to refuse and lies in exactly one cell
-        graph = SampledGraph(xs=np.array([0.3]), f1s=np.array([0.7]), f2s=np.array([0.7]))
+        graph = SampledGraph(xs=np.array([0.3]), f1s=np.array([0.7]))
         assert graph.max_gap == 0.0
         assert box_count(graph, epsilon) == 1
 
@@ -295,7 +327,7 @@ class TestBoxCount:
         # 0.35 is exactly 0.7 / 2, so 0.7 folds the table at 0.35, across the
         # rounded crossings of the two tests above
         xs = np.array(xs)
-        graph = SampledGraph(xs=xs, f1s=np.array(ys), f2s=xs)
+        graph = SampledGraph(xs=xs, f1s=np.array(ys))
         folded, direct = folded_and_direct(graph, [0.35, 0.7], density_factor=0.5)
         assert folded == direct
         assert folded[1] == coarse_count
@@ -305,7 +337,7 @@ class TestBoxCount:
         # columns halve to the same ones, but whose boundaries are not these
         tiny = 2.0 ** -1074
         xs = np.arange(9) * tiny
-        graph = SampledGraph(xs=xs, f1s=np.array([0, 3, 1, 4, 1, 5, 9, 2, 6]) * tiny, f2s=xs)
+        graph = SampledGraph(xs=xs, f1s=np.array([0, 3, 1, 4, 1, 5, 9, 2, 6]) * tiny)
         folded, direct = folded_and_direct(graph, [2 * tiny, 3 * tiny], density_factor=0.25)
         assert folded == direct
 
@@ -313,7 +345,7 @@ class TestBoxCount:
         # -2**-1074 / 3 rounds to -0.0, in column 0 at eps = 3, but -2**-1074 / 1.5
         # to -2**-1074, in column -1 at eps = 1.5: the fold would count 5
         xs = np.concatenate(([-2.0 ** -1074], np.linspace(0.1, 3.5, 35)))
-        graph = SampledGraph(xs=xs, f1s=2.0 * np.sin(3.0 * xs), f2s=xs)
+        graph = SampledGraph(xs=xs, f1s=2.0 * np.sin(3.0 * xs))
         folded, direct = folded_and_direct(graph, [1.5, 3.0])
         assert folded == direct == [12, 4]
 
@@ -358,7 +390,7 @@ class TestEstimateDimension:
 
     def test_scale_bound_is_the_raw_width(self):
         graph = sample_exact(model_for("fig4"), 6)
-        wide = SampledGraph(xs=10.0 * graph.xs, f1s=graph.f1s, f2s=graph.f2s)
+        wide = SampledGraph(xs=10.0 * graph.xs, f1s=graph.f1s)
         assert estimate_dimension(wide, range(-3, 1)).exponents == (-3, -2, -1, 0)   # 2^3 = 8 < 10
         message = "box scale 2^4 = 16 is not narrower than the graph's width 10"
         with pytest.raises(InsufficientScalesError, match=re.escape(message)):
@@ -391,8 +423,9 @@ class TestEstimateDimension:
         # gamma alone no matter what the visible parameters do
         problem = equidistant_problem(
             alphas=(0.2, 0.2), betas=(0.0, 0.0), gammas=(0.7, 0.7))
-        graph = sample_exact(solve_model(problem), 14)
-        result = estimate_dimension(dataclasses.replace(graph, f1s=graph.f2s), range(4, 13))
+        model = solve_model(problem)
+        graph = sample_exact(model, 14)
+        result = estimate_dimension(dataclasses.replace(graph, f1s=exact_grid(model, 14)[2]), range(4, 13))
         assert abs(result.estimate - SYNTHETIC_DIMENSION) <= 0.1
 
     def test_diagnostics(self):

@@ -12,7 +12,7 @@ from chfif import (
 )
 from chfif.config import resolve_config
 
-from helpers import ALL_GALLERY, make_problem, model_for, power, zero_param_problem
+from helpers import ALL_GALLERY, exact_grid, make_problem, model_for, power, zero_param_problem
 
 
 class TestValidate:
@@ -217,4 +217,4 @@ class TestValueBounds:
         graph = sample_exact(model, 8)
         b1, b2 = model.value_bounds()
         assert np.max(np.abs(graph.f1s)) <= b1
-        assert np.max(np.abs(graph.f2s)) <= b2
+        assert np.max(np.abs(exact_grid(model, 8)[2])) <= b2

@@ -9,13 +9,11 @@ from chfif import build_moment_table, convergence_profile, sample_exact, solve_m
 from chfif import DepthLimitError, attractor
 from chfif.config import BUNDLED_NAMES
 
-from helpers import (address_of, bit_identical, interval_of, lookup, make_problem, moment_a, moment_b, model_for,
-                     q_m_values, repeated_profile, sampled_for, word_index, zero_param_problem)
+from helpers import (address_of, bit_identical, exact_grid, interval_of, lookup, make_problem, moment_a, moment_b,
+                     model_for, q_m_values, repeated_profile, sampled_for, word_index, zero_param_problem)
 
 
-def trapezoid_over(graph, start, length, component="f1"):
-    xs = graph.xs
-    ys = graph.f1s if component == "f1" else graph.f2s
+def trapezoid_over(xs, ys, start, length):
     lo = np.searchsorted(xs, start - 1e-13)
     hi = np.searchsorted(xs, start + length + 1e-13)
     return float(np.trapezoid(ys[lo:hi], xs[lo:hi]))
@@ -35,7 +33,7 @@ class TestWholeIntervalIntegrals:
         model = model_for("fig4")
         _, b_val = whole_interval_integrals(model)
         graph = sample_exact(model, 10)
-        assert b_val == pytest.approx(trapezoid_over(graph, 0.0, 1.0), abs=5e-6)
+        assert b_val == pytest.approx(trapezoid_over(graph.xs, graph.f1s, 0.0, 1.0), abs=5e-6)
 
     def test_self_affine_components_integrate_equally(self):
         a_val, b_val = whole_interval_integrals(model_for("fig1_corrected"))
@@ -65,14 +63,12 @@ class TestMomentRecursion:
     @pytest.mark.parametrize("name", ["fig4", "fig5"])
     def test_quadrature_oracle_to_depth_three(self, name):
         model = model_for(name)
-        graph = sample_exact(model, 12)
+        xs, f1, f2 = exact_grid(model, 12)
         for wl in range(0, 4):
             for word in itertools.product((1, 2, 3), repeat=wl):
                 start, length = interval_of(model, word)
-                assert moment_b(model, word) == pytest.approx(
-                    trapezoid_over(graph, start, length, "f1"), abs=1e-6)
-                assert moment_a(model, word) == pytest.approx(
-                    trapezoid_over(graph, start, length, "f2"), abs=1e-6)
+                assert moment_b(model, word) == pytest.approx(trapezoid_over(xs, f1, start, length), abs=1e-6)
+                assert moment_a(model, word) == pytest.approx(trapezoid_over(xs, f2, start, length), abs=1e-6)
 
     @pytest.mark.parametrize("name", ["fig1", "fig6", "fig16"])
     def test_innermost_symbol_additivity(self, name):

@@ -224,7 +224,7 @@ class TestEmpiricalHolder:
 
     def test_square_root_calibration(self):
         xs = np.linspace(0.0, 1.0, 2**14 + 1)
-        graph = SampledGraph(xs=xs, f1s=np.sqrt(xs), f2s=np.zeros_like(xs))
+        graph = SampledGraph(xs=xs, f1s=np.sqrt(xs))
         estimate = empirical_holder(graph, 4, 12)
         assert 0.45 <= estimate.estimate <= 0.55
 
@@ -248,7 +248,7 @@ class TestEmpiricalHolder:
 
     def test_flat_data_has_no_usable_scales(self):
         xs = np.linspace(0.0, 1.0, 4097)
-        graph = SampledGraph(xs=xs, f1s=np.full_like(xs, 3.0), f2s=xs)
+        graph = SampledGraph(xs=xs, f1s=np.full_like(xs, 3.0))
         with pytest.raises(InsufficientScalesError):
             empirical_holder(graph, 4, 10)
 
@@ -380,8 +380,7 @@ def placed_ratio_problems(draw, same_exponent=False):
 
 
 # a fine straight graph: dimension_report's box count needs one, and its value is not checked
-LINE = SampledGraph(xs=np.linspace(0.0, 1.0, 257), f1s=np.linspace(0.0, 1.0, 257),
-                    f2s=np.zeros(257))
+LINE = SampledGraph(xs=np.linspace(0.0, 1.0, 257), f1s=np.linspace(0.0, 1.0, 257))
 
 
 # delta4 = min(lam, tau2) with lam = 0.5 < tau2 = 0.7268 < mu = 0.9: only
