@@ -54,20 +54,31 @@ def check_finite(what: str, *arrays) -> None:
         raise CurveOverflowError(f"{what} overflows: the curve leaves the float range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledGraph:
-    """The visible graph: sorted abscissas with the value of f1 at each, made read-only in place."""
+    """The visible graph: sorted abscissas and f1 at each, as float64 arrays made read-only in place (not copied).
+
+    Arrays that are not one-dimensional and of one length, or that hold no sample, raise ``ValueError``.
+    """
 
     xs: np.ndarray
     f1s: np.ndarray
 
     def __post_init__(self) -> None:
+        xs, f1s = np.asarray(self.xs, dtype=float), np.asarray(self.f1s, dtype=float)
+        if xs.ndim != 1 or xs.shape != f1s.shape:
+            raise ValueError(f"the graph needs 1-d arrays of one length, got shapes {xs.shape} and {f1s.shape}")
+        if not xs.size:
+            raise ValueError("the graph has no samples")
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "f1s", f1s)
         _freeze_arrays(self)
 
     @functools.cached_property
     def max_gap(self) -> float:
-        """The widest spacing of ``xs``, computed on first use and then held (``xs`` is read-only)."""
-        return float(np.max(np.diff(np.asarray(self.xs, dtype=float)), initial=0.0))
+        """The widest spacing of ``xs``, ``_BLOCK_POINTS`` spacings at a time (bounded memory); held from first use."""
+        return float(np.max([np.max(np.diff(self.xs[lo:lo + _BLOCK_POINTS + 1]), initial=0.0)
+                             for lo in range(0, self.xs.size, _BLOCK_POINTS)]))
 
     @functools.cached_property
     def box_columns(self) -> dict:
@@ -198,23 +209,25 @@ def sample_exact(model: ChfifModel, depth: int) -> SampledGraph:
 class _Interp:
     """np.interp(u, xs, f) for one sorted ``xs`` and one ``u``, any number of ``f``.
 
-    Built from ``right``, the side="right" split of ``u`` in ``xs``:
-    np.interp's bracket for each u.  Each ``f`` is then read with the
-    two-tap gather ((f[hi] - f[lo]) / dx) * t + f[lo].  Where u lies
-    strictly between two grid points that is np.interp's arithmetic in
-    np.interp's order.  Elsewhere np.interp returns a stored sample (u on
+    Built from ``left``, the side="left" split of ``u`` in ``xs``.  np.interp's
+    bracket is the side="right" split, which differs only where u falls on
+    a grid point, so only those u are searched again.  Each ``f`` is then
+    read with the two-tap gather ((f[hi] - f[lo]) / dx) * t + f[lo].  Where
+    u lies strictly between two grid points that is np.interp's arithmetic
+    in np.interp's order.  Elsewhere np.interp returns a stored sample (u on
     a grid point, the last of repeated ones, or at or past either end of
-    the grid); there it holds hi = lo and t = -0.0, so the product
-    is -0.0 and f[lo] + -0.0 is f[lo] bit for bit, signed zeros included.
-    The gather is therefore bit-identical to np.interp for finite values,
-    an overflowing slope included, and it copies none of ``xs`` or ``f``
+    the grid); there it holds hi = lo and t = -0.0, so the product is -0.0
+    and f[lo] + -0.0 is f[lo] bit for bit, signed zeros included.  The
+    gather is therefore bit-identical to np.interp for finite values, an
+    overflowing slope included, and it copies none of ``xs`` or ``f``
     (np.interp copies read-only inputs whole).
     """
 
-    def __init__(self, xs: np.ndarray, u: np.ndarray, right: np.ndarray) -> None:
-        lo = np.clip(right - 1, 0, len(xs) - 1)
+    def __init__(self, xs: np.ndarray, u: np.ndarray, left: np.ndarray) -> None:
+        on = xs[np.minimum(left, len(xs) - 1)] == u
+        self.lo = lo = np.maximum(left - 1, 0)
+        lo[on] = np.searchsorted(xs, u[on], side="right") - 1
         between = (xs[0] <= u) & (u < xs[-1]) & (xs[lo] != u)
-        self.lo = lo
         self.hi = np.where(between, lo + 1, lo)
         self.t = np.where(between, u - xs[lo], -0.0)
         self.dx = np.where(between, xs[self.hi] - xs[lo], 1.0)
@@ -243,7 +256,7 @@ class _SweepPlan(_Interp):
         # node abscissas belong to the interval they close on the right
         idx = np.clip(np.searchsorted(model.node_x, xs, side="left") - 1, 0, model.n_intervals - 1)
         u = np.clip((xs - model.b[idx]) / model.a[idx], 0.0, 1.0)
-        super().__init__(xs, u, np.searchsorted(xs, u, side="right"))
+        super().__init__(xs, u, np.searchsorted(xs, u, side="left"))
         self.coefficients = model.alpha[idx], model.beta[idx], model.gamma[idx], model.p(idx, u), model.q(idx, u)
 
 
@@ -252,7 +265,7 @@ def _sup_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(d, out=d)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IterationResult:
     """Fixed-point iteration output: the visible graph, f2 on its grid (read-only) and the convergence history."""
 

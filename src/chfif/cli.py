@@ -5,9 +5,9 @@ gallery entry), run one pipeline stage, and emit deterministic text files:
 byte-identical output for identical config, options and seed.
 
 Exit codes: 0 success, 1 validation/parse failure or a rejected option
-value, 2 I/O failure, 3 numeric degeneracy (degenerate classification
-exponent, non-convergence, too-coarse sampling, or a curve that leaves
-the float range).
+value, 2 I/O failure or click's usage error (an unknown flag, a value of
+the wrong type, no --config), 3 numeric degeneracy (degenerate exponent,
+non-convergence, too-coarse sampling, or a curve past the float range).
 """
 
 from __future__ import annotations

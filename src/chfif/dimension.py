@@ -103,7 +103,7 @@ def _column_table(sampled: SampledGraph, epsilon: float):
     tables = sampled.box_columns
     if epsilon in tables:
         return tables[epsilon]
-    xs = np.asarray(sampled.xs, dtype=float)
+    xs, ys = sampled.xs, sampled.f1s
     j_lo, j_hi = math.floor(xs[0] / epsilon), math.floor(xs[-1] / epsilon)
     fine = tables.get(epsilon / 2) if epsilon / 2 * 2 == epsilon else None
     if fine is not None and (fine[0] // 2, (fine[0] + fine[1].size - 1) // 2) == (j_lo, j_hi):
@@ -118,7 +118,6 @@ def _column_table(sampled: SampledGraph, epsilon: float):
     else:
         # column c holds xs[s[c-1]:s[c]] (s[-1] = 0, s[C] = n), the first one
         # possibly none; crossing c is reached along [xs[k-1], xs[k]]
-        ys = np.asarray(sampled.f1s, dtype=float)
         crossings = epsilon * np.arange(j_lo + 1, j_hi + 1, dtype=float)
         s = np.searchsorted(xs, crossings, side="left")
         starts = np.concatenate(([0], s))
@@ -127,13 +126,8 @@ def _column_table(sampled: SampledGraph, epsilon: float):
         top[filled] = np.maximum.reduceat(ys, starts[filled])
         bot[filled] = np.minimum.reduceat(ys, starts[filled])
         k = np.clip(s, 1, xs.size - 1)
-        # np.interp's bracket needs the side="right" split: it differs only
-        # for a crossing on a sample, where it passes repeated ones
-        right = s.copy()
-        on = xs[np.minimum(s, xs.size - 1)] == crossings
-        right[on] = np.searchsorted(xs, crossings[on], side="right")
         with np.errstate(over="ignore"):   # as np.interp, which does not warn on a slope that overflows
-            cross_y = _Interp(xs, crossings, right)._gather(ys)
+            cross_y = _Interp(xs, crossings, s)._gather(ys)
         table = (j_lo, filled, top, bot, cross_y, ys[k] > ys[k - 1])
     tables[epsilon] = table
     return table
@@ -166,13 +160,10 @@ def box_count(
     same bits since ``(2j)*(eps/2)`` is the float ``j*eps``.  Refuses
     (rather than undercounts) when the sample spacing, the graph's
     :attr:`~SampledGraph.max_gap`, exceeds eps / density_factor.  Raises
-    ``ValueError`` on a graph with no samples, and unless ``epsilon`` and
-    ``density_factor`` are positive.
+    ``ValueError`` unless ``epsilon`` and ``density_factor`` are positive.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    if not len(sampled.xs):
-        raise ValueError("the graph has no samples")
     if _too_coarse(sampled, epsilon, density_factor):
         raise SamplingTooCoarseError(
             f"sample spacing {sampled.max_gap:.3g} exceeds epsilon/{density_factor:g} = "
@@ -217,8 +208,6 @@ def estimate_dimension(
     if len(exponents) < 4:
         raise InsufficientScalesError(
             f"need at least 4 epsilon values, got {len(exponents)}")
-    if not len(sampled.xs):
-        raise ValueError("the graph has no samples")
     width = float(sampled.xs[-1] - sampled.xs[0])
     if 2.0 ** (-exponents[0]) >= width:
         raise InsufficientScalesError(

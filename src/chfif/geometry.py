@@ -166,7 +166,7 @@ def _freeze_arrays(obj) -> None:
             value.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MapFunction:
     """The map-function template lin*x + const + coeff*x**exponent, per interval.
 
@@ -207,7 +207,7 @@ class MapFunction:
         return float(np.max(np.abs(self.lin) + np.abs(self.const) + np.abs(self.coeff)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChfifModel:
     """A validated problem with all map coefficients and derived ratios.
 

@@ -63,7 +63,7 @@ def _child(model: ChfifModel, j, start, length, a_val, b_val):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelMoments:
     """Moment data for every word of one length, in spatial order."""
 
@@ -73,7 +73,7 @@ class LevelMoments:
     b_values: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentTable:
     """Moments for all words up to a depth, ``len(levels)``.
 

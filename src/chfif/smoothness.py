@@ -202,13 +202,11 @@ def empirical_holder(sampled: SampledGraph, scale_min_exp: int, scale_max_exp: i
     """
     if scale_max_exp < scale_min_exp:
         raise ValueError("scale_max_exp must be >= scale_min_exp")
-    xs = np.asarray(sampled.xs, dtype=float)
-    ys = np.asarray(sampled.f1s, dtype=float)
     ts: list[float] = []
     oscs: list[float] = []
     for j in range(scale_min_exp, scale_max_exp + 1):
         t = 2.0 ** (-j)
-        osc = max_oscillation(xs, ys, t)
+        osc = max_oscillation(sampled.xs, sampled.f1s, t)
         if osc > 0.0:
             ts.append(t)
             oscs.append(osc)

@@ -1,5 +1,6 @@
 """Tests for the three evaluation routes and their cross-checks."""
 
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from chfif import (
     CurveOverflowError,
     DepthLimitError,
+    SampledGraph,
     chaos_game,
     classify,
     convergence_profile,
@@ -223,6 +225,23 @@ class TestVisibleGraph:
         graph, held, _ = traced(lambda: sample_exact(model, 10))
         assert round(held / self.LEVEL, 2) == 2.0
         assert graph.xs.nbytes == graph.f1s.nbytes == self.LEVEL
+
+    @pytest.mark.parametrize("xs, f1s", [
+        # unequal lengths: box_count read misaligned values, or failed in reduceat
+        (np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 65)),
+        (np.linspace(0.0, 1.0, 65), np.linspace(0.0, 1.0, 9)),
+        (np.zeros((2, 3)), np.zeros((2, 3))),
+        (np.float64(0.5), np.float64(0.5)),
+    ], ids=["short-xs", "short-f1s", "two-dimensional", "scalars"])
+    def test_arrays_not_one_dimensional_of_one_length_are_refused(self, xs, f1s):
+        with pytest.raises(ValueError, match=re.escape(f"shapes {np.shape(xs)} and {np.shape(f1s)}")):
+            SampledGraph(xs=xs, f1s=f1s)
+
+    def test_float64_input_is_frozen_in_place_and_other_input_converted(self):
+        xs = np.linspace(0.0, 1.0, 5)
+        graph = SampledGraph(xs=xs, f1s=[0, 1, 2, 3, 4])
+        assert graph.xs is xs and not xs.flags.writeable
+        assert graph.f1s.dtype == np.float64 and not graph.f1s.flags.writeable
 
 
 class TestExactBlocks:

@@ -277,6 +277,18 @@ class TestCommands:
         result = self.run("classify", "--config", "/nonexistent/thing.yaml")
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--config", "fig4", "--no-such-flag"],
+        ["--config", "fig4", "--precision", "abc"],
+        [],
+    ], ids=["unknown-flag", "mistyped-value", "no-config"])
+    @pytest.mark.parametrize("command", sorted(main.commands))
+    def test_malformed_command_line_is_a_usage_error(self, command, args):
+        # click refuses it before the command runs, with exit 2, as an I/O failure exits
+        result = self.run(command, *args)
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.startswith("Usage:")
+
     def test_classify_report(self, tmp_path):
         out = tmp_path / "report.txt"
         result = self.run("classify", "--config", "fig4", "--out", str(out))
@@ -730,6 +742,15 @@ def test_classify_report_is_invariant_under_an_affine_map_of_the_ordinates(ref, 
     assert (mapped.exit_code, mapped.stdout, mapped.stderr) == (base.exit_code, base.stdout, base.stderr)
 
 
+@pytest.mark.parametrize("ref", ORDINATE_REFS)
+@pytest.mark.parametrize("s, t", ORDINATE_MAPS)
+def test_validate_report_is_invariant_under_an_affine_map_of_the_ordinates(ref, s, t, tmp_path):
+    # every invariant reads the abscissas and the scalings, never an ordinate's value
+    base, mapped = (CliRunner().invoke(main, ["validate", "--config", where, "--out", "-"])
+                    for where in (ref, _ordinates_mapped(ref, s, t, tmp_path)))
+    assert (mapped.exit_code, mapped.stdout, mapped.stderr) == (base.exit_code, base.stdout, base.stderr)
+
+
 def _stdout(*args) -> str:
     result = CliRunner().invoke(main, list(args))
     assert result.exit_code == 0, result.stderr
@@ -766,6 +787,40 @@ def test_exact_generate_maps_with_an_affine_map_of_the_ordinates(ref, s, t, tmp_
     assert (mapped[:, 0] == base[:, 0]).all()
     error = np.abs(mapped[:, 1:].astype(float) - (s * base[:, 1:].astype(float) + t))
     assert np.max(error) <= 4 * (depth + 1) * _rounding_unit(ref, s, t)
+
+
+# chaos_game's blocked scan against the step-by-step recurrence, relative
+# to 1 + |v|, as test_attractor.py holds it
+SCAN_GAP = 1e-11
+
+
+@pytest.mark.parametrize("ref", ORDINATE_REFS)
+@pytest.mark.parametrize("s, t", ORDINATE_MAPS)
+def test_chaos_generate_maps_with_an_affine_map_of_the_ordinates(ref, s, t, tmp_path):
+    """Every chaos value v becomes s*v + t; the abscissas keep every digit.
+
+    The picks and the x orbit read only the seed and the abscissas.  Each
+    printed value is the blocked scan's, within SCAN_GAP (1 + |v|) of the
+    step-by-step recurrence in each run, so |s| SCAN_GAP (1 + |v|) +
+    SCAN_GAP (1 + |v'|) for the base value v and the mapped v'.  The two
+    recurrences differ by their own rounding: a few units a step, damped
+    by the scalings, at most 4 / (1 - max|gamma|) for f2 and
+    (4 + max|beta| times that) / (1 - max|alpha|) for f1 in each run.
+    The worst on these cases was 0.001 of this allowance (48 units, on
+    fig3), and 0.16 of the recurrence terms alone.
+    """
+    args = ("--method", "chaos", "--points", "2000", "--precision", "17")
+    base, mapped = (np.array([row.split(",") for row in text.splitlines()[1:]])
+                    for text in (_base_stdout("generate", "--config", ref, *args),
+                                 _stdout("generate", "--config", _ordinates_mapped(ref, s, t, tmp_path), *args)))
+    assert (mapped[:, 0] == base[:, 0]).all()
+    base, mapped = base[:, 1:].astype(float), mapped[:, 1:].astype(float)
+    model = solve_model(resolve_config(ref).problem)
+    f2_steps = 4 / (1 - np.max(np.abs(model.gamma)))
+    steps = np.array([(4 + np.max(np.abs(model.beta)) * f2_steps) / (1 - np.max(np.abs(model.alpha))), f2_steps])
+    unit = _rounding_unit(ref, s, t)
+    allowance = SCAN_GAP * (abs(s) * (1 + np.abs(base)) + 1 + np.abs(mapped)) / unit + 2 * steps
+    assert np.all(np.abs(mapped - (s * base + t)) / unit <= allowance)
 
 
 def _moment_numbers(text: str):

@@ -24,7 +24,7 @@ from chfif import (
     theoretical_bounds,
 )
 from chfif import dimension
-from chfif.attractor import _Interp
+from chfif.attractor import _BLOCK_POINTS, _Interp
 from chfif.config import BUNDLED_NAMES
 from chfif.smoothness import SmoothnessReport
 
@@ -216,7 +216,7 @@ class TestBoxCount:
         # and off the crossings: before, between and past the samples
         u = np.concatenate(([xs[0] - 1.0], xs, (xs[1:] + xs[:-1]) / 2, [xs[-1] + 1.0]))
         with np.errstate(over="ignore"):
-            got = _Interp(graph.xs, u, np.searchsorted(xs, u, side="right"))._gather(graph.f1s)
+            got = _Interp(graph.xs, u, np.searchsorted(xs, u, side="left"))._gather(graph.f1s)
         assert bit_identical(got, np.interp(u, xs, ys))
 
     def test_counting_copies_no_graph_array(self):
@@ -226,6 +226,24 @@ class TestBoxCount:
         assert graph.max_gap > 0.0
         _, _, peak = traced(lambda: box_count(graph, 2.0 ** -12))
         assert peak < graph.xs.nbytes
+
+    def test_counting_a_fresh_graph_finds_its_widest_spacing_in_bounded_memory(self):
+        # max_gap takes the spacings a slice at a time, so a fresh graph's
+        # first count peaks at the column table's own work (0.29 level
+        # arrays), not at one np.diff of the whole grid (1.0)
+        graph = sample_exact(model_for("fig4"), 10)
+        _, _, peak = traced(lambda: box_count(graph, 2.0 ** -12))
+        assert peak < 0.4 * graph.xs.nbytes
+
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK_POINTS, _BLOCK_POINTS + 1, _BLOCK_POINTS + 2, 3 * _BLOCK_POINTS + 1, 40_000])
+    def test_widest_spacing_equals_one_pass_over_the_spacings(self, n):
+        # slices of _BLOCK_POINTS + 1 points overlap by one, so every
+        # spacing is in exactly one slice; NaN propagates as through np.max
+        xs = np.cumsum(np.random.default_rng(n).exponential(size=n))
+        xs[_BLOCK_POINTS:] += 100.0   # the widest spacing, when there is one, ends the first slice
+        assert SampledGraph(xs=xs.copy(), f1s=xs.copy()).max_gap == np.max(np.diff(xs), initial=0.0)
+        xs[n // 2] = np.nan
+        assert math.isnan(SampledGraph(xs=xs.copy(), f1s=xs.copy()).max_gap) == (n > 1)
 
     def test_refinement_monotonicity(self):
         graph = sample_exact(model_for("fig5"), 12)

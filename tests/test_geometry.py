@@ -5,7 +5,10 @@ import pytest
 
 from chfif import (
     ValidationError,
+    build_moment_table,
+    fixed_point_iterate,
     is_equidistant,
+    sample_exact,
     self_affine_discrepancies,
     solve_model,
     validate,
@@ -218,3 +221,23 @@ class TestValueBounds:
         b1, b2 = model.value_bounds()
         assert np.max(np.abs(graph.f1s)) <= b1
         assert np.max(np.abs(exact_grid(model, 8)[2])) <= b2
+
+
+# two records built alike from fig4, one pair per record that holds arrays
+RECORDS = {
+    "SampledGraph": lambda: sample_exact(model_for("fig4"), 3),
+    "IterationResult": lambda: fixed_point_iterate(model_for("fig4"), 33, 3, 1e-3),
+    "ChfifModel": lambda: solve_model(resolve_config("fig4").problem),
+    "MapFunction": lambda: solve_model(resolve_config("fig4").problem).p,
+    "LevelMoments": lambda: build_moment_table(model_for("fig4"), 2).levels[-1],
+    "MomentTable": lambda: build_moment_table(model_for("fig4"), 2),
+}
+
+
+@pytest.mark.parametrize("record", RECORDS)
+def test_records_holding_arrays_compare_by_identity(record):
+    # a field-wise __eq__ or __hash__ could only raise on their arrays
+    a, b = RECORDS[record](), RECORDS[record]()
+    assert type(a).__name__ == record
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
