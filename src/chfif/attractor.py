@@ -76,9 +76,13 @@ class SampledGraph:
 
     @functools.cached_property
     def max_gap(self) -> float:
-        """The widest spacing of ``xs``, ``_BLOCK_POINTS`` spacings at a time (bounded memory); held from first use."""
-        return float(np.max([np.max(np.diff(self.xs[lo:lo + _BLOCK_POINTS + 1]), initial=0.0)
-                             for lo in range(0, self.xs.size, _BLOCK_POINTS)]))
+        """The widest spacing of ``xs``, ``_BLOCK_POINTS`` spacings at a time (bounded memory), held from first
+        use; NaN propagates, and a negative spacing (``xs`` out of order) raises ``ValueError``."""
+        gaps = np.array([(np.min(d, initial=0.0), np.max(d, initial=0.0)) for d in
+                         (np.diff(self.xs[lo:lo + _BLOCK_POINTS + 1]) for lo in range(0, self.xs.size, _BLOCK_POINTS))])
+        if (gaps[:, 0] < 0.0).any():
+            raise ValueError("the graph's abscissas are not sorted")
+        return float(np.max(gaps[:, 1]))
 
     @functools.cached_property
     def box_columns(self) -> dict:

@@ -94,6 +94,8 @@ def theoretical_bounds(model: ChfifModel, report: SmoothnessReport) -> Theoretic
 def _too_coarse(sampled: SampledGraph, epsilon: float, density_factor: float) -> bool:
     if not density_factor > 0:   # NaN too
         raise ValueError("density_factor must be positive")
+    if math.isnan(sampled.max_gap) or not np.isfinite(sampled.xs[[0, -1]]).all():
+        raise ValueError("the graph's abscissas are not all finite")
     return sampled.max_gap > epsilon / density_factor * (1.0 + 1e-12)
 
 
@@ -125,6 +127,8 @@ def _column_table(sampled: SampledGraph, epsilon: float):
         top, bot = np.full(filled.size, -np.inf), np.full(filled.size, np.inf)
         top[filled] = np.maximum.reduceat(ys, starts[filled])
         bot[filled] = np.minimum.reduceat(ys, starts[filled])
+        if not np.isfinite([top.max(), bot.min()]).all():
+            raise ValueError("the graph's values are not all finite")
         k = np.clip(s, 1, xs.size - 1)
         with np.errstate(over="ignore"):   # as np.interp, which does not warn on a slope that overflows
             cross_y = _Interp(xs, crossings, s)._gather(ys)
@@ -160,7 +164,8 @@ def box_count(
     same bits since ``(2j)*(eps/2)`` is the float ``j*eps``.  Refuses
     (rather than undercounts) when the sample spacing, the graph's
     :attr:`~SampledGraph.max_gap`, exceeds eps / density_factor.  Raises
-    ``ValueError`` unless ``epsilon`` and ``density_factor`` are positive.
+    ``ValueError`` unless ``epsilon`` and ``density_factor`` are positive,
+    and for abscissas out of order or not finite, or values not finite.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")

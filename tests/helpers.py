@@ -456,6 +456,22 @@ def deque_oscillation(xs, ys, window) -> float:
     return float(best)
 
 
+def window_oscillation(xs, ys, window) -> float:
+    """Oracle for ``max_oscillation`` on any values: each window ``xs[hi] - xs[lo] <= window`` on its own.
+
+    A window's spread is its max minus its min, NaN when it holds a NaN or
+    only one infinity; NaN spreads are skipped.  O(n**2); keep n small.
+    """
+    best = 0.0
+    with np.errstate(invalid="ignore"):
+        for hi in range(len(xs)):
+            inside = ys[:hi + 1][xs[hi] - xs[:hi + 1] <= window]
+            spread = np.max(inside) - np.min(inside)
+            if spread > best:
+                best = spread
+    return float(best)
+
+
 # (theta > 1, omega > 1, gamma > 1) -> the case table's exponent tag
 _ORACLE_TAGS = {
     (False, False, False): "delta1", (False, True, True): "delta2",

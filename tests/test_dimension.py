@@ -321,6 +321,27 @@ class TestBoxCount:
         assert graph.max_gap == 0.0
         assert box_count(graph, epsilon) == 1
 
+    @pytest.mark.parametrize("n, fault, message", [
+        (257, lambda xs, ys: np.put(xs, [10, 20], xs[[20, 10]]), "abscissas are not sorted"),
+        # the reversed spacing ends max_gap's first slice, one point longer than its stride
+        (3 * _BLOCK_POINTS + 1, lambda xs, ys: np.put(xs, [_BLOCK_POINTS - 1, _BLOCK_POINTS],
+                                                      xs[[_BLOCK_POINTS, _BLOCK_POINTS - 1]]),
+         "abscissas are not sorted"),
+        (257, lambda xs, ys: np.put(xs, 100, np.nan), "abscissas are not all finite"),
+        (257, lambda xs, ys: np.put(xs, -1, np.inf), "abscissas are not all finite"),
+        (257, lambda xs, ys: np.put(xs, 0, -np.inf), "abscissas are not all finite"),
+        (257, lambda xs, ys: np.put(ys, 100, np.nan), "values are not all finite"),
+        (257, lambda xs, ys: np.put(ys, 100, -np.inf), "values are not all finite"),
+    ], ids=["swapped", "swapped-across-slices", "nan-x", "inf-x", "minus-inf-x", "nan-value", "minus-inf-value"])
+    def test_graph_out_of_order_or_not_finite_is_refused(self, n, fault, message):
+        # counted, the swapped graph gave 18 cells of the line's 17 at 2**-4, the
+        # NaN abscissa 17 and the NaN value a bare float-to-integer ValueError
+        xs = np.linspace(0.0, 1.0, n)
+        ys = xs.copy()
+        fault(xs, ys)
+        with pytest.raises(ValueError, match=f"^the graph's {message}$"):
+            box_count(SampledGraph(xs=xs, f1s=ys), 2.0 ** -4, density_factor=0.1)
+
     @pytest.mark.parametrize("name", BUNDLED_NAMES)
     def test_folded_counts_equal_direct_counts(self, name, box_count_calls):
         # estimate_dimension counts finest first, each scale folding the one below

@@ -22,7 +22,8 @@ from chfif import (
 from chfif.cli import main
 from chfif.config import RunConfig, resolve_config
 from chfif.geometry import CRITICAL_RTOL
-from chfif.smoothness import regime_state
+from chfif import smoothness
+from chfif.smoothness import _PRUNE_BLOCK, regime_state
 
 from helpers import (
     ALL_GALLERY,
@@ -37,6 +38,7 @@ from helpers import (
     power,
     remark_exponent,
     sampled_for,
+    window_oscillation,
     zero_param_problem,
 )
 
@@ -332,6 +334,86 @@ class TestMaxOscillation:
     def test_rejects_negative_window(self):
         with pytest.raises(ValueError):
             max_oscillation(np.arange(3.0), np.arange(3.0), -1.0)
+
+
+@st.composite
+def pruned_oscillation_cases(draw):
+    """128-400 sorted samples, enough for max_oscillation to skip blocks, and a window on the rule's edges."""
+    n = draw(st.integers(4 * _PRUNE_BLOCK, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spacing = draw(st.sampled_from(["uniform", "tied", "linspace", "exponential"]))
+    xs = {"uniform": lambda: np.sort(rng.uniform(-3.0, 7.0, n)),
+          # a coarse decimal grid: tied abscissas and gaps that are not exact
+          "tied": lambda: 0.1 * np.sort(rng.integers(0, n // 3, n)),
+          "linspace": lambda: np.linspace(0.0, 1.0, n),
+          "exponential": lambda: np.cumsum(rng.exponential(size=n))}[spacing]()
+    values = draw(st.sampled_from(["walk", "noise", "levels", "zeros", "nonfinite"]))
+    if values == "zeros":
+        ys = rng.choice([0.0, -0.0], n)
+    elif values == "levels":
+        # few distinct values: many block bounds equal the lower bound
+        ys = rng.choice([-1.5, 0.0, 2.0], n)
+    else:
+        ys = rng.normal(size=n) if values == "noise" else np.cumsum(rng.normal(size=n))
+        if values == "nonfinite":
+            ys[rng.integers(0, n, 3)] = draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), min_size=3, max_size=3))
+    kind = draw(st.sampled_from(["gap", "below", "above", "zero", "wide", "any"]))
+    if kind in ("gap", "below", "above"):
+        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2)))
+        window = float(xs[j] - xs[i])
+        # one ulp either side: xs - window can round onto or across a sample
+        if kind != "gap":
+            window = float(np.nextafter(window, np.inf if kind == "above" else 0.0))
+        if draw(st.booleans()):
+            # make (i, j) the widest pair, so whether it fits decides the result
+            ys[i], ys[j] = 1e4, -1e4
+    elif kind == "zero":
+        window = 0.0
+    elif kind == "wide":
+        window = float(np.ptp(xs)) + 1.0
+    else:
+        window = float(np.ptp(xs)) * draw(st.floats(0.0, 0.3))
+    return xs, ys, window
+
+
+class TestPrunedOscillation:
+    """max_oscillation past ``4 * _PRUNE_BLOCK`` samples, where it skips blocks, against the oracles."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pruned_oscillation_cases())
+    def test_matches_oracles(self, case):
+        xs, ys, window = case
+        got = max_oscillation(xs, ys, window)
+        assert type(got) is float
+        assert got == window_oscillation(xs, ys, window)
+        if not np.isnan(ys).any():
+            # the deque scan skips inf - inf as the windows do; its NaN rule differs
+            with np.errstate(invalid="ignore"):
+                assert got == deque_oscillation(xs, ys, window)
+        if np.isfinite(ys).all():
+            assert got == brute_force_oscillation(xs, ys, window)
+
+    def test_widest_window_across_a_block_boundary(self):
+        # the widest pair straddles blocks 1 and 2; block 1's own windows
+        # spread only 10, so it is kept because block 2's windows reach into it
+        b = _PRUNE_BLOCK
+        ys = np.zeros(4 * b)
+        ys[2 * b - 1], ys[2 * b:3 * b] = 10.0, -10.0
+        assert max_oscillation(np.arange(4.0 * b), ys, 1.0) == 20.0
+
+    def test_pruning_scans_under_half_the_samples(self, monkeypatch):
+        graph = sampled_for("fig4", 8)
+        sizes = []
+        spreads = smoothness._spreads
+
+        def recording(mx0, mn0, lo):
+            sizes.append(len(lo))
+            return spreads(mx0, mn0, lo)
+
+        monkeypatch.setattr(smoothness, "_spreads", recording)
+        got = max_oscillation(graph.xs, graph.f1s, 2.0 ** -10)
+        assert got == deque_oscillation(graph.xs, graph.f1s, 2.0 ** -10)
+        assert 0 < max(sizes) < graph.xs.size / 2
 
 
 # both sides of each edge of the critical window |ratio - 1| <= CRITICAL_RTOL

@@ -29,6 +29,9 @@ ALLOWED = {
     "empirical_holder",
     # called only by empirical_holder, and leaving with it
     "max_oscillation",
+    # called only by max_oscillation, and leaving with it
+    "_starts",
+    "_spreads",
     "HolderEstimate",
 }
 
