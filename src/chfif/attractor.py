@@ -77,9 +77,11 @@ class SampledGraph:
     @functools.cached_property
     def max_gap(self) -> float:
         """The widest spacing of ``xs``, ``_BLOCK_POINTS`` spacings at a time (bounded memory), held from first
-        use; NaN propagates, and a negative spacing (``xs`` out of order) raises ``ValueError``."""
+        use; ``xs`` not all finite (a NaN spacing or end) or out of order (a negative spacing) raises ``ValueError``."""
         gaps = np.array([(np.min(d, initial=0.0), np.max(d, initial=0.0)) for d in
                          (np.diff(self.xs[lo:lo + _BLOCK_POINTS + 1]) for lo in range(0, self.xs.size, _BLOCK_POINTS))])
+        if np.isnan(gaps).any() or not np.isfinite(self.xs[[0, -1]]).all():
+            raise ValueError("the graph's abscissas are not all finite")
         if (gaps[:, 0] < 0.0).any():
             raise ValueError("the graph's abscissas are not sorted")
         return float(np.max(gaps[:, 1]))
@@ -356,37 +358,40 @@ def fixed_point_iterate(model: ChfifModel, grid_size: int, max_iters: int, tol: 
     )
 
 
-def _affine_scan(a: np.ndarray, c: np.ndarray, y0: float) -> np.ndarray:
-    """y_k = a_k y_{k-1} + c_k for k = 1..n, from y_0 = ``y0``.
+def _blocked(v: np.ndarray) -> np.ndarray:
+    """``v`` padded with zeros to whole ``_SCAN_BLOCK``-step blocks, one block per column: step k at [k % B, k // B]."""
+    padded = np.concatenate((v, np.zeros(-len(v) % _SCAN_BLOCK, dtype=v.dtype)))
+    return np.ascontiguousarray(padded.reshape(-1, _SCAN_BLOCK).T)
+
+
+def _before(after: np.ndarray, first: float) -> np.ndarray:
+    """The value before each step of a :func:`_blocked` orbit, ``first`` before its first step."""
+    out = np.empty_like(after)
+    out[1:], out[0, 1:], out[0, 0] = after[:-1], after[-1, :-1], first
+    return out
+
+
+def _affine_scan(steps: np.ndarray, offsets: np.ndarray, y0: float) -> np.ndarray:
+    """y_k = a_k y_{k-1} + c_k from y_0 = ``y0``, in place on the :func:`_blocked` slopes and offsets.
 
     Affine maps compose associatively, so the recurrence is a prefix scan.
-    The steps are laid out as ``_SCAN_BLOCK``-step blocks, one block per
-    column of a (``_SCAN_BLOCK``, blocks) array.  Each row operation
-    advances every block one step from a zero start (``offsets``), and the
-    products of the slopes build up alongside (``slopes``).  One scalar
-    pass over the block ends gives each block its true start value, and
-    then y = slopes * start + offsets.  A short last block is padded with
-    identity steps after its end, so y_k is computed from steps 1..k alone,
-    the same way for every n.
+    Each row operation advances every block (column) one step from a zero
+    start, in ``offsets``, and the slopes' products accumulate in ``steps``.
+    One scalar pass over the block ends gives each block its true start,
+    and y = slopes * start + offsets is returned in ``steps``.  Entries
+    after the last step (the padding) only feed later entries, so y_k is
+    computed from steps 1..k alone, whatever follows them.
     """
-    n = len(a)
-    blocks = -(-n // _SCAN_BLOCK)
-    steps = np.ones(blocks * _SCAN_BLOCK)
-    offsets = np.zeros(blocks * _SCAN_BLOCK)
-    steps[:n] = a
-    offsets[:n] = c
-    steps = np.ascontiguousarray(steps.reshape(blocks, _SCAN_BLOCK).T)
-    offsets = np.ascontiguousarray(offsets.reshape(blocks, _SCAN_BLOCK).T)
     for i in range(1, _SCAN_BLOCK):
         offsets[i] += steps[i] * offsets[i - 1]
-    slopes = np.cumprod(steps, axis=0)
+    np.multiply.accumulate(steps, axis=0, out=steps)
     y, starts = float(y0), []
-    for slope, offset in zip(slopes[-1].tolist(), offsets[-1].tolist()):
+    for slope, offset in zip(steps[-1].tolist(), offsets[-1].tolist()):
         starts.append(y)
         y = slope * y + offset
-    slopes *= starts
-    slopes += offsets
-    return slopes.T.ravel()[:n]
+    steps *= starts
+    steps += offsets
+    return steps
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -403,27 +408,31 @@ def chaos_game(model: ChfifModel, n_points: int, seed: int) -> np.ndarray:
     scan of :func:`_affine_scan`, whose rounding differs from the
     step-by-step recurrence: over the bundled configs, seeds 0-3 and up to
     70,000 points, the worst gap was 3.7e-13 (1 + |v|), and the tests hold
-    it to 1e-11 (1 + |v|).  The steps run ``_SCAN_CHUNK`` at a time, the
-    chunks at fixed step positions and carrying (x, f1, f2) across, so
-    beside the picks and the rows only one chunk's orbits are held.
-    Output is fixed by (seed, n_points), and the first k rows are the same
-    bits for every n_points >= k.
+    it to 1e-11 (1 + |v|).  The picks are laid out once (:func:`_blocked`),
+    so the coefficients are gathered, and the orbits written through a view
+    of the rows, in the scan's layout, with no reordering copy.  The steps run
+    ``_SCAN_CHUNK`` at a time, the chunks at fixed step positions and
+    carrying (x, f1, f2) across, so beside the picks and the rows only one
+    chunk's orbits are held.  Output is fixed by (seed, n_points), and the
+    first k rows are the same bits for every n_points >= k.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
-    rng = np.random.default_rng(seed)
-    picks = rng.integers(0, model.n_intervals, size=CHAOS_BURN_IN + n_points)
-    rows = np.empty((len(picks), 3))
+    total = CHAOS_BURN_IN + n_points
+    picks = _blocked(np.random.default_rng(seed).integers(0, model.n_intervals, size=total))
+    rows = np.empty((picks.size, 3))
     x, f1, f2 = 0.0, model.y[0], model.z[0]
-    for start in range(0, len(picks), _SCAN_CHUNK):
-        j = picks[start:start + _SCAN_CHUNK]
-        chunk = rows[start:start + len(j)]
+    for start in range(0, total, _SCAN_CHUNK):
+        j = picks[:, start // _SCAN_BLOCK:(start + _SCAN_CHUNK) // _SCAN_BLOCK]
         # each step's p, q and beta * f2 read the x and f2 before the step
-        xs = np.concatenate(([x], _affine_scan(model.a[j], model.b[j], x)))
-        f2s = np.concatenate(([f2], _affine_scan(model.gamma[j], model.q(j, xs[:-1]), f2)))
-        chunk[:, 1] = _affine_scan(model.alpha[j], model.beta[j] * f2s[:-1] + model.p(j, xs[:-1]), f1)
-        chunk[:, 2] = f2s[1:]
-        chunk[:, 0] = model.to_raw(xs[1:])
-        x, f1, f2 = xs[-1], chunk[-1, 1], f2s[-1]
-        check_finite("chaos_game", chunk[:, 1:])
-    return rows[CHAOS_BURN_IN:]
+        xs = _affine_scan(model.a.take(j), model.b.take(j), x)
+        x_before = _before(xs, x)
+        f2s = _affine_scan(model.gamma.take(j), model.q(j, x_before), f2)
+        f1s = _affine_scan(model.alpha.take(j), model.beta.take(j) * _before(f2s, f2) + model.p(j, x_before), f1)
+        full, rest = divmod(min(total - start, _SCAN_CHUNK), _SCAN_BLOCK)
+        check_finite("chaos_game", f1s[:, :full], f2s[:, :full], f1s[:rest, full:full + 1], f2s[:rest, full:full + 1])
+        # the chunk's rows as (component, step in block, block), like the orbits
+        chunk = rows[start:start + j.size].reshape(j.shape[1], _SCAN_BLOCK, 3).transpose(2, 1, 0)
+        chunk[0], chunk[1], chunk[2] = model.to_raw(xs), f1s, f2s
+        x, f1, f2 = xs[-1, -1], f1s[-1, -1], f2s[-1, -1]
+    return rows[CHAOS_BURN_IN:total]

@@ -224,10 +224,12 @@ def empirical_holder(sampled: SampledGraph, scale_min_exp: int, scale_max_exp: i
     the maximum oscillation over windows of width t is computed; the
     least-squares slope of log(osc) against log(t) is the estimate.  Scales
     with no measurable oscillation are dropped; fewer than three usable
-    scales is an error.
+    scales is an error, and abscissas out of order or not finite, which the
+    window scan cannot read, raise ``ValueError`` (``sampled.max_gap``).
     """
     if scale_max_exp < scale_min_exp:
         raise ValueError("scale_max_exp must be >= scale_min_exp")
+    sampled.max_gap   # raises for abscissas out of order or not finite
     ts: list[float] = []
     oscs: list[float] = []
     for j in range(scale_min_exp, scale_max_exp + 1):

@@ -55,9 +55,14 @@ problem:
 """
 
 
+def problem_for(name: str) -> InterpolationProblem:
+    """The problem of a bundled config, a config file or one of ``OTHER_N_PROBLEMS``."""
+    return OTHER_N_PROBLEMS[name] if name in OTHER_N_PROBLEMS else resolve_config(name).problem
+
+
 @functools.lru_cache(maxsize=None)
 def model_for(name: str):
-    return solve_model(resolve_config(name).problem)
+    return solve_model(problem_for(name))
 
 
 @functools.lru_cache(maxsize=8)
@@ -142,6 +147,19 @@ def equidistant_problem(alphas, betas, gammas, ys=(0.0, 1.0, 0.0), zs=None, q_po
 
 def power(coeff: float, exponent: float) -> PowerTerm:
     return PowerTerm(coeff=coeff, exponent=exponent)
+
+
+# every bundled config has three intervals; these have two and five, with
+# unequal intervals and a power term each
+OTHER_N_PROBLEMS = {
+    "two-intervals": make_problem(nodes=((0.0, 1.0), (0.4, -2.0), (1.0, 3.0)), hidden=(0.5, 1.0, -1.0),
+                                  alphas=(0.5, -0.3), betas=(0.2, 0.4), gammas=(0.4, -0.5),
+                                  p_powers=(power(1.5, 0.5), None)),
+    "five-intervals": make_problem(nodes=((0.0, 0.0), (0.1, 1.0), (0.3, -1.0), (0.6, 2.0), (0.8, 0.5), (1.0, 1.0)),
+                                   hidden=(0.2, -0.4, 1.0, 0.0, 0.3, 0.9), alphas=(0.3, -0.5, 0.2, 0.6, -0.1),
+                                   betas=(0.1, 0.2, -0.3, 0.1, 0.2), gammas=(0.5, 0.2, -0.4, 0.3, 0.1),
+                                   q_powers=(None, power(-2.0, 0.7), None, None, None)),
+}
 
 
 def mirrored(problem: InterpolationProblem) -> InterpolationProblem:

@@ -31,6 +31,7 @@ from helpers import (
     LATE_OVERFLOW,
     NODES_X,
     NODES_Y,
+    OTHER_N_PROBLEMS,
     bit_identical,
     breadth_first_exact,
     chaos_reference,
@@ -47,6 +48,7 @@ from helpers import (
     orbit_defect,
     power,
     preimages,
+    problem_for,
     q_m_values,
     sampled_for,
     traced,
@@ -697,16 +699,18 @@ class TestChaosGame:
         for slope, offset in zip(a.tolist(), c.tolist()):
             y = slope * y + offset
             want.append(y)
-        got = attractor._affine_scan(a, c, 0.5)
+        # laid out as chaos_game lays out its picks, and read back in step order
+        got = attractor._affine_scan(attractor._blocked(a), attractor._blocked(c), 0.5).T.ravel()[:n]
         assert got.shape == (n,)
         # the worst chaos-game gap below is 3.7e-13; 1e-11 leaves a margin of about 30
         assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-11
 
-    @pytest.mark.parametrize("ref", ALL_CONFIGS, ids=lambda ref: Path(ref).stem)
+    # the picks are padded with map 0, which every N has
+    @pytest.mark.parametrize("ref", (*ALL_CONFIGS, *OTHER_N_PROBLEMS), ids=lambda ref: Path(ref).stem)
     def test_cloud_matches_sequential_oracle(self, ref):
         # the scan rounds differently from the step-by-step loop: 3.7e-13
         # relative to 1 + |v| at worst over these configs, seeds and lengths
-        problem = resolve_config(ref).problem
+        problem = problem_for(ref)
         model = solve_model(problem)
         short = (1, 63, 64, 65, *self.BLOCK_EDGE)
         for seed, lengths in ((0, short), (1, short), (7, (*short, 70_000))):
@@ -718,7 +722,8 @@ class TestChaosGame:
                 if n > 1:
                     assert orbit_defect(problem, cloud) <= 1e-12, (seed, n)
 
-    @pytest.mark.parametrize("ref", ("fig2", "fig14", str(POWER_CONFIG)), ids=lambda ref: Path(ref).stem)
+    @pytest.mark.parametrize("ref", ("fig2", "fig14", str(POWER_CONFIG), *OTHER_N_PROBLEMS),
+                             ids=lambda ref: Path(ref).stem)
     def test_prefix_stable(self, ref):
         model = model_for(ref)
         whole = chaos_game(model, 70_000, seed=3)

@@ -238,12 +238,13 @@ class TestBoxCount:
     @pytest.mark.parametrize("n", [1, 2, _BLOCK_POINTS, _BLOCK_POINTS + 1, _BLOCK_POINTS + 2, 3 * _BLOCK_POINTS + 1, 40_000])
     def test_widest_spacing_equals_one_pass_over_the_spacings(self, n):
         # slices of _BLOCK_POINTS + 1 points overlap by one, so every
-        # spacing is in exactly one slice; NaN propagates as through np.max
+        # spacing is in exactly one slice; a NaN anywhere is refused, a lone one too
         xs = np.cumsum(np.random.default_rng(n).exponential(size=n))
         xs[_BLOCK_POINTS:] += 100.0   # the widest spacing, when there is one, ends the first slice
         assert SampledGraph(xs=xs.copy(), f1s=xs.copy()).max_gap == np.max(np.diff(xs), initial=0.0)
         xs[n // 2] = np.nan
-        assert math.isnan(SampledGraph(xs=xs.copy(), f1s=xs.copy()).max_gap) == (n > 1)
+        with pytest.raises(ValueError, match="^the graph's abscissas are not all finite$"):
+            SampledGraph(xs=xs.copy(), f1s=xs.copy()).max_gap
 
     def test_refinement_monotonicity(self):
         graph = sample_exact(model_for("fig5"), 12)
@@ -279,6 +280,15 @@ class TestBoxCount:
         graph = SampledGraph(xs=xs, f1s=np.array(ys))
         assert box_count(graph, 1.0, density_factor=2.0) == expected
         assert brute_force_count(graph, 1.0, points_per_cell=64) == expected
+
+    def test_flat_run_limit_stays_in_its_row(self):
+        # a flat segment approaches each crossing from neither side, so its
+        # limit is floor(v/eps), row 2 like the samples: one cell a column;
+        # charging it as rising (ceil - 1, row 1) would give 9
+        xs = np.linspace(0.0, 1.0, 65)
+        graph = SampledGraph(xs=xs, f1s=np.full_like(xs, 0.5))
+        assert box_count(graph, 2.0 ** -2) == 5
+        assert brute_force_count(graph, 2.0 ** -2, points_per_cell=64) == 5
 
     def test_column_boundary_rounded_below_its_multiple(self):
         # 3 * 0.7 rounds to 2.0999999999999996, whose x/eps floors to 2; the

@@ -9,8 +9,13 @@ from chfif import build_moment_table, convergence_profile, sample_exact, solve_m
 from chfif import DepthLimitError, attractor
 from chfif.config import BUNDLED_NAMES
 
-from helpers import (address_of, bit_identical, exact_grid, interval_of, lookup, make_problem, moment_a, moment_b,
-                     model_for, q_m_values, repeated_profile, sampled_for, word_index, zero_param_problem)
+from helpers import (OTHER_N_PROBLEMS, address_of, bit_identical, exact_grid, interval_of, lookup, make_problem,
+                     moment_a, moment_b, model_for, q_m_values, repeated_profile, sampled_for, word_index,
+                     zero_param_problem)
+
+
+ZERO_DATA = make_problem(nodes=((0.0, 0.0), (0.35, 0.0), (0.75, 0.0), (1.0, 0.0)), hidden=(0.0, 0.0, 0.0, 0.0),
+                         alphas=(-0.2, 0.38, -0.2))
 
 
 def trapezoid_over(xs, ys, start, length):
@@ -202,18 +207,26 @@ class TestConvergenceProfile:
         profile = dict(convergence_profile(model_for("fig6"), 8, 8))
         assert profile[8] < 0.15 * profile[2]
 
-    @pytest.mark.parametrize("name", [*BUNDLED_NAMES, "zero-data"])
+    @pytest.mark.parametrize("name", [*BUNDLED_NAMES, "zero-data", *OTHER_N_PROBLEMS])
     def test_bits_equal_repeated_means(self, name):
         # zero data makes every sup zero, where the sign of a zero would show:
         # |mean - f| is 0, never -0
-        if name == "zero-data":
-            model = solve_model(make_problem(nodes=((0.0, 0.0), (0.35, 0.0), (0.75, 0.0), (1.0, 0.0)),
-                                             hidden=(0.0, 0.0, 0.0, 0.0), alphas=(-0.2, 0.38, -0.2)))
-        else:
-            model = model_for(name)
-        got = convergence_profile(model, 8, 10)
-        want = repeated_profile(model, 8, 10)
-        assert [m for m, _ in got] == [m for m, _ in want] == list(range(1, 9))
+        model = solve_model(ZERO_DATA) if name == "zero-data" else model_for(name)
+        # five intervals at probe depth 10 would exceed the point budget
+        m_max, probe_depth = (5, 7) if model.n_intervals == 5 else (8, 10)
+        got = convergence_profile(model, m_max, probe_depth)
+        want = repeated_profile(model, m_max, probe_depth)
+        assert [m for m, _ in got] == [m for m, _ in want] == list(range(1, m_max + 1))
+        assert bit_identical([err for _, err in got], [err for _, err in want])
+
+    @pytest.mark.parametrize("name", ["fig4", "zero-data", *OTHER_N_PROBLEMS])
+    @pytest.mark.parametrize("m_max", [1, 2, 5])
+    def test_probe_at_the_profile_depth(self, name, m_max):
+        # probe_depth == m_max: each deepest cell holds N probe points, folded
+        # once (for N = 2 by one np.maximum, with no out= step)
+        model = solve_model(ZERO_DATA) if name == "zero-data" else model_for(name)
+        got, want = convergence_profile(model, m_max, m_max), repeated_profile(model, m_max, m_max)
+        assert [m for m, _ in got] == [m for m, _ in want] == list(range(1, m_max + 1))
         assert bit_identical([err for _, err in got], [err for _, err in want])
 
     def test_probe_depth_must_cover_levels(self):

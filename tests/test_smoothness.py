@@ -23,7 +23,7 @@ from chfif.cli import main
 from chfif.config import RunConfig, resolve_config
 from chfif.geometry import CRITICAL_RTOL
 from chfif import smoothness
-from chfif.smoothness import _PRUNE_BLOCK, regime_state
+from chfif.smoothness import _PRUNE_BLOCK, loglog_fit, regime_state
 
 from helpers import (
     ALL_GALLERY,
@@ -217,6 +217,14 @@ class TestMonotoneConsistency:
         assert self.ORDER[scaled_report.theta_regime] >= self.ORDER[report.theta_regime]
 
 
+class TestLogLogFit:
+    def test_equal_values_fit_exactly(self):
+        # nothing to explain: r squared is 1.0, not a division by zero
+        slope, r2 = loglog_fit(np.arange(4.0), np.full(4, 1.5))
+        assert slope == pytest.approx(0.0, abs=1e-12)
+        assert r2 == 1.0
+
+
 class TestEmpiricalHolder:
     def test_polyline_calibration(self):
         model = solve_model(zero_param_problem())
@@ -262,6 +270,25 @@ class TestEmpiricalHolder:
         estimate = empirical_holder(sampled_for("fig4", 8), 4, 9)
         assert len(estimate.scales) == len(estimate.oscillations)
         assert len(estimate.scales) == 6
+
+    def test_three_usable_scales_suffice(self):
+        xs = np.linspace(0.0, 1.0, 4097)
+        estimate = empirical_holder(SampledGraph(xs=xs, f1s=np.sqrt(xs)), 4, 6)
+        assert estimate.scales == (2.0 ** -4, 2.0 ** -5, 2.0 ** -6)
+
+    @pytest.mark.parametrize("fault, message", [
+        (lambda xs: np.put(xs, [10, 20], xs[[20, 10]]), "abscissas are not sorted"),
+        (lambda xs: np.put(xs, [10, 3000], xs[[3000, 10]]), "abscissas are not sorted"),
+        (lambda xs: np.put(xs, 100, np.nan), "abscissas are not all finite"),
+    ], ids=["swapped-near", "swapped-far", "nan-x"])
+    def test_graph_out_of_order_or_not_finite_is_refused(self, fault, message):
+        # sqrt on sorted abscissas estimates 0.500; the near swap gave 0.397,
+        # the far swap and the NaN a bare IndexError from the window scan
+        xs = np.linspace(0.0, 1.0, 4097)
+        ys = np.sqrt(xs)
+        fault(xs)
+        with pytest.raises(ValueError, match=f"^the graph's {message}$"):
+            empirical_holder(SampledGraph(xs=xs, f1s=ys), 4, 10)
 
 
 @st.composite
@@ -334,6 +361,17 @@ class TestMaxOscillation:
     def test_rejects_negative_window(self):
         with pytest.raises(ValueError):
             max_oscillation(np.arange(3.0), np.arange(3.0), -1.0)
+
+    @pytest.mark.parametrize("n", [2, 5, 4 * _PRUNE_BLOCK, 300])
+    def test_never_negative_zero(self, n):
+        # a spread of -0.0 - 0.0 is -0.0; the oscillation of zeros is 0.0
+        rng = np.random.default_rng(n)
+        xs = np.arange(float(n))
+        for _ in range(20):
+            ys = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+            for window in (0.0, 1.0, float(n)):
+                got = max_oscillation(xs, ys, window)
+                assert got == 0.0 and not np.signbit(got), (ys, window)
 
 
 @st.composite
