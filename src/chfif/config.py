@@ -11,6 +11,7 @@ imports PyYAML only for documents outside the bundled configs' subset of YAML.
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from dataclasses import MISSING, dataclass, field, fields
@@ -214,12 +215,10 @@ def _record(cls, obj, where: str, document_order: bool = False):
 _SUBSET_KEY = "(" + "|".join(sorted({*_KEYS.values()}.union(
     f.name for cls in (RunConfig, InterpolationProblem, *_RECORDS.values(), RunOptions) for f in fields(cls)))) + ")"
 _SUBSET_LINE = re.compile(r"( *)(?:(?:" + _SUBSET_KEY + r":|(-))(?: +(.*?))?)? *")
-_SUBSET_TOKEN = re.compile(r" *(?:([\[\]{},])|" + _SUBSET_KEY + r": |(-?(?:0|[1-9][0-9]{0,17})(\.[0-9]+)?))")
+_SUBSET_ENTRY = re.compile(_SUBSET_KEY + ": ")
+# no letters but schema keys and a number's e/E: json's NaN, Infinity, true and null never reach it
+_SUBSET_FLOW = re.compile(r"(?:[\[\]{}, .0-9eE+-]|" + _SUBSET_ENTRY.pattern + ")*")
 _SUBSET_DEPTH = 8   # deeper documents go to PyYAML, whose RecursionError has its own message
-
-
-class _OutsideSubset(Exception):
-    """A document :func:`_read_subset` leaves to PyYAML."""
 
 
 def _read_subset(text: str):
@@ -228,8 +227,11 @@ def _read_subset(text: str):
     None outside the subset: printable ASCII; ``#`` comments at a line's start
     or after a space; block mappings of schema keys (YAML 1.1 reads keys such
     as ``no`` and ``on`` as booleans); block sequences indented under their
-    key, of ``- <flow value>`` items; one-line flow values ``[...]``,
-    ``{key: value, ...}`` and numbers ``-?(0|[1-9][0-9]{0,17})(.[0-9]+)?``.
+    key, of ``- <flow value>`` items; one-line flow values that are JSON once
+    each ``key: `` is quoted: ``[...]``, ``{key: value, ...}`` with schema keys,
+    and JSON numbers ``-?(0|[1-9][0-9]*)(.[0-9]+)?([eE][-+]?[0-9]+)?``, with no
+    trailing comma, string, ``NaN``, ``Infinity``, ``true``, ``false`` or ``null``;
+    a row's block depth plus its count of ``[`` and ``{`` below ``_SUBSET_DEPTH``.
     """
     if not (text.isascii() and text.replace("\n", "").isprintable()):
         return None
@@ -239,9 +241,9 @@ def _read_subset(text: str):
         return None
     # (indent, key or None for a sequence item, flow text or ""/None); blank lines left out
     rows = [(len(line[1]), line[2], line[4]) for line in lines if line[2] or line[3]]
-    try:
+    try:   # json's errors, an int over int()'s digit limit among them, are ValueErrors too
         doc, end = _subset_block(rows, 0, 0) if rows else (None, 0)
-    except _OutsideSubset:
+    except ValueError:
         return None
     return doc if end == len(rows) else None
 
@@ -254,43 +256,19 @@ def _subset_block(rows, i: int, depth: int):
         _, key, text = rows[i]
         i += 1
         if (key is None) != (first_key is None) or depth >= _SUBSET_DEPTH:
-            raise _OutsideSubset
+            raise ValueError("outside the subset")
         if text:
-            value, end = _subset_flow(text, 0, depth + 1)
-            if end != len(text):
-                raise _OutsideSubset
+            # json nests deeper than PyYAML's composer: every [ and { counts as one level
+            if not _SUBSET_FLOW.fullmatch(text) or depth + text.count("[") + text.count("{") >= _SUBSET_DEPTH:
+                raise ValueError("outside the subset")
+            value = json.loads(_SUBSET_ENTRY.sub(lambda entry: f'"{entry[1]}": ', text))
         elif key and i < len(rows) and rows[i][0] > indent:
             value, i = _subset_block(rows, i, depth + 1)
         else:   # a null, or a sequence at its key's column
-            raise _OutsideSubset
+            raise ValueError("outside the subset")
         items.append((key, value))
     # the last of duplicate keys wins, as in PyYAML
     return (dict(items) if first_key else [value for _, value in items]), i
-
-
-def _subset_flow(text: str, pos: int, depth: int):
-    """The flow value at ``text[pos:]``, and the position after it."""
-    token = _SUBSET_TOKEN.match(text, pos)
-    if token and token[3]:
-        return (float(token[3]) if token[4] else int(token[3])), token.end()
-    if not token or token[1] not in ("[", "{") or depth >= _SUBSET_DEPTH:
-        raise _OutsideSubset
-    close = "}" if token[1] == "{" else "]"
-    items, pos = [], token.end()
-    while True:
-        token = _SUBSET_TOKEN.match(text, pos)
-        if token and token[1] == close:   # also after a trailing comma, as in PyYAML
-            return (dict(items) if close == "}" else [value for _, value in items]), token.end()
-        key = token[2] if token else None
-        if (key is None) != (close == "]"):   # each mapping entry starts with a key
-            raise _OutsideSubset
-        value, pos = _subset_flow(text, token.end() if key else pos, depth + 1)
-        items.append((key, value))
-        token = _SUBSET_TOKEN.match(text, pos)
-        if token and token[1] == ",":
-            pos = token.end()
-        elif not token or token[1] != close:
-            raise _OutsideSubset
 
 
 def parse_config(text: str, name: str = "config") -> RunConfig:

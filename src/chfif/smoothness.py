@@ -192,8 +192,10 @@ def max_oscillation(xs: np.ndarray, ys: np.ndarray, window: float) -> float:
             reach = np.minimum.accumulate(np.where(bound < lb, len(first), lo // b)[::-1])[::-1]
             keep = np.repeat(reach <= np.arange(len(first)), b)[:len(xs)]
             xs, ys = xs[keep], ys[keep]
-        # fmax skips the nan of inf - inf, as the scan's `spread > best` did; the
-        # test also turns a -0.0 spread (-0.0 over 0.0) into the scan's 0.0
+        # fmax skips the nan of inf - inf, as the scan's `spread > best` did.  On numpy
+        # 2.4 no spread is -0.0 (both tables come from one array, and np.maximum and
+        # np.minimum break 0.0/-0.0 ties alike, so x - x = +0.0); the test below is
+        # kept only for a numpy that breaks those ties differently
         best = float(np.fmax.reduce(_spreads(ys, ys, _starts(xs, xs, window)), initial=0.0))
     return best if best > 0.0 else 0.0
 

@@ -8,6 +8,7 @@ an int and ``-0.0`` keeps its sign.
 """
 
 import os
+import random
 import subprocess
 import sys
 from dataclasses import fields
@@ -25,9 +26,14 @@ POWER = Path(__file__).parent / "data" / "power.yaml"
 TEXTS = {**{name: load_bundled_config(name) for name in BUNDLED_NAMES}, "power": POWER.read_text()}
 
 
+# documents that the reader took, by `assert_read_as_pyyaml_reads` (for the command-line run)
+TAKEN = [0]
+
+
 def assert_read_as_pyyaml_reads(text):
     value = _read_subset(text)
     if value is not None:
+        TAKEN[0] += 1
         assert repr(value) == repr(YAML.load(text, Loader=LOADER)), text
 
 
@@ -53,13 +59,43 @@ def test_resolving_bundled_configs_leaves_pyyaml_unimported():
     assert (child.returncode, child.stderr, child.stdout) == (0, "", "[]\n")
 
 
+# ---- the flow values that json reads, and those it must not ----
+
+def bundled_style(value):
+    return f"problem:\n  hidden: [3.0, {value}, 8.0]\n  intervals:\n    - {{alpha: 0.2, beta: {value}}}\n"
+
+
+@pytest.mark.parametrize("value", ["1e-12", "2.5E+3", "-0e0", "1e400", "-12.5e-3", "1234567890123456789"])
+def test_exponents_and_long_integers_are_read(value):
+    assert _read_subset(bundled_style(value)) is not None
+    assert_read_as_pyyaml_reads(bundled_style(value))
+
+
+@pytest.mark.parametrize("text", [
+    *(bundled_style(value) for value in ("NaN", "Infinity", "-Infinity", "true", "false", "null", '"1"')),
+    "problem:\n  hidden: [3.0, 1.0,]\n",
+    "problem:\n  intervals:\n    - {alpha: 0.2,}\n",
+    "problem: " + "[" * 8 + "]" * 8 + "\n",
+    "problem:\n  nodes:\n    - " + "[" * 6 + "]" * 6 + "\n",
+])
+def test_json_only_forms_and_deep_nesting_go_to_pyyaml(text):
+    assert _read_subset(text) is None
+
+
+def test_nesting_up_to_the_cap_is_read():
+    # block depth 2 (problem, nodes, the item) and 5 flow levels: 7 in all
+    text = "problem:\n  nodes:\n    - " + "[" * 5 + "]" * 5 + "\n"
+    assert _read_subset(text) == {"problem": {"nodes": [[[[[[]]]]]]}}
+    assert _read_subset("problem: " + "[" * 7 + "]" * 7 + "\n") == {"problem": [[[[[[[]]]]]]]}
+
+
 # ---- documents drawn in and near the subset ----
 
 SCHEMA_KEYS = sorted({"problem", "options", "intervals"}.union(
     f.name for cls in (InterpolationProblem, IntervalParams, PowerTerm, RunOptions) for f in fields(cls)))
 # words YAML 1.1 reads as booleans or null, and keys outside the schema
 OTHER_KEYS = ["no", "No", "NO", "yes", "on", "On", "off", "true", "false", "null", "y", "n", "x", "1", "~"]
-# each number form the reader takes, and forms near them that it leaves to PyYAML
+# each number form the reader takes, and forms near them, most of which it leaves to PyYAML
 NUMBER_FORMS = ["0", "-0", "0.0", "-0.0", "7", "-12", "0.35", "123456789012345678"]
 OTHER_FORMS = [
     "1234567890123456789", "1e5", "1.0e5", "-2E-3", ".5", "+1", "0x1F", "0o7", "0b101", "1_000", "00",
@@ -135,3 +171,23 @@ def test_edited_configs_read_as_pyyaml_reads(rng):
         chars, cut = rng.choice([(rng.choice(EDITS), 0), ("", 1), (rng.choice(EDITS), 1)])   # insert, delete, replace
         text = text[:i] + chars + text[i + cut:]
     assert_read_as_pyyaml_reads(text)
+
+
+def differential(n: int = 100_000, seed: int = 1) -> int:
+    """Check n documents, half from each generator above, against PyYAML; 1 on any difference."""
+    tests = (test_grammar_documents_read_as_pyyaml_reads, test_edited_configs_read_as_pyyaml_reads)
+    differed = 0
+    for k, (test, count) in enumerate(zip(tests, (n - n // 2, n // 2))):
+        rng = random.Random(f"{seed}-{k}")
+        for _ in range(count):
+            try:
+                test.hypothesis.inner_test(rng=rng)
+            except AssertionError as exc:
+                differed += 1
+                print(f"differs from PyYAML: {exc.args[0]!r}", file=sys.stderr)
+    print(f"{n} documents (seed {seed}): the reader took {TAKEN[0]}, {differed} differed from PyYAML")
+    return 1 if differed else 0
+
+
+if __name__ == "__main__":   # PYTHONPATH=src python tests/test_config_reader.py [N] [SEED]
+    sys.exit(differential(*(int(arg) for arg in sys.argv[1:3])))

@@ -1,5 +1,7 @@
 """Tests for problem validation, coefficient solving and ratios."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,17 @@ class TestSelfAffine:
 
     def test_corrected_entry_collapses(self):
         assert not self_affine_discrepancies(model_for("fig1_corrected"))
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0])
+    def test_hidden_ordinate_off_by_a_rounding_is_listed_at_any_scale(self, scale):
+        # z_1 5e-13 above y_1: an absolute 1e-12 took it at scale 1, not at scale 10
+        problem = resolve_config("fig1_corrected").problem
+        hidden = [z + 5e-13 * (i == 1) for i, z in enumerate(problem.hidden)]
+        problem = replace(problem, nodes=tuple((x, scale * y) for x, y in problem.nodes),
+                          hidden=tuple(scale * z for z in hidden))
+        assert self_affine_discrepancies(solve_model(problem)) == (
+            f"z_1 = {problem.hidden[1]} != y_1 = {problem.nodes[1][1]}",
+            *(f"p_{j} != q_{j} (solved coefficients differ)" for j in (1, 2, 3)))
 
 
 class TestEquidistant:
