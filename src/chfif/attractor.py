@@ -58,7 +58,7 @@ def check_finite(what: str, *arrays) -> None:
 class SampledGraph:
     """The visible graph: sorted abscissas and f1 at each, as float64 arrays made read-only in place (not copied).
 
-    Arrays that are not one-dimensional and of one length, or that hold no sample, raise ``ValueError``.
+    Arrays not 1-d and of one length, or empty, raise ``ValueError``; beside them the graph holds only :attr:`max_gap`.
     """
 
     xs: np.ndarray
@@ -85,11 +85,6 @@ class SampledGraph:
         if (gaps[:, 0] < 0.0).any():
             raise ValueError("the graph's abscissas are not sorted")
         return float(np.max(gaps[:, 1]))
-
-    @functools.cached_property
-    def box_columns(self) -> dict:
-        """:func:`~chfif.dimension.box_count`'s column tables, keyed by epsilon, held like :attr:`max_gap`."""
-        return {}
 
 
 def deepest_level(n_intervals: int, max_points: int) -> int:
@@ -413,8 +408,9 @@ def chaos_game(model: ChfifModel, n_points: int, seed: int) -> np.ndarray:
     of the rows, in the scan's layout, with no reordering copy.  The steps run
     ``_SCAN_CHUNK`` at a time, the chunks at fixed step positions and
     carrying (x, f1, f2) across, so beside the picks and the rows only one
-    chunk's orbits are held.  Output is fixed by (seed, n_points), and the
-    first k rows are the same bits for every n_points >= k.
+    chunk's orbits are held.  A chunk's rows, once written, must hold finite
+    f1 and f2, or :class:`CurveOverflowError` is raised.  Output is fixed by
+    (seed, n_points); the first k rows are the same bits for any n_points >= k.
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
@@ -429,10 +425,9 @@ def chaos_game(model: ChfifModel, n_points: int, seed: int) -> np.ndarray:
         x_before = _before(xs, x)
         f2s = _affine_scan(model.gamma.take(j), model.q(j, x_before), f2)
         f1s = _affine_scan(model.alpha.take(j), model.beta.take(j) * _before(f2s, f2) + model.p(j, x_before), f1)
-        full, rest = divmod(min(total - start, _SCAN_CHUNK), _SCAN_BLOCK)
-        check_finite("chaos_game", f1s[:, :full], f2s[:, :full], f1s[:rest, full:full + 1], f2s[:rest, full:full + 1])
         # the chunk's rows as (component, step in block, block), like the orbits
         chunk = rows[start:start + j.size].reshape(j.shape[1], _SCAN_BLOCK, 3).transpose(2, 1, 0)
         chunk[0], chunk[1], chunk[2] = model.to_raw(xs), f1s, f2s
+        check_finite("chaos_game", rows[start:min(total, start + _SCAN_CHUNK), 1:])
         x, f1, f2 = xs[-1, -1], f1s[-1, -1], f2s[-1, -1]
     return rows[CHAOS_BURN_IN:total]

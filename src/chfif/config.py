@@ -17,6 +17,7 @@ import sys
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
 from importlib import resources
+from itertools import accumulate
 from pathlib import Path
 
 from . import attractor
@@ -231,7 +232,7 @@ def _read_subset(text: str):
     each ``key: `` is quoted: ``[...]``, ``{key: value, ...}`` with schema keys,
     and JSON numbers ``-?(0|[1-9][0-9]*)(.[0-9]+)?([eE][-+]?[0-9]+)?``, with no
     trailing comma, string, ``NaN``, ``Infinity``, ``true``, ``false`` or ``null``;
-    a row's block depth plus its count of ``[`` and ``{`` below ``_SUBSET_DEPTH``.
+    a row's block depth plus its flow nesting (most ``[``/``{`` open at once) below ``_SUBSET_DEPTH``.
     """
     if not (text.isascii() and text.replace("\n", "").isprintable()):
         return None
@@ -258,8 +259,9 @@ def _subset_block(rows, i: int, depth: int):
         if (key is None) != (first_key is None) or depth >= _SUBSET_DEPTH:
             raise ValueError("outside the subset")
         if text:
-            # json nests deeper than PyYAML's composer: every [ and { counts as one level
-            if not _SUBSET_FLOW.fullmatch(text) or depth + text.count("[") + text.count("{") >= _SUBSET_DEPTH:
+            # json nests deeper than PyYAML's composer: count the flow's levels, the most [ and { open at once
+            nesting = max(accumulate((c in "[{") - (c in "]}") for c in text))
+            if not _SUBSET_FLOW.fullmatch(text) or depth + nesting >= _SUBSET_DEPTH:
                 raise ValueError("outside the subset")
             value = json.loads(_SUBSET_ENTRY.sub(lambda entry: f'"{entry[1]}": ', text))
         elif key and i < len(rows) and rows[i][0] > indent:

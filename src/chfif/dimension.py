@@ -9,6 +9,7 @@ samples and regresses log-count against log-scale over a dyadic range.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
@@ -24,6 +25,8 @@ from .smoothness import SmoothnessReport, loglog_fit
 DEFAULT_DENSITY_FACTOR = 4.0
 
 CriticalCondition = Literal["omega", "gamma", "theta", "none"]
+
+_COLUMN_TABLES = weakref.WeakKeyDictionary()   # each graph's `_column_table`s by epsilon, while the graph lives
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,7 @@ def _too_coarse(sampled: SampledGraph, epsilon: float, density_factor: float) ->
 def _column_table(sampled: SampledGraph, epsilon: float):
     # (first column, filled flags, sample-only column max and min, crossing
     # values, rising flags), folded when the end columns halve to these
-    tables = sampled.box_columns
+    tables = _COLUMN_TABLES.setdefault(sampled, {})
     if epsilon in tables:
         return tables[epsilon]
     xs, ys = sampled.xs, sampled.f1s
@@ -156,8 +159,8 @@ def box_count(
     products ``j*eps`` themselves, so rounding in ``x/eps`` cannot move a
     boundary value out of its column.  Each column's extent is the min and
     max of its run of samples, folded with its boundary values.  The runs
-    come from the graph's table at ``eps`` (:attr:`~SampledGraph.box_columns`,
-    held from first use): one ``searchsorted`` split of the samples, or the
+    come from the graph's table at ``eps``, held here from first use while
+    the graph lives: one ``searchsorted`` split of the samples, or the
     held table at an exact ``eps/2`` with columns 2c and 2c+1 merged, the
     same bits since ``(2j)*(eps/2)`` is the float ``j*eps``.  Refuses
     (rather than undercounts) when the sample spacing, the graph's

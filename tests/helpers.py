@@ -43,6 +43,16 @@ EXPECTED_REGIMES: dict[str, tuple[str, str, str]] = {
     "fig16": ("GT1", "GT1", "GT1"),
 }
 
+# finite nodes and scalings whose curve climbs past the float range
+OVERFLOWING = """\
+problem:
+  nodes: [[0.0, 0.0], [0.5, 1.6e308], [1.0, 0.0]]
+  hidden: [0.0, 1.6e308, 0.0]
+  intervals:
+    - {alpha: 0.9, beta: 0.05, gamma: 0.9}
+    - {alpha: 0.9, beta: 0.05, gamma: 0.9}
+"""
+
 # finite inputs whose curve leaves the float range, though not in the first
 # level-2 block when blocks hold N + 1 points
 LATE_OVERFLOW = """\

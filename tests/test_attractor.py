@@ -32,6 +32,7 @@ from helpers import (
     NODES_X,
     NODES_Y,
     OTHER_N_PROBLEMS,
+    OVERFLOWING,
     bit_identical,
     breadth_first_exact,
     chaos_reference,
@@ -685,6 +686,13 @@ class TestChaosGame:
     def test_requires_points(self):
         with pytest.raises(ValueError):
             chaos_game(model_for("fig4"), 0, seed=1)
+
+    @pytest.mark.parametrize("n", (3, 40, 63))
+    def test_overflow_in_a_partial_block_is_refused(self, n, monkeypatch):
+        # with no burn-in, fewer than 64 steps fill no whole block
+        monkeypatch.setattr(attractor, "CHAOS_BURN_IN", 0)
+        with pytest.raises(CurveOverflowError, match="^chaos_game overflows"):
+            chaos_game(solve_model(parse_config(OVERFLOWING).problem), n, seed=0)
 
     # point counts whose step counts, burn-in included, end on both sides of
     # the second block boundary and of the first chunk boundary

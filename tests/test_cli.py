@@ -42,7 +42,7 @@ from chfif.config import (
     resolve_config,
 )
 
-from helpers import LATE_OVERFLOW, config_json, csv_text, zero_param_problem
+from helpers import LATE_OVERFLOW, OVERFLOWING, config_json, csv_text, zero_param_problem
 
 MINIMAL = """\
 problem:
@@ -56,16 +56,6 @@ problem:
     - {alpha: 0.2, beta: 0.4, gamma: 0.3}
     - {alpha: 0.38, beta: 0.35, gamma: 0.3}
     - {alpha: 0.2, beta: 0.5, gamma: 0.24}
-"""
-
-# finite nodes and scalings whose curve climbs past the float range
-OVERFLOWING = """\
-problem:
-  nodes: [[0.0, 0.0], [0.5, 1.6e308], [1.0, 0.0]]
-  hidden: [0.0, 1.6e308, 0.0]
-  intervals:
-    - {alpha: 0.9, beta: 0.05, gamma: 0.9}
-    - {alpha: 0.9, beta: 0.05, gamma: 0.9}
 """
 
 # five equal intervals: 5**11 + 1 points at the default depth 10, above the budget

@@ -82,6 +82,15 @@ def test_json_only_forms_and_deep_nesting_go_to_pyyaml(text):
     assert _read_subset(text) is None
 
 
+@pytest.mark.parametrize("pairs", [6, 11, 40])
+def test_one_line_node_lists_are_read(pairs):
+    # the cap is on nesting, not on the count of brackets: a row of many pairs is two levels
+    nodes = ", ".join(f"[{k / pairs!r}, {k % 3}.5]" for k in range(pairs))
+    text = f"problem:\n  nodes: [{nodes}]\n  hidden: [3.0, 1.0]\n"
+    assert _read_subset(text) is not None
+    assert_read_as_pyyaml_reads(text)
+
+
 def test_nesting_up_to_the_cap_is_read():
     # block depth 2 (problem, nodes, the item) and 5 flow levels: 7 in all
     text = "problem:\n  nodes:\n    - " + "[" * 5 + "]" * 5 + "\n"

@@ -189,7 +189,7 @@ class TestBoxCount:
             estimate_dimension(graph, range(1, 5), density_factor)
 
     def test_counted_graph_is_read_only(self):
-        # the graph holds its widest gap and column tables from the first
+        # the graph's widest gap and column tables are held from the first
         # count, so a write into its arrays would leave the next count stale
         graph = sample_exact(model_for("fig4"), 6)
         box_count(graph, 2.0 ** -6)
@@ -218,6 +218,16 @@ class TestBoxCount:
         with np.errstate(over="ignore"):
             got = _Interp(graph.xs, u, np.searchsorted(xs, u, side="left"))._gather(graph.f1s)
         assert bit_identical(got, np.interp(u, xs, ys))
+
+    def test_counting_leaves_the_graph_as_built(self):
+        # the column tables are held beside the graph, one per scale, and go with it
+        graph = sample_exact(model_for("fig4"), 10)
+        estimate_dimension(graph, range(4, 13))
+        assert sorted(vars(graph)) == ["f1s", "max_gap", "xs"]
+        assert sorted(dimension._COLUMN_TABLES[graph]) == [2.0 ** -j for j in range(12, 3, -1)]
+        held = len(dimension._COLUMN_TABLES)
+        del graph
+        assert len(dimension._COLUMN_TABLES) == held - 1
 
     def test_counting_copies_no_graph_array(self):
         # the column table reads the frozen graph in place; the graph's own
