@@ -406,10 +406,10 @@ def chaos_game(model: ChfifModel, n_points: int, seed: int) -> np.ndarray:
     it to 1e-11 (1 + |v|).  The picks are laid out once (:func:`_blocked`),
     so the coefficients are gathered, and the orbits written through a view
     of the rows, in the scan's layout, with no reordering copy.  The steps run
-    ``_SCAN_CHUNK`` at a time, the chunks at fixed step positions and
-    carrying (x, f1, f2) across, so beside the picks and the rows only one
-    chunk's orbits are held.  A chunk's rows, once written, must hold finite
-    f1 and f2, or :class:`CurveOverflowError` is raised.  Output is fixed by
+    ``_SCAN_CHUNK`` at a time, the chunks at fixed step positions and carrying (x, f1, f2) across,
+    so beside the picks and the rows only one chunk's orbits are held.  A chunk's rows, once written,
+    must be finite, or :class:`CurveOverflowError` is raised; the check reads them whole, as numpy
+    is slow on a strided two-column view (318 against 38 us on 50,100 rows).  Output is fixed by
     (seed, n_points); the first k rows are the same bits for any n_points >= k.
     """
     if n_points < 1:
@@ -428,6 +428,6 @@ def chaos_game(model: ChfifModel, n_points: int, seed: int) -> np.ndarray:
         # the chunk's rows as (component, step in block, block), like the orbits
         chunk = rows[start:start + j.size].reshape(j.shape[1], _SCAN_BLOCK, 3).transpose(2, 1, 0)
         chunk[0], chunk[1], chunk[2] = model.to_raw(xs), f1s, f2s
-        check_finite("chaos_game", rows[start:min(total, start + _SCAN_CHUNK), 1:])
+        check_finite("chaos_game", rows[start:min(total, start + _SCAN_CHUNK)])
         x, f1, f2 = xs[-1, -1], f1s[-1, -1], f2s[-1, -1]
     return rows[CHAOS_BURN_IN:total]

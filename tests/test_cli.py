@@ -702,6 +702,13 @@ ORDINATE_MAPS = ((1.0, 1e5), (1e6, 12345.678), (1e3, 0.0), (1e6, 0.0), (-2.0, 3.
 ORDINATE_REFS = [*BUNDLED_NAMES, pytest.param(str(Path(__file__).parent / "data" / "power.yaml"), id="power")]
 
 
+def _written(config, problem, tmp_path) -> str:
+    """The path of ``config`` with ``problem`` in place of its own, under the same stem."""
+    path = tmp_path / f"{config.name}.yaml"    # the same stem prints the same config line
+    path.write_text(config_json(replace(config, problem=problem)))
+    return str(path)
+
+
 def _ordinates_mapped(ref, s, t, tmp_path) -> str:
     """The path of ``ref``'s config with y -> s*y + t and z -> s*z + t, under the same stem.
 
@@ -719,9 +726,7 @@ def _ordinates_mapped(ref, s, t, tmp_path) -> str:
         hidden=tuple(s * z + t for z in problem.hidden),
         params=tuple(replace(prm, p_power=scaled(prm.p_power), q_power=scaled(prm.q_power))
                      for prm in problem.params))
-    path = tmp_path / f"{config.name}.yaml"    # the same stem prints the same config line
-    path.write_text(config_json(replace(config, problem=problem)))
-    return str(path)
+    return _written(config, problem, tmp_path)
 
 
 @pytest.mark.parametrize("ref", ORDINATE_REFS)
@@ -860,6 +865,70 @@ def test_moments_map_with_an_affine_map_of_the_ordinates(ref, s, t, tmp_path):
     allowance = 2 * (cell_allowance / np.min(model.a) ** m + 4 * (defaults.probe_depth + 1))
     assert (mapped_profile[:, 0] == m).all()
     assert np.all(np.abs(mapped_profile[:, 1] - abs(s) * profile[:, 1]) <= allowance * unit)
+
+
+@pytest.mark.parametrize("ref", ORDINATE_REFS)
+@pytest.mark.parametrize("s, t", ORDINATE_MAPS)
+def test_iterate_sweeps_map_with_an_affine_map_of_the_ordinates(ref, s, t, tmp_path):
+    """After the same sweeps, every iterate value v becomes s*v + t; the abscissas keep every digit.
+
+    Both runs sweep up to 200 times; with a tolerance of 1e-300 a run stops
+    early only on a sweep that moved nothing, so its values are those a
+    later sweep would give, and runs stopping at different sweeps still
+    compare.  A sweep rounds a few terms of each value, and the scalings
+    damp earlier errors, so each run is off the exact sweeps by at most
+    4 / (1 - max|gamma|) units for f2 and (4 + max|beta| times that) /
+    (1 - max|alpha|) for f1, as for the chaos game; twice that for the
+    two runs.  The worst on these cases was 0.08 of this allowance, and
+    0.81 units times one minus its damping rate; the runs stopped after 27
+    to 38 sweeps, often at different counts.
+    """
+    base, mapped = (fixed_point_iterate(solve_model(resolve_config(where).problem), 513, 200, 1e-300)
+                    for where in (ref, _ordinates_mapped(ref, s, t, tmp_path)))
+    for run in (base, mapped):
+        assert not run.converged or max(run.f1_distances[-1], run.f2_distances[-1]) == 0.0
+    assert (mapped.graph.xs == base.graph.xs).all()
+    model = solve_model(resolve_config(ref).problem)
+    f2_steps = 4 / (1 - np.max(np.abs(model.gamma)))
+    f1_steps = (4 + np.max(np.abs(model.beta)) * f2_steps) / (1 - np.max(np.abs(model.alpha)))
+    unit = _rounding_unit(ref, s, t)
+    assert np.max(np.abs(mapped.graph.f1s - (s * base.graph.f1s + t))) <= 2 * f1_steps * unit
+    assert np.max(np.abs(mapped.f2s - (s * base.f2s + t))) <= 2 * f2_steps * unit
+
+
+# k of x -> 2**k x: x_0 + span * u and (x_i - x_0) / span are exact under it
+ABSCISSA_SCALINGS = (2, -3)
+
+
+def _abscissas_scaled(ref, k, tmp_path) -> str:
+    """The path of ``ref``'s config with every node abscissa times 2**k, under the same stem."""
+    config = resolve_config(ref)
+    nodes = tuple((math.ldexp(x, k), y) for x, y in config.problem.nodes)
+    return _written(config, replace(config.problem, nodes=nodes), tmp_path)
+
+
+@pytest.mark.parametrize("ref", ORDINATE_REFS)
+@pytest.mark.parametrize("k", ABSCISSA_SCALINGS)
+@pytest.mark.parametrize("command", ["classify", "validate", "moments"])
+def test_report_is_invariant_under_a_power_of_two_scaling_of_the_abscissas(command, ref, k, tmp_path):
+    # each report reads the unit domain, where no bit moves
+    base, scaled = (CliRunner().invoke(main, [command, "--config", where, "--out", "-"])
+                    for where in (ref, _abscissas_scaled(ref, k, tmp_path)))
+    assert (scaled.exit_code, scaled.stdout, scaled.stderr) == (base.exit_code, base.stdout, base.stderr)
+
+
+@pytest.mark.parametrize("ref", ORDINATE_REFS)
+@pytest.mark.parametrize("k", ABSCISSA_SCALINGS)
+@pytest.mark.parametrize("route", [("--depth", "5"), ("--method", "chaos", "--points", "500"),
+                                   ("--method", "iterate", "--grid-size", "82")], ids=["exact", "chaos", "iterate"])
+def test_generate_scales_its_abscissas_with_a_power_of_two(route, ref, k, tmp_path):
+    """Every x becomes 2**k x exactly, and f1 and f2 print the same digits."""
+    args = (*route, "--precision", "17")
+    base, scaled = (np.array([row.split(",") for row in text.splitlines()[1:]])
+                    for text in (_base_stdout("generate", "--config", ref, *args),
+                                 _stdout("generate", "--config", _abscissas_scaled(ref, k, tmp_path), *args)))
+    assert (scaled[:, 0].astype(float) == np.ldexp(base[:, 0].astype(float), k)).all()
+    assert (scaled[:, 1:] == base[:, 1:]).all()
 
 
 class _Stop(Exception):
